@@ -26,9 +26,9 @@
 open Ibr_core
 
 let deref v =
-  match View.target v with
-  | Some b -> ignore (Block.get b)
-  | None -> ()
+  match v with
+  | View.Ptr { target = b; _ } -> ignore (Block.get b)
+  | View.Null _ -> ()
 
 (* reuse = false gives precise use-after-free detection; epoch_freq =
    1 makes the single allocation advance the epoch (opening the
@@ -91,11 +91,11 @@ let crash_mid_op (entry : Registry.entry) =
     let reader _ =
       T.start_op h0;
       let v = T.read_root h0 ptr in
-      (match View.target v with
-       | Some b ->
+      (match v with
+       | View.Ptr { target = b; _ } ->
          ignore (Block.get b);
          saw := true
-       | None -> ());
+       | View.Null _ -> ());
       Ibr_runtime.Sched.crash_self ()
     in
     let writer _ =
@@ -344,9 +344,9 @@ let queue_dequeue_churn (entry : Registry.entry) =
       let reader _ =
         T.start_op h0;
         let hv = T.read_root h0 head in
-        (match View.target hv with
-         | None -> ()
-         | Some hb ->
+        (match hv with
+         | View.Null _ -> ()
+         | View.Ptr { target = hb; _ } ->
            (* Faults here if the churner freed the head node under
               us. *)
            let i = Block.get hb in
@@ -357,8 +357,8 @@ let queue_dequeue_churn (entry : Registry.entry) =
               dereferenced if head has not moved — for EVERY tracker;
               the races this scenario checks are in the guarded reads
               above, not in skipping that validation. *)
-           (match View.target (T.read h0 ~slot:2 head) with
-            | Some hb' when hb' == hb -> deref nv
+           (match T.read h0 ~slot:2 head with
+            | View.Ptr { target = hb'; _ } when hb' == hb -> deref nv
             | _ -> ()));
         T.end_op h0
       in
@@ -406,9 +406,9 @@ let bucket_migrate (entry : Registry.entry) =
     let reader _ =
       T.start_op h0;
       let tv = T.read_root h0 root in
-      (match View.target tv with
-       | None -> ()
-       | Some tb ->
+      (match tv with
+       | View.Null _ -> ()
+       | View.Ptr { target = tb; _ } ->
          (* Faults here if the migrator freed the table under us. *)
          ignore (Block.get tb);
          let nv = T.read h0 ~slot:1 bucket in

@@ -23,7 +23,7 @@ type 'a t = {
   mutable birth_epoch : int;
   mutable retire_epoch : int;
   state : state Atomic.t;
-  mutable payload : 'a option;    (* kept after reclaim: stale reads see it *)
+  mutable payload : 'a;           (* kept after reclaim: stale reads see it *)
 }
 
 let make ~id payload = {
@@ -32,7 +32,7 @@ let make ~id payload = {
   birth_epoch = 0;
   retire_epoch = max_int;
   state = Atomic.make Live;
-  payload = Some payload;
+  payload;
 }
 
 let id b = b.id
@@ -47,23 +47,23 @@ let set_retire_epoch b e = b.retire_epoch <- e
 (* Payload access = pointer dereference.  The single point where
    use-after-free is detected. *)
 let get b =
-  Prim.charge_deref ();
-  match Atomic.get b.state, b.payload with
-  | Reclaimed, Some p ->
+  (* [Prim.active], tested here to spare the call on the native path. *)
+  if Atomic.get (Ibr_runtime.Hooks.demand :> int Atomic.t) <> 0 then
+    Prim.charge_deref ();
+  match Atomic.get b.state with
+  | Reclaimed ->
     Fault.report Fault.Use_after_free
       (Printf.sprintf "block %d (inc %d) accessed after reclamation"
          b.id b.incarnation);
     (* Count mode continues with the stale payload — exactly the
        garbage a real dangling read would observe.  (If the block was
-       reused, [p] is the new occupant's payload.) *)
-    p
-  | _, None ->
-    raise (Fault.Memory_fault (Fault.Use_after_free, "payload missing"))
-  | (Live | Retired), Some p -> p
+       reused, it is the new occupant's payload.) *)
+    b.payload
+  | Live | Retired -> b.payload
 
 (* Like [get] but total: [None] instead of a fault.  Used by checkers
    and diagnostics, never by data-structure code. *)
-let peek b = if Atomic.get b.state = Reclaimed then None else b.payload
+let peek b = if Atomic.get b.state = Reclaimed then None else Some b.payload
 
 let is_live b = Atomic.get b.state = Live
 let is_retired b = Atomic.get b.state = Retired
@@ -102,7 +102,7 @@ let reincarnate b payload =
   b.incarnation <- b.incarnation + 1;
   b.birth_epoch <- 0;
   b.retire_epoch <- max_int;
-  b.payload <- Some payload;
+  b.payload <- payload;
   Atomic.set b.state Live
 
 let pp ppf b =

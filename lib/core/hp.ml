@@ -150,9 +150,9 @@ let read h ~slot p =
   let cell = h.t.slots.(h.tid).(slot) in
   let rec loop () =
     let v = Plain_ptr.read p in
-    (match View.target v with
-     | None -> v   (* null needs no protection *)
-     | Some b ->
+    (match v with
+     | View.Null _ -> v   (* null needs no protection *)
+     | View.Ptr { target = b; _ } ->
        Prim.write cell (Some b);
        Ibr_obs.Probe.reserve ~slot;
        Prim.fence ();

@@ -9,8 +9,9 @@
    pays nothing extra.
 
    Each wrapper also attributes its charge to the matching
-   [Ibr_obs.Probe] cost bucket; when probes are disabled the
-   attribution call is one branch.
+   [Ibr_obs.Probe] cost bucket.  On the real-domains backend with no
+   handler installed and attribution off, a wrapper is its raw
+   [Atomic] op behind one load and branch.
 
    The active cost model is a global; experiments set it once before a
    run (the simulator is single-domain, and the real-domains backend
@@ -22,29 +23,35 @@ let costs = ref Cost.default
 
 let set_costs c = costs := c
 
-let read a =
+(* [Hooks.active], read here rather than called: every primitive
+   below tests it first and leaves the charge, the step and the
+   neutralization poll (all no-ops while it is false) out of line. *)
+let active () = Atomic.get (Hooks.demand :> int Atomic.t) <> 0
+
+let charge kind c =
+  Ibr_obs.Probe.charge kind c;
+  Hooks.step c
+
+let read_charged a =
   (* Guard-path neutralization poll (domains backend; no-op on the
      sim, which delivers at scheduling points): a pending restart
      signal must land before the value read here can be trusted for a
      dereference. *)
   Hooks.poll_neutralize ();
-  let c = !costs.Cost.read in
-  Ibr_obs.Probe.charge Ibr_obs.Probe.K_read c;
-  Hooks.step c;
+  charge Ibr_obs.Probe.K_read !costs.Cost.read;
   Atomic.get a
+
+let read a = if active () then read_charged a else Atomic.get a
 
 (* Read of a read-mostly global (epoch counter, born_before tag):
    cheaper than a general shared load — see Cost.hot_read. *)
 let hot_read a =
-  let c = !costs.Cost.hot_read in
-  Ibr_obs.Probe.charge Ibr_obs.Probe.K_hot_read c;
-  Hooks.step c;
+  if active () then
+    charge Ibr_obs.Probe.K_hot_read !costs.Cost.hot_read;
   Atomic.get a
 
 let write a v =
-  let c = !costs.Cost.write in
-  Ibr_obs.Probe.charge Ibr_obs.Probe.K_write c;
-  Hooks.step c;
+  if active () then charge Ibr_obs.Probe.K_write !costs.Cost.write;
   Atomic.set a v
 
 (* Charge for a CAS the caller already performed raw.  For callers
@@ -53,10 +60,9 @@ let write a v =
    [cas] steps after its atomic op, so state that must stay atomic
    with the CAS has to be written before this charge. *)
 let charge_cas ~ok =
-  let c = if ok then !costs.Cost.cas else !costs.Cost.cas_fail in
-  Ibr_obs.Probe.charge
-    (if ok then Ibr_obs.Probe.K_cas else Ibr_obs.Probe.K_cas_fail) c;
-  Hooks.step c
+  if active () then
+    if ok then charge Ibr_obs.Probe.K_cas !costs.Cost.cas
+    else charge Ibr_obs.Probe.K_cas_fail !costs.Cost.cas_fail
 
 let cas a expected desired =
   let ok = Atomic.compare_and_set a expected desired in
@@ -64,49 +70,36 @@ let cas a expected desired =
   ok
 
 let faa a n =
-  let c = !costs.Cost.faa in
-  Ibr_obs.Probe.charge Ibr_obs.Probe.K_faa c;
-  Hooks.step c;
+  if active () then charge Ibr_obs.Probe.K_faa !costs.Cost.faa;
   Atomic.fetch_and_add a n
 
 (* Write-read (store-load) fence.  On the real-domains backend OCaml's
    seq-cst atomics already order everything, so only the cost matters. *)
 let fence () =
-  let c = !costs.Cost.fence in
-  Ibr_obs.Probe.charge Ibr_obs.Probe.K_fence c;
-  Hooks.step c
+  if active () then charge Ibr_obs.Probe.K_fence !costs.Cost.fence
 
 (* Thread-local bookkeeping of [n] conceptual steps. *)
 let local n =
-  let c = n * !costs.Cost.local in
-  Ibr_obs.Probe.charge Ibr_obs.Probe.K_local c;
-  Hooks.step c
+  if active () then
+    charge Ibr_obs.Probe.K_local (n * !costs.Cost.local)
 
 (* Payload dereference: same latency class as a read, and — crucially
    for fault detection — a preemption point between reading a pointer
    and touching what it points to. *)
 let charge_deref () =
-  Hooks.poll_neutralize ();
-  let c = !costs.Cost.read in
-  Ibr_obs.Probe.charge Ibr_obs.Probe.K_read c;
-  Hooks.step c
+  if active () then begin
+    Hooks.poll_neutralize ();
+    charge Ibr_obs.Probe.K_read !costs.Cost.read
+  end
 
 let charge_alloc ~reused =
-  let c =
-    if reused then !costs.Cost.alloc_reuse else !costs.Cost.alloc_fresh
-  in
-  Ibr_obs.Probe.charge
-    (if reused then Ibr_obs.Probe.K_alloc_reuse
-     else Ibr_obs.Probe.K_alloc_fresh)
-    c;
-  Hooks.step c
+  if active () then
+    if reused then charge Ibr_obs.Probe.K_alloc_reuse !costs.Cost.alloc_reuse
+    else charge Ibr_obs.Probe.K_alloc_fresh !costs.Cost.alloc_fresh
 
 let charge_free () =
-  let c = !costs.Cost.free in
-  Ibr_obs.Probe.charge Ibr_obs.Probe.K_free c;
-  Hooks.step c
+  if active () then charge Ibr_obs.Probe.K_free !costs.Cost.free
 
 let charge_scan () =
-  let c = !costs.Cost.scan_reservation in
-  Ibr_obs.Probe.charge Ibr_obs.Probe.K_scan_reservation c;
-  Hooks.step c
+  if active () then
+    charge Ibr_obs.Probe.K_scan_reservation !costs.Cost.scan_reservation

@@ -35,9 +35,9 @@ module Ops = struct
   (* Reading the header of a possibly-reclaimed block is exactly what
      type preservation licenses: the value is stale but well-typed. *)
   let birth_of v =
-    match View.target v with
-    | None -> 0
-    | Some b ->
+    match v with
+    | View.Null _ -> 0
+    | View.Ptr { target = b; _ } ->
       Ibr_runtime.Hooks.step !Prim.costs.Ibr_runtime.Cost.hot_read;
       Block.birth_epoch b
 

@@ -6,34 +6,41 @@
    every write allocates a fresh view box, so a CAS succeeds only
    against the exact value a thread previously read.  (This makes
    cell-level ABA impossible — strictly stronger than C++; see
-   DESIGN.md §1.) *)
+   DESIGN.md §1.)
 
-type 'a t = {
-  target : 'a Block.t option;
-  tag : int;
-}
+   The box holds the block itself, with no option in between, so a
+   dereference loads view, block, payload — callers match [Ptr]
+   instead of allocating through [target].  [Null] carries a field
+   for the same reason [Ptr] does: a constant constructor would be
+   one shared immediate, and a CAS against a stale null view would
+   succeed. *)
 
-let make ?(tag = 0) target = { target; tag }
+type 'a t =
+  | Null of { tag : int }
+  | Ptr of { target : 'a Block.t; tag : int }
 
-let target v = v.target
-let tag v = v.tag
+let make ?(tag = 0) target =
+  match target with
+  (* Opaque, so the compiler never turns [make None] into a shared
+     static constant. *)
+  | None -> Null { tag = Sys.opaque_identity tag }
+  | Some b -> Ptr { target = b; tag }
 
-let is_null v = v.target = None
+let target = function Null _ -> None | Ptr { target; _ } -> Some target
+let tag = function Null { tag } | Ptr { tag; _ } -> tag
+let is_null = function Null _ -> true | Ptr _ -> false
 
 (* Dereference: payload of the target, detecting use-after-free. *)
-let deref_exn v =
-  match v.target with
-  | None -> invalid_arg "View.deref_exn: null pointer"
-  | Some b -> Block.get b
+let deref_exn = function
+  | Null _ -> invalid_arg "View.deref_exn: null pointer"
+  | Ptr { target; _ } -> Block.get target
 
 let equal_contents a b =
-  a.tag = b.tag
-  && (match a.target, b.target with
-      | None, None -> true
-      | Some x, Some y -> x == y
-      | None, Some _ | Some _, None -> false)
+  match a, b with
+  | Null { tag = x }, Null { tag = y } -> x = y
+  | Ptr p, Ptr q -> p.target == q.target && p.tag = q.tag
+  | Null _, Ptr _ | Ptr _, Null _ -> false
 
-let pp ppf v =
-  match v.target with
-  | None -> Fmt.pf ppf "null/%d" v.tag
-  | Some b -> Fmt.pf ppf "%a/%d" Block.pp b v.tag
+let pp ppf = function
+  | Null { tag } -> Fmt.pf ppf "null/%d" tag
+  | Ptr { target; tag } -> Fmt.pf ppf "%a/%d" Block.pp target tag

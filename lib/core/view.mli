@@ -4,17 +4,21 @@
     Views are compared {e physically} by CAS: every write allocates a
     fresh view box, so a CAS succeeds only against the exact value a
     thread previously read (cell-level ABA is impossible — see
-    DESIGN.md §1). *)
+    DESIGN.md §1).  The type is private so that {!make}, which always
+    allocates, is the only way to build one; code that walks a
+    structure matches [Ptr] directly, which allocates nothing. *)
 
-type 'a t = {
-  target : 'a Block.t option;
-  tag : int;
-}
+type 'a t = private
+  | Null of { tag : int }
+  | Ptr of { target : 'a Block.t; tag : int }
 
 val make : ?tag:int -> 'a Block.t option -> 'a t
-(** [tag] defaults to [0]. *)
+(** A fresh box, never physically equal to another view.  [tag]
+    defaults to [0]. *)
 
 val target : 'a t -> 'a Block.t option
+(** Allocates on [Ptr]; prefer matching the view on hot paths. *)
+
 val tag : 'a t -> int
 val is_null : 'a t -> bool
 

@@ -78,7 +78,10 @@ module Make (T : Tracker_intf.TRACKER) = struct
     | None -> 0
     | Some b -> (Block.get b).size
 
-  let child h edge = View.target (T.read h.th ~slot:0 edge)
+  (* Read-only walks match the child's view directly; the copy-on-write
+     rewrite works on options, which it also builds new nodes from. *)
+  let child_view h edge = T.read h.th ~slot:0 edge
+  let child h edge = View.target (child_view h edge)
 
   (* Consume [b] during a rotation: a node of ours is discarded, an
      original is superseded. *)
@@ -248,16 +251,15 @@ module Make (T : Tracker_intf.TRACKER) = struct
 
   let get h ~key =
     wrap h (fun () ->
-      let rootv = T.read_root h.th h.tree.root in
       let rec go = function
-        | None -> None
-        | Some b ->
+        | View.Null _ -> None
+        | View.Ptr { target = b; _ } ->
           let n = Block.get b in
           if key = n.key then Some n.value
-          else if key < n.key then go (child h n.left)
-          else go (child h n.right)
+          else if key < n.key then go (child_view h n.left)
+          else go (child_view h n.right)
       in
-      go (View.target rootv))
+      go (T.read_root h.th h.tree.root))
 
   let contains h ~key = get h ~key <> None
 
@@ -268,20 +270,19 @@ module Make (T : Tracker_intf.TRACKER) = struct
      the protection the traversal needs. *)
   let range_scan h ~lo ~hi =
     wrap h (fun () ->
-      let rootv = T.read_root h.th h.tree.root in
       let rec go acc = function
-        | None -> acc
-        | Some b ->
+        | View.Null _ -> acc
+        | View.Ptr { target = b; _ } ->
           let n = Block.get b in
           let acc =
-            if n.key < hi then go acc (child h n.right) else acc in
+            if n.key < hi then go acc (child_view h n.right) else acc in
           let acc =
             if lo <= n.key && n.key <= hi then (n.key, n.value) :: acc
             else acc
           in
-          if n.key > lo then go acc (child h n.left) else acc
+          if n.key > lo then go acc (child_view h n.left) else acc
       in
-      go [] (View.target rootv))
+      go [] (T.read_root h.th h.tree.root))
 
   let retired_count h = T.retired_count h.th
   let force_empty h = T.force_empty h.th
@@ -303,36 +304,35 @@ module Make (T : Tracker_intf.TRACKER) = struct
       (* Right-to-left in-order with an accumulator yields ascending
          key order directly. *)
       let rec go acc = function
-        | None -> acc
-        | Some b ->
+        | View.Null _ -> acc
+        | View.Ptr { target = b; _ } ->
           let n = Block.get b in
-          let acc = go acc (child h n.right) in
-          go ((n.key, n.value) :: acc) (child h n.left)
+          let acc = go acc (child_view h n.right) in
+          go ((n.key, n.value) :: acc) (child_view h n.left)
       in
-      go [] (View.target (T.read_root h.th t.root)))
+      go [] (T.read_root h.th t.root))
 
   (* BST order, size bookkeeping, weight balance, and liveness of the
      whole reachable version. *)
   let check_invariants t =
     with_temp_handle t (fun h ->
       let rec go ~lo ~hi = function
-        | None -> 0
-        | Some b ->
+        | View.Null _ -> 0
+        | View.Ptr { target = b; _ } ->
           if Block.is_reclaimed b then
             failwith "bonsai invariant: reachable reclaimed block";
           let n = Block.get b in
           if not (lo < n.key && n.key < hi) then
             failwith "bonsai invariant: keys out of order";
-          let ls = go ~lo ~hi:n.key (child h n.left) in
-          let rs = go ~lo:n.key ~hi (child h n.right) in
+          let ls = go ~lo ~hi:n.key (child_view h n.left) in
+          let rs = go ~lo:n.key ~hi (child_view h n.right) in
           if n.size <> ls + rs + 1 then
             failwith "bonsai invariant: size field wrong";
           if ls + rs > 1 && (ls > delta * rs || rs > delta * ls) then
             failwith "bonsai invariant: weight balance violated";
           n.size
       in
-      ignore (go ~lo:min_int ~hi:max_int
-                (View.target (T.read_root h.th t.root))))
+      ignore (go ~lo:min_int ~hi:max_int (T.read_root h.th t.root)))
 
   let map =
     Some { Ds_intf.insert; remove; get; contains; to_sorted_list }

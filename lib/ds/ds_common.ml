@@ -35,26 +35,39 @@ type op_stats = {
 let make_op_stats () =
   { ops = 0; restarts = 0; reservation_refreshes = 0; neutralizations = 0 }
 
+(* [Fun.protect] without its closure: restoring the window cannot
+   raise. *)
+let with_window open_ f =
+  let open Ibr_runtime in
+  let prev = Hooks.restart_window open_ in
+  match f () with
+  | r ->
+    ignore (Hooks.restart_window prev);
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (Hooks.restart_window prev);
+    Printexc.raise_with_backtrace e bt
+
 (* Mask the caller's restart window across [f]: any neutralization
    signal stays pending rather than unwinding [f].  Data structures
    wrap every linearizing CAS *and the rest of the operation after
    it* in this bracket — once the op has logically happened, a
    restart would apply it twice.  Masked sections must not perform
    guarded dereferences ([Block.get]): a pending signal means the
-   thread's reservations may already be expired. *)
+   thread's reservations may already be expired.  With no handler
+   installed the window is the default no-op, so the bracket is
+   skipped after one load and branch. *)
 let committed f =
-  let open Ibr_runtime in
-  let prev = Hooks.restart_window false in
-  Fun.protect ~finally:(fun () -> ignore (Hooks.restart_window prev)) f
+  if Ibr_runtime.Hooks.active () then with_window false f else f ()
 
 let with_op ~stats ~start_op ~end_op ~on_neutralize ~max_cas_failures f =
   let open Ibr_runtime in
   Ibr_obs.Probe.op_begin ();
   (* Open the restart window for exactly the attempt body; [end_op] /
      [start_op] bookkeeping between attempts runs masked. *)
-  let guarded_f () =
-    let prev = Hooks.restart_window true in
-    Fun.protect ~finally:(fun () -> ignore (Hooks.restart_window prev)) f
+  let guarded_f =
+    if Hooks.active () then fun () -> with_window true f else f
   in
   let rec attempt fails =
     match guarded_f () with

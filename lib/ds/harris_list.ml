@@ -73,9 +73,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
          resurrect a dead path and permit double unlinks).  Restart
          from the head, as Michael's algorithm does. *)
       if View.tag curv = marked then raise Ds_common.Restart;
-      match View.target curv with
-      | None -> (prev, curv, None)
-      | Some bcur ->
+      match curv with
+      | View.Null _ -> (prev, curv, None)
+      | View.Ptr { target = bcur; _ } ->
         let n = Block.get bcur in
         let nextv = T.read th ~slot:slot_next n.next in
         if View.tag nextv = marked then begin
@@ -192,9 +192,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     wrap h (fun () ->
       let th = h.th in
       let rec walk acc v =
-        match View.target v with
-        | None -> List.rev acc
-        | Some b ->
+        match v with
+        | View.Null _ -> List.rev acc
+        | View.Ptr { target = b; _ } ->
           let n = Block.get b in
           if n.key > hi then List.rev acc
           else begin
@@ -230,9 +230,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let th = T.register tracker ~tid:0 in
     T.start_op th;
     let rec walk acc v =
-      match View.target v with
-      | None -> List.rev acc
-      | Some b ->
+      match v with
+      | View.Null _ -> List.rev acc
+      | View.Ptr { target = b; _ } ->
         let n = Block.get b in
         let nextv = T.read th ~slot:slot_next n.next in
         let acc =
@@ -249,9 +249,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let th = T.register tracker ~tid:0 in
     T.start_op th;
     let rec walk last v =
-      match View.target v with
-      | None -> ()
-      | Some b ->
+      match v with
+      | View.Null _ -> ()
+      | View.Ptr { target = b; _ } ->
         if Block.is_reclaimed b then
           failwith "harris-list invariant: reachable reclaimed block";
         let n = Block.get b in

@@ -83,17 +83,17 @@ module Make (T : Tracker_intf.TRACKER) = struct
     wrap h (fun () ->
       let rec attempt () =
         let tailv = T.read h.th ~slot:slot_node h.queue.tail in
-        match View.target tailv with
-        | None -> assert false    (* tail never goes null *)
-        | Some tb ->
+        match tailv with
+        | View.Null _ -> assert false    (* tail never goes null *)
+        | View.Ptr { target = tb; _ } ->
           let tn = Block.get tb in
           let nextv = T.read h.th ~slot:slot_next tn.next in
-          (match View.target nextv with
-           | Some nb ->
+          (match nextv with
+           | View.Ptr { target = nb; _ } ->
              (* Tail lagging: help it forward, then retry. *)
              ignore (T.cas h.th h.queue.tail ~expected:tailv (Some nb));
              attempt ()
-           | None ->
+           | View.Null _ ->
              (* Mask allocation through the linearizing link CAS (and
                 the loser's dealloc): a restart signal inside would
                 leak the fresh node or re-enqueue a landed one.  The
@@ -123,19 +123,19 @@ module Make (T : Tracker_intf.TRACKER) = struct
     wrap h (fun () ->
       let rec attempt () =
         let headv = T.read h.th ~slot:slot_node h.queue.head in
-        match View.target headv with
-        | None -> assert false    (* head never goes null *)
-        | Some hb ->
+        match headv with
+        | View.Null _ -> assert false    (* head never goes null *)
+        | View.Ptr { target = hb; _ } ->
           let hn = Block.get hb in
           let nextv = T.read h.th ~slot:slot_next hn.next in
           let head_still_at hb =
-            match View.target (T.read h.th ~slot:slot_tail h.queue.head) with
-            | Some hb' -> hb' == hb
-            | None -> false
+            match T.read h.th ~slot:slot_tail h.queue.head with
+            | View.Ptr { target = hb'; _ } -> hb' == hb
+            | View.Null _ -> false
           in
-          (match View.target nextv with
-           | None -> None          (* dummy has no successor: empty *)
-           | Some _ when not (head_still_at hb) ->
+          (match nextv with
+           | View.Null _ -> None          (* dummy has no successor: empty *)
+           | View.Ptr _ when not (head_still_at hb) ->
              (* Head moved between the two reads: [hn.next] was a
                 retired dummy's stale field, so its target may already
                 be reclaimed — dereferencing it would be the queue's
@@ -143,13 +143,13 @@ module Make (T : Tracker_intf.TRACKER) = struct
                 witness shape).  Head still at [hb] proves neither
                 [hb] nor its successor has been retired yet. *)
              attempt ()
-           | Some nb ->
+           | View.Ptr { target = nb; _ } ->
              (* Help tail past the old dummy BEFORE swinging head:
                 once head moves, the dummy is retired, and a lagging
                 tail would hand the next enqueuer a freed node. *)
              let tailv = T.read h.th ~slot:slot_tail h.queue.tail in
-             (match View.target tailv with
-              | Some tb when tb == hb ->
+             (match tailv with
+              | View.Ptr { target = tb; _ } when tb == hb ->
                 ignore (T.cas h.th h.queue.tail ~expected:tailv (Some nb))
               | _ -> ());
              (* The element rides in the new dummy; read it while
@@ -178,22 +178,22 @@ module Make (T : Tracker_intf.TRACKER) = struct
     wrap h (fun () ->
       let rec attempt () =
         let headv = T.read h.th ~slot:slot_node h.queue.head in
-        match View.target headv with
-        | None -> assert false
-        | Some hb ->
+        match headv with
+        | View.Null _ -> assert false
+        | View.Ptr { target = hb; _ } ->
           let hn = Block.get hb in
           let nextv = T.read h.th ~slot:slot_next hn.next in
           (* Same head re-validation as dequeue before touching the
              successor. *)
           let fresh =
-            match View.target (T.read h.th ~slot:slot_tail h.queue.head) with
-            | Some hb' -> hb' == hb
-            | None -> false
+            match T.read h.th ~slot:slot_tail h.queue.head with
+            | View.Ptr { target = hb'; _ } -> hb' == hb
+            | View.Null _ -> false
           in
-          (match View.target nextv with
-           | None -> None
-           | Some _ when not fresh -> attempt ()
-           | Some nb -> Some (Block.get nb).value)
+          (match nextv with
+           | View.Null _ -> None
+           | View.Ptr _ when not fresh -> attempt ()
+           | View.Ptr { target = nb; _ } -> Some (Block.get nb).value)
       in
       attempt ())
 
@@ -213,16 +213,17 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let th = T.register t.tracker ~tid:0 in
     T.start_op th;
     let rec go acc v =
-      match View.target v with
-      | None -> List.rev acc
-      | Some b ->
+      match v with
+      | View.Null _ -> List.rev acc
+      | View.Ptr { target = b; _ } ->
         let n = Block.get b in
         go (n.value :: acc) (T.read th ~slot:slot_next n.next)
     in
     let r =
-      match View.target (T.read th ~slot:slot_node t.head) with
-      | None -> []
-      | Some dummy -> go [] (T.read th ~slot:slot_next (Block.get dummy).next)
+      match T.read th ~slot:slot_node t.head with
+      | View.Null _ -> []
+      | View.Ptr { target = dummy; _ } ->
+        go [] (T.read th ~slot:slot_next (Block.get dummy).next)
     in
     T.end_op th;
     r
@@ -234,24 +235,27 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let th = T.register t.tracker ~tid:0 in
     T.start_op th;
     let limit = (Alloc.stats (T.allocator t.tracker)).live + 1 in
-    let tail_b = View.target (T.read th ~slot:slot_tail t.tail) in
+    let tailv = T.read th ~slot:slot_tail t.tail in
     let rec go n ~seen_tail b =
       if n > limit then
         failwith "ms-queue invariant: chain longer than live count";
       if Block.is_reclaimed b then
         failwith "ms-queue invariant: reachable reclaimed block";
       let seen_tail =
-        seen_tail || (match tail_b with Some tb -> tb == b | None -> false)
+        seen_tail
+        || (match tailv with
+            | View.Ptr { target = tb; _ } -> tb == b
+            | View.Null _ -> false)
       in
-      match View.target (T.read th ~slot:slot_next (Block.get b).next) with
-      | Some nxt -> go (n + 1) ~seen_tail nxt
-      | None ->
+      match T.read th ~slot:slot_next (Block.get b).next with
+      | View.Ptr { target = nxt; _ } -> go (n + 1) ~seen_tail nxt
+      | View.Null _ ->
         if not seen_tail then
           failwith "ms-queue invariant: tail not reachable from head"
     in
-    (match View.target (T.read th ~slot:slot_node t.head) with
-     | None -> failwith "ms-queue invariant: null head"
-     | Some dummy -> go 0 ~seen_tail:false dummy);
+    (match T.read th ~slot:slot_node t.head with
+     | View.Null _ -> failwith "ms-queue invariant: null head"
+     | View.Ptr { target = dummy; _ } -> go 0 ~seen_tail:false dummy);
     T.end_op th
 
   let map = None

@@ -126,11 +126,11 @@ module Make (T : Tracker_intf.TRACKER) = struct
     in
     let rec descend ~ancestor ~anc_edge ~succ_view ~parent ~leaf_edge
         ~leaf_view =
-      match View.target leaf_view with
-      | None ->
+      match leaf_view with
+      | View.Null _ ->
         (* Dead parent (edges nulled after a splice): retry. *)
         raise Ds_common.Restart
-      | Some b ->
+      | View.Ptr { target = b; _ } ->
         (match Block.get b with
          | Leaf _ ->
            { sr_ancestor = ancestor; sr_anc_edge = anc_edge;
@@ -175,27 +175,23 @@ module Make (T : Tracker_intf.TRACKER) = struct
       else (pnode.right, pnode.left)
     in
     let pv = T.read th ~slot:slot_scratch primary in
-    (match View.target pv with
-     | None -> raise Ds_common.Restart
-     | Some _ -> ());
+    if View.is_null pv then raise Ds_common.Restart;
     let child_edge, cv, sibling_edge =
       if View.tag pv land flag_bit <> 0 then (primary, pv, secondary)
       else begin
         let sv0 = T.read th ~slot:slot_scratch secondary in
-        match View.target sv0 with
-        | None -> raise Ds_common.Restart
-        | Some _ ->
-          if View.tag sv0 land flag_bit <> 0 then (secondary, sv0, primary)
-          else
-            (* No flag in sight: the removal we meant to help already
-               finished (or never started here) — re-seek. *)
-            raise Ds_common.Restart
+        if View.is_null sv0 then raise Ds_common.Restart
+        else if View.tag sv0 land flag_bit <> 0 then (secondary, sv0, primary)
+        else
+          (* No flag in sight: the removal we meant to help already
+             finished (or never started here) — re-seek. *)
+          raise Ds_common.Restart
       end
     in
     (* Freeze the sibling edge (preserving any pending FLAG on it). *)
     let rec tag_sibling () =
       let sv = T.read th ~slot:slot_scratch sibling_edge in
-      if View.target sv = None then raise Ds_common.Restart
+      if View.is_null sv then raise Ds_common.Restart
       else if View.tag sv land tag_bit <> 0 then sv
       else if
         T.cas th sibling_edge ~expected:sv
@@ -204,9 +200,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
       else tag_sibling ()
     in
     let sv = tag_sibling () in
-    (match View.target sv with
-     | None -> raise Ds_common.Restart
-     | Some _ -> ());
+    if View.is_null sv then raise Ds_common.Restart;
     (* Splice: ancestor's edge moves from the successor to the sibling
        subtree; a pending FLAG on the sibling edge survives the move. *)
     let promoted_tag = View.tag sv land flag_bit in
@@ -223,9 +217,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
            the successor *is* the parent — retire parent and leaf, after
            overwriting the dead parent's edge to the leaf (proviso). *)
         (if
-           match View.target sr.sr_succ_view with
-           | Some b -> b == sr.sr_parent
-           | None -> false
+           match sr.sr_succ_view with
+           | View.Ptr { target = b; _ } -> b == sr.sr_parent
+           | View.Null _ -> false
          then begin
            (* Overwrite *both* outgoing edges of the dead parent before
               retiring anything.  The child edge must go so the removed
@@ -239,9 +233,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
               restart. *)
            T.write th child_edge ~tag:(flag_bit lor tag_bit) None;
            T.write th sibling_edge ~tag:(flag_bit lor tag_bit) None;
-           (match View.target cv with
-            | Some leaf_b -> T.retire th leaf_b
-            | None -> ());
+           (match cv with
+            | View.Ptr { target = leaf_b; _ } -> T.retire th leaf_b
+            | View.Null _ -> ());
            T.retire th sr.sr_parent
          end);
         true
@@ -377,9 +371,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
                 if k < i.ikey then (i.left, i.ikey) else (i.right, bound)
               in
               T.reassign th ~src:slot_cur ~dst:slot_parent;
-              (match View.target (T.read th ~slot:slot_cur edge) with
-               | None -> raise Ds_common.Restart (* dead node: retry *)
-               | Some c -> descend c bound)
+              (match T.read th ~slot:slot_cur edge with
+               | View.Null _ -> raise Ds_common.Restart (* dead node: retry *)
+               | View.Ptr { target = c; _ } -> descend c bound)
           in
           let l, bound = descend h.tree.root max_int in
           if l.key >= k then l else ceiling bound
@@ -409,11 +403,12 @@ module Make (T : Tracker_intf.TRACKER) = struct
       match Block.get b with
       | Leaf l -> if l.key < inf1 then f acc l.key l.value else acc
       | Internal i ->
-        let lv = T.read th ~slot:slot_cur i.left in
-        let acc =
-          match View.target lv with None -> acc | Some lb -> go acc lb in
-        let rv = T.read th ~slot:slot_cur i.right in
-        (match View.target rv with None -> acc | Some rb -> go acc rb)
+        let child acc edge =
+          match T.read th ~slot:slot_cur edge with
+          | View.Null _ -> acc
+          | View.Ptr { target; _ } -> go acc target
+        in
+        child (child acc i.left) i.right
     in
     let result = go init t.root in
     T.end_op th;
@@ -446,9 +441,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
       | Internal i ->
         if not (lo <= i.ikey && i.ikey <= hi) then
           failwith "nm-tree invariant: internal key out of range";
-        let child edge = match View.target (T.read th ~slot:slot_cur edge) with
-          | None -> failwith "nm-tree invariant: reachable dead edge"
-          | Some b -> b
+        let child edge = match T.read th ~slot:slot_cur edge with
+          | View.Null _ -> failwith "nm-tree invariant: reachable dead edge"
+          | View.Ptr { target; _ } -> target
         in
         go ~lo ~hi:i.ikey (child i.left);
         go ~lo:i.ikey ~hi (child i.right)
@@ -466,9 +461,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
       | Leaf l -> l.key = key
       | Internal i ->
         let edge = if key < i.ikey then i.left else i.right in
-        (match View.target (T.read th ~slot:slot_cur edge) with
-         | None -> false
-         | Some c -> search c key)
+        (match T.read th ~slot:slot_cur edge with
+         | View.Null _ -> false
+         | View.Ptr { target = c; _ } -> search c key)
     in
     List.iter (fun k ->
       if not (search t.root k) then

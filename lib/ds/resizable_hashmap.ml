@@ -138,9 +138,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let find th start so_key =
     let rec walk prev curv =
       if View.tag curv = marked then raise Ds_common.Restart;
-      match View.target curv with
-      | None -> (prev, curv, None)
-      | Some bcur ->
+      match curv with
+      | View.Null _ -> (prev, curv, None)
+      | View.Ptr { target = bcur; _ } ->
         let n = node_of bcur in
         let nextv = T.read th ~slot:slot_next n.next in
         if View.tag nextv = marked then begin
@@ -205,9 +205,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let rec ensure_bucket h (tr : trec) idx =
     let cell = tr.buckets.(idx) in
     let v = T.read h.th ~slot:slot_prev cell in
-    match View.target v with
-    | Some b -> b
-    | None ->
+    match v with
+    | View.Ptr { target = b; _ } -> b
+    | View.Null _ ->
       let pidx = parent_of idx in
       let pd = ensure_bucket h tr pidx in
       ignore pd;
@@ -221,9 +221,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
      payload to [f]. *)
   let with_table h f =
     let tv = T.read h.th ~slot:slot_table h.hm.table in
-    match View.target tv with
-    | None -> assert false      (* the table pointer is never null *)
-    | Some tb ->
+    match tv with
+    | View.Null _ -> assert false      (* the table pointer is never null *)
+    | View.Ptr { target = tb; _ } ->
       (match Block.get tb with
        | Node _ -> assert false
        | Table tr -> f tv tb tr)
@@ -379,9 +379,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let th = T.register t.tracker ~tid:0 in
     T.start_op th;
     let r =
-      match View.target (T.read th ~slot:slot_table t.table) with
-      | None -> 0
-      | Some tb ->
+      match T.read th ~slot:slot_table t.table with
+      | View.Null _ -> 0
+      | View.Ptr { target = tb; _ } ->
         (match Block.get tb with
          | Table tr -> Array.length tr.buckets
          | Node _ -> assert false)
@@ -396,9 +396,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let th = T.register t.tracker ~tid:0 in
     T.start_op th;
     let rec walk acc v =
-      match View.target v with
-      | None -> acc
-      | Some b ->
+      match v with
+      | View.Null _ -> acc
+      | View.Ptr { target = b; _ } ->
         (match Block.get b with
          | Table _ -> assert false
          | Node n ->
@@ -411,9 +411,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
            walk acc nextv)
     in
     let start =
-      match View.target (T.read th ~slot:slot_table t.table) with
-      | None -> assert false
-      | Some tb ->
+      match T.read th ~slot:slot_table t.table with
+      | View.Null _ -> assert false
+      | View.Ptr { target = tb; _ } ->
         (match Block.get tb with
          | Table tr -> tr.buckets.(0)
          | Node _ -> assert false)
@@ -430,9 +430,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let th = T.register t.tracker ~tid:0 in
     T.start_op th;
     let tr =
-      match View.target (T.read th ~slot:slot_table t.table) with
-      | None -> failwith "rhashmap invariant: null table"
-      | Some tb ->
+      match T.read th ~slot:slot_table t.table with
+      | View.Null _ -> failwith "rhashmap invariant: null table"
+      | View.Ptr { target = tb; _ } ->
         if Block.is_reclaimed tb then
           failwith "rhashmap invariant: reclaimed table";
         (match Block.get tb with
@@ -441,9 +441,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     in
     let regular = ref 0 in
     let rec walk last v =
-      match View.target v with
-      | None -> ()
-      | Some b ->
+      match v with
+      | View.Null _ -> ()
+      | View.Ptr { target = b; _ } ->
         if Block.is_reclaimed b then
           failwith "rhashmap invariant: reachable reclaimed block";
         (match Block.get b with
@@ -459,9 +459,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     walk (-1) (T.read th ~slot:slot_cur tr.buckets.(0));
     Array.iteri
       (fun idx cell ->
-         match View.target (T.read th ~slot:slot_prev cell) with
-         | None -> ()
-         | Some b ->
+         match T.read th ~slot:slot_prev cell with
+         | View.Null _ -> ()
+         | View.Ptr { target = b; _ } ->
            (match Block.get b with
             | Table _ -> failwith "rhashmap invariant: bucket -> table"
             | Node n ->

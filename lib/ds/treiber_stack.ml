@@ -84,9 +84,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     wrap h (fun () ->
       let rec attempt () =
         let topv = T.read_root h.th h.stack.top in
-        match View.target topv with
-        | None -> None
-        | Some b ->
+        match topv with
+        | View.Null _ -> None
+        | View.Ptr { target = b; _ } ->
           let n = Block.get b in
           (* Slot 1: slot 0 still protects [b] (its cell is read during
              validation of this next-read). *)
@@ -111,9 +111,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let peek h =
     wrap h (fun () ->
       let topv = T.read_root h.th h.stack.top in
-      match View.target topv with
-      | None -> None
-      | Some b -> Some (Block.get b).value)
+      match topv with
+      | View.Null _ -> None
+      | View.Ptr { target = b; _ } -> Some (Block.get b).value)
 
   let is_empty h = peek h = None
 
@@ -130,9 +130,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let th = T.register t.tracker ~tid:0 in
     T.start_op th;
     let rec go acc v =
-      match View.target v with
-      | None -> List.rev acc
-      | Some b ->
+      match v with
+      | View.Null _ -> List.rev acc
+      | View.Ptr { target = b; _ } ->
         let n = Block.get b in
         go (n.value :: acc) (T.read th ~slot:0 n.next)
     in
@@ -148,9 +148,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     T.start_op th;
     let limit = (Alloc.stats (T.allocator t.tracker)).live + 1 in
     let rec go n v =
-      match View.target v with
-      | None -> ()
-      | Some b ->
+      match v with
+      | View.Null _ -> ()
+      | View.Ptr { target = b; _ } ->
         if n > limit then
           failwith "treiber-stack invariant: chain longer than live count";
         if Block.is_reclaimed b then

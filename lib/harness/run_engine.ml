@@ -136,34 +136,44 @@ let domains_exec ~threads ~duration_s ~seed ~faults () : Runner_intf.exec =
      restart window is open.  Delivery is signal-only on this backend:
      an external eject could race a dereference the victim is already
      committed to, so the victim expires its own reservations inside
-     [recover] after the raise. *)
+     [recover] after the raise.  Only stall+neutralize raises rails;
+     every other profile installs no handler, so the workers' hooks
+     stay on their dispatch-free path. *)
+  let rails_armed =
+    match (faults : Runner_intf.faults) with
+    | Stall_neutralize _ -> true
+    | _ -> false
+  in
   let rails = Array.init (max threads 1) (fun _ -> Atomic.make false) in
+  (* Per-domain handler: track the restart window locally (no other
+     thread reads it) and poll the rail. *)
+  let rail_handler tid =
+    let win = ref false in
+    { Hooks.default with
+      restart_window =
+        (fun open_ ->
+          let prev = !win in
+          win := open_;
+          prev);
+      poll_neutralize =
+        (fun () ->
+          if !win && Atomic.get rails.(tid) then begin
+            Atomic.set rails.(tid) false;
+            raise Hooks.Neutralized
+          end) }
+  in
   {
     backend = "domains";
-    caps = domains_caps;
+    caps = { domains_caps with neutralize = rails_armed };
     spawn =
       (fun body ->
         let tid = !next_tid in
         incr next_tid;
         workers :=
           (fun () ->
-            (* Per-domain handler: track the restart window locally
-               (DLS — no other thread reads it) and poll the rail. *)
-            let win = ref false in
-            Hooks.set
-              { Hooks.default with
-                restart_window =
-                  (fun open_ ->
-                    let prev = !win in
-                    win := open_;
-                    prev);
-                poll_neutralize =
-                  (fun () ->
-                    if !win && Atomic.get rails.(tid) then begin
-                      Atomic.set rails.(tid) false;
-                      raise Hooks.Neutralized
-                    end) };
-            body ~tid)
+            if rails_armed then
+              Hooks.with_handler (rail_handler tid) (fun () -> body ~tid)
+            else body ~tid)
           :: !workers);
     spawn_aux = (fun body -> auxes := body :: !auxes);
     launch =

@@ -36,7 +36,13 @@ val domains_exec :
     selects the wall-clock fault injection [worker_tick] performs
     (stall storms as real sleeps).  Workers observe the [duration_s]
     deadline through [worker_tick]/[worker_running]; service threads
-    run until every worker has joined. *)
+    run until every worker has joined.
+
+    Only [Stall_neutralize] arms neutralization rails: its workers run
+    under a {!Ibr_runtime.Hooks.with_handler} that polls them.  Under
+    any other profile no handler is installed (the primitives stay on
+    their dispatch-free path) and the exec does not declare the
+    [neutralize] capability, so a neutralizing watchdog fails fast. *)
 
 val check_caps :
   ds_name:string -> (module Ibr_ds.Ds_intf.RIDEABLE) -> Workload.mix -> unit

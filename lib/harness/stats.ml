@@ -15,7 +15,7 @@ type t = {
   mix : string;
   backend : string;            (* provenance: "sim" | "domains" *)
   ops : int;
-  makespan : int;              (* virtual ns (sim) or wall ns (domains) *)
+  makespan : int;              (* virtual cycles (sim) or wall us (domains) *)
   throughput : float;          (* ops per million time units *)
   avg_unreclaimed : float;     (* paper Fig. 9 metric *)
   peak_unreclaimed : int;
@@ -29,12 +29,17 @@ let throughput ~ops ~makespan =
   if makespan <= 0 then 0.0
   else float_of_int ops /. (float_of_int makespan /. 1_000_000.0)
 
+(* A million time units is a million cycles on the simulator and a
+   second of wall clock on domains (makespans in microseconds). *)
+let throughput_unit r = if r.backend = "domains" then "ops/s" else "ops/Mcycle"
+
 let pp ppf r =
   let m = metric r in
   Fmt.pf ppf
-    "%-12s %-8s t=%-3d %-15s ops=%-8d thr=%8.3f Mops/Ms unrec=%8.1f \
+    "%-12s %-8s t=%-3d %-15s ops=%-8d thr=%8.3f %s unrec=%8.1f \
      peak=%-6d live=%-7d epoch=%-6d faults=%d sweeps=%d swept=%d%s"
-    r.tracker r.ds r.threads r.mix r.ops r.throughput r.avg_unreclaimed
+    r.tracker r.ds r.threads r.mix r.ops r.throughput (throughput_unit r)
+    r.avg_unreclaimed
     r.peak_unreclaimed (m "live") (m "epoch") (m "faults") (m "sweeps")
     (m "sweep_examined")
     ((if m "crashes" = 0 && m "ejections" = 0 && m "oom_events" = 0 then ""

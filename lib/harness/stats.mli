@@ -16,7 +16,8 @@ type t = {
   ops : int;
   makespan : int;           (** virtual cycles (sim) or wall-clock
                                 microseconds (domains) *)
-  throughput : float;       (** ops per million time units *)
+  throughput : float;       (** ops per million time units: ops/Mcycle
+                                (sim) or ops/s (domains) *)
   avg_unreclaimed : float;  (** the Fig. 9 metric *)
   peak_unreclaimed : int;
   samples : int;

@@ -48,6 +48,11 @@ let tid_source : (unit -> int) ref = ref (fun () -> 0)
 let set_clock f = clock := f
 let set_tid f = tid_source := f
 
+(* Told when cost attribution turns on or off: primitives skip their
+   charge bookkeeping entirely while nobody counts it. *)
+let attribution_listener : (bool -> unit) ref = ref ignore
+let set_attribution_listener f = attribution_listener := f
+
 (* -- state -- *)
 
 type ring = {
@@ -132,6 +137,13 @@ let charge_cycles = Array.make 12 0
 
 let refresh_live () = live := !tracing || !histing
 
+let set_histing on =
+  if on <> !histing then begin
+    histing := on;
+    !attribution_listener on
+  end;
+  refresh_live ()
+
 let start ?(capacity = 65_536) ~threads () =
   let cap = max 16 capacity in
   ring_capacity := cap;
@@ -155,13 +167,11 @@ let enable_hist () =
   Hashtbl.reset retire_ts;
   Array.fill charge_count 0 12 0;
   Array.fill charge_cycles 0 12 0;
-  histing := true;
-  refresh_live ()
+  set_histing true
 
 let stop () =
   tracing := false;
-  histing := false;
-  refresh_live ()
+  set_histing false
 
 let enabled () = !tracing
 let hist_enabled () = !histing

@@ -31,6 +31,11 @@ type record = { ts : int; tid : int; ev : event }
 val set_clock : (unit -> int) -> unit
 val set_tid : (unit -> int) -> unit
 
+(* Also injected by [Hooks]: called with [true] when cost attribution
+   ([enable_hist]) turns on and [false] when it turns off, so the
+   primitives know whether anybody counts their charges. *)
+val set_attribution_listener : (bool -> unit) -> unit
+
 (* Start recording into per-thread ring buffers ([capacity] records
    each, drop-oldest).  Threads beyond [threads] get rings on demand. *)
 val start : ?capacity:int -> threads:int -> unit -> unit

@@ -5,11 +5,16 @@
    backends:
    - the discrete-event simulator ([Sched]), where every shared-memory
      primitive must charge its cost and offer a preemption point; and
-   - real OCaml domains, where primitives execute natively and the
-     hook is a no-op.
+   - real OCaml domains, where primitives execute natively and, unless
+     a run needs neutralization rails, no handler is installed at all.
 
-   The hook is domain-local state so that the simulator (which runs in
-   one domain) and concurrently running real domains never interfere. *)
+   The handler is domain-local state so that the simulator (which runs
+   in one domain) and concurrently running real domains never
+   interfere.  Each dispatch through it costs a DLS lookup and a
+   closure call, so the hot paths first load [demand], one word that
+   says whether anything needs dispatch: while it is zero, every hook
+   is the default no-op and callers go straight to the raw operation
+   (DESIGN.md §8a). *)
 
 exception Neutralized
 (* Raised *into* a victim thread to deliver a neutralization signal
@@ -44,26 +49,51 @@ let default =
 
 let key : handler Domain.DLS.key = Domain.DLS.new_key (fun () -> default)
 
-let set h = Domain.DLS.set key h
-let reset () = Domain.DLS.set key default
+type demand = int Atomic.t
 
-let step cost = (Domain.DLS.get key).step cost
-let current_tid () = (Domain.DLS.get key).current_tid ()
-let now () = (Domain.DLS.get key).now ()
-let global_now () = (Domain.DLS.get key).global_now ()
-let restart_window open_ = (Domain.DLS.get key).restart_window open_
-let poll_neutralize () = (Domain.DLS.get key).poll_neutralize ()
+(* Two per open [with_handler] frame on any domain, plus one while
+   [Ibr_obs.Probe] attributes cost to primitives.  A domain that
+   installed a handler sees its own increment, so zero proves the
+   caller's handler is [default] and nobody counts charges. *)
+let demand = Atomic.make 0
+
+let active () = Atomic.get demand <> 0
+let installed () = Atomic.get demand lsr 1
+
+let step cost = if active () then (Domain.DLS.get key).step cost
+
+let current_tid () =
+  if active () then (Domain.DLS.get key).current_tid () else 0
+
+let now () = if active () then (Domain.DLS.get key).now () else 0
+
+let global_now () =
+  if active () then (Domain.DLS.get key).global_now () else 0
+
+let restart_window open_ =
+  active () && (Domain.DLS.get key).restart_window open_
+
+let poll_neutralize () =
+  if active () then (Domain.DLS.get key).poll_neutralize ()
 
 (* Run [f] with handler [h] installed, restoring the previous handler
    afterwards (exception-safe). *)
 let with_handler h f =
   let old = Domain.DLS.get key in
+  ignore (Atomic.fetch_and_add demand 2);
   Domain.DLS.set key h;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set key old) f
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.DLS.set key old;
+      ignore (Atomic.fetch_and_add demand (-2)))
+    f
 
 (* The observability layer sits below the runtime, so it cannot name
-   us; inject its clock and thread-id sources here.  Hooks is linked
-   by everything, making this the one reliable wiring point. *)
+   us; inject its clock and thread-id sources, and have it report
+   when cost attribution turns on or off.  Hooks is linked by
+   everything, making this the one reliable wiring point. *)
 let () =
   Ibr_obs.Probe.set_clock global_now;
-  Ibr_obs.Probe.set_tid current_tid
+  Ibr_obs.Probe.set_tid current_tid;
+  Ibr_obs.Probe.set_attribution_listener (fun on ->
+    ignore (Atomic.fetch_and_add demand (if on then 1 else -1)))

@@ -4,8 +4,9 @@
     The same tracker and data-structure code runs under the
     discrete-event simulator (where every shared-memory primitive
     charges a cost and yields a preemption point) and on real OCaml
-    domains (where the hook is a no-op).  The active handler is
-    domain-local state. *)
+    domains (where no handler is installed unless a run needs
+    neutralization rails).  The active handler is domain-local state;
+    {!with_handler} is the only way to install one. *)
 
 exception Neutralized
 (** Delivered {e into} a victim thread as a neutralization signal
@@ -28,8 +29,24 @@ type handler = {
 val default : handler
 (** No-op handler (native execution). *)
 
-val set : handler -> unit
-val reset : unit -> unit
+val active : unit -> bool
+(** [false] while no handler is installed on any domain and cost
+    attribution ({!Ibr_obs.Probe.enable_hist}) is off: every hook is
+    then the {!default} no-op, so hot paths test this one atomic load
+    and go straight to the raw operation.  Every hook below does so
+    itself. *)
+
+type demand = private int Atomic.t
+
+val demand : demand
+(** The word {!active} tests, for per-primitive paths that cannot
+    afford the call: [Atomic.get (demand :> int Atomic.t) <> 0] is
+    [active ()].  Only {!with_handler} and the attribution listener
+    write it. *)
+
+val installed : unit -> int
+(** Number of {!with_handler} frames currently open, over all
+    domains. *)
 
 val step : int -> unit
 (** Charge [cost] cycles through the current handler. *)
@@ -57,5 +74,6 @@ val poll_neutralize : unit -> unit
     the signal at the victim's next scheduling point instead. *)
 
 val with_handler : handler -> (unit -> 'a) -> 'a
-(** Run with a handler installed; restores the previous one
-    (exception-safe). *)
+(** Run with a handler installed on the calling domain, counted in
+    {!installed}; restores the previous one and the count on return
+    or exception. *)

@@ -215,6 +215,87 @@ let test_service_requires_capability () =
          (Service.run_named_exec ~exec ~tracker_name:"EBR" ~ds_name:"hashmap"
             profile))
 
+(* ---- installed handlers: the native path stays dispatch-free ---- *)
+
+let installed = Ibr_runtime.Hooks.installed
+
+let test_no_handler_outside_runs () =
+  Alcotest.(check int) "no handler installed" 0 (installed ())
+
+(* Sched.run installs its handler for the run only, and takes it down
+   again when a fiber's exception escapes the run. *)
+let test_sched_run_restores_count () =
+  let open Ibr_runtime in
+  let inside = ref (-1) in
+  let s = Sched.create (Sched.test_config ()) in
+  ignore (Sched.spawn s (fun _ -> inside := installed ()));
+  Sched.run s;
+  Alcotest.(check int) "one handler during the run" 1 !inside;
+  Alcotest.(check int) "none after it" 0 (installed ());
+  let s = Sched.create (Sched.test_config ()) in
+  ignore (Sched.spawn s (fun _ -> failwith "boom"));
+  Alcotest.check_raises "the fiber's exception escapes" (Failure "boom")
+    (fun () -> Sched.run s);
+  Alcotest.(check int) "none after a raising run" 0 (installed ())
+
+(* What a domains worker sees of the handler count, per profile. *)
+let installed_in_worker profile =
+  let faults = Option.get (Runner_intf.faults_of_string profile) in
+  let exec =
+    Run_engine.domains_exec ~threads:1 ~duration_s:0.01 ~seed:1 ~faults ()
+  in
+  let seen = ref (-1) in
+  exec.spawn (fun ~tid:_ -> seen := installed ());
+  exec.launch ();
+  !seen
+
+let test_domains_install_no_handler () =
+  List.iter
+    (fun profile ->
+       Alcotest.(check int) (profile ^ ": no handler in the worker") 0
+         (installed_in_worker profile))
+    [ "none"; "stall-storm" ];
+  Alcotest.(check int) "stall+neutralize: the rail handler" 1
+    (installed_in_worker "stall+neutralize");
+  Alcotest.(check int) "none after the runs" 0 (installed ())
+
+(* The rails still work: an operation spinning on guarded reads is
+   unwound by a signal raised from another domain, recovers through
+   [on_neutralize], and completes on its retry.  The watchdog is left
+   out so no neutralization gauge is registered this early. *)
+let test_domains_neutralize_delivers () =
+  let faults = Option.get (Runner_intf.faults_of_string "stall+neutralize") in
+  let exec =
+    Run_engine.domains_exec ~threads:1 ~duration_s:1.0 ~seed:1 ~faults ()
+  in
+  let stats = Ibr_ds.Ds_common.make_op_stats () in
+  let started = Atomic.make false and recovered = Atomic.make 0 in
+  let cell = Atomic.make 0 in
+  (* A lost signal fails the checks below instead of hanging. *)
+  let deadline = Ibr_runtime.Monotonic.now_ns () + 2_000_000_000 in
+  exec.spawn (fun ~tid:_ ->
+    Ibr_ds.Ds_common.with_op ~stats ~start_op:ignore ~end_op:ignore
+      ~on_neutralize:(fun () -> Atomic.incr recovered)
+      ~max_cas_failures:0
+      (fun () ->
+         Atomic.set started true;
+         while
+           Atomic.get recovered = 0
+           && Ibr_runtime.Monotonic.now_ns () < deadline
+         do
+           ignore (Ibr_core.Prim.read cell)
+         done));
+  exec.spawn_aux (fun () ->
+    while not (Atomic.get started) && exec.aux_running () do
+      Domain.cpu_relax ()
+    done;
+    exec.neutralize ~eject:ignore ~tid:0);
+  exec.launch ();
+  Alcotest.(check int) "one recovery" 1 (Atomic.get recovered);
+  Alcotest.(check int) "counted by the operation" 1
+    stats.Ibr_ds.Ds_common.neutralizations;
+  Alcotest.(check int) "the operation completed once" 1 stats.ops
+
 let suite =
   [
     Alcotest.test_case "capability matrix (profiles x backends)" `Quick
@@ -232,4 +313,12 @@ let suite =
       test_domains_crash_unsupported;
     Alcotest.test_case "service needs the service capability" `Quick
       test_service_requires_capability;
+    Alcotest.test_case "no handler installed outside runs" `Quick
+      test_no_handler_outside_runs;
+    Alcotest.test_case "Sched.run restores the handler count" `Quick
+      test_sched_run_restores_count;
+    Alcotest.test_case "domains none/stall-storm install no handler" `Slow
+      test_domains_install_no_handler;
+    Alcotest.test_case "domains stall+neutralize delivers and recovers" `Slow
+      test_domains_neutralize_delivers;
   ]

@@ -65,6 +65,12 @@ let test_view_equal_contents () =
   Alcotest.(check bool) "same contents, different boxes" true
     (View.equal_contents v1 v2);
   Alcotest.(check bool) "physical inequality" true (v1 != v2);
+  (* Null views are boxes too: a shared null would let a CAS against
+     a stale null succeed. *)
+  let n1 : int View.t = View.make None and n2 = View.make None in
+  Alcotest.(check bool) "null views: same contents" true
+    (View.equal_contents n1 n2);
+  Alcotest.(check bool) "null views: physical inequality" true (n1 != n2);
   Alcotest.(check bool) "tag matters" false
     (View.equal_contents v1 (View.make ~tag:0 (Some b)));
   Alcotest.(check bool) "null vs target" false
@@ -78,7 +84,25 @@ let test_plain_ptr_cas_by_identity () =
   Alcotest.(check bool) "content-equal expected fails" false
     (Plain_ptr.cas p ~expected:(View.make (Some b1)) (Some b2));
   Alcotest.(check bool) "identical expected succeeds" true
-    (Plain_ptr.cas p ~expected:v (Some b2))
+    (Plain_ptr.cas p ~expected:v (Some b2));
+  (* A rewrite with equal contents still retires the old box: a stale
+     null view must not match the freshly written null. *)
+  let q = Plain_ptr.make None in
+  let stale = Plain_ptr.read q in
+  Plain_ptr.write q None;
+  Alcotest.(check bool) "equal contents after the rewrite" true
+    (View.equal_contents stale (Plain_ptr.peek q));
+  Alcotest.(check bool) "stale null expected fails" false
+    (Plain_ptr.cas q ~expected:stale (Some b1));
+  (* Tag-only rewrites: re-marking and unmarking returns to the same
+     contents in a new box. *)
+  let stale = Plain_ptr.read p in
+  Plain_ptr.write p ~tag:1 (Some b2);
+  Plain_ptr.write p ~tag:0 (Some b2);
+  Alcotest.(check bool) "same contents after tag round trip" true
+    (View.equal_contents stale (Plain_ptr.peek p));
+  Alcotest.(check bool) "stale view after tag round trip fails" false
+    (Plain_ptr.cas p ~expected:stale (Some b1))
 
 let qcheck_interval_conflict =
   (* The interval-overlap rule used by empty() must agree with a
