@@ -6,7 +6,7 @@ val reader_writer :
   Ibr_core.Registry.entry -> Scenario.t
 (** Two threads: a reader holding a guarded root read against a writer
     that publishes, detaches, retires and reclaims the block.  The
-    Fig. 6 shape — [Two_ge_unfenced]'s use-after-free window lives
+    Fig. 6 shape — [Two_ge_ibr.Unfenced]'s use-after-free window lives
     here (3 preemptions).  [retire_backend] (default [List]) selects
     the retirement backend and suffixes the scenario name "@backend";
     [empty_freq] (default effectively-never) sets the retire-cadence
@@ -44,7 +44,7 @@ val thread_churn : Ibr_core.Registry.entry -> Scenario.t
     leaver's slot (bounded attach retries) for a guarded read of its
     own.  A sound detach's final guarded sweep must honour the
     reader's live reservation and leave the reused slot quiescent;
-    [Ebr_noflush] (detach frees pending retirements without that
+    [Ebr.Noflush] (detach frees pending retirements without that
     sweep) has its use-after-free here (2 preemptions). *)
 
 val neutralize_mid_op : Ibr_core.Registry.entry -> Scenario.t
@@ -66,7 +66,7 @@ val queue_dequeue_churn : Ibr_core.Registry.entry -> Scenario.t
     [epoch_freq = 1]) and each dequeue retires the node head swings
     past, so the second round retires a node born during the race —
     the reader's head read must extend its upper reservation endpoint
-    to cover it.  [Two_ge_unfenced]'s unpublished extension window
+    to cover it.  [Two_ge_ibr.Unfenced]'s unpublished extension window
     admits the head-of-queue use-after-free (3 preemptions). *)
 
 val bucket_migrate : Ibr_core.Registry.entry -> Scenario.t
@@ -78,7 +78,7 @@ val bucket_migrate : Ibr_core.Registry.entry -> Scenario.t
     wholesale — the BULK retirement path.  The second growth retires a
     race-born table, so the reader's root read must extend its upper
     endpoint; sound trackers keep every superseded table alive for the
-    reader, [Unsafe_free] and [Two_ge_unfenced] free one under the
+    reader, [Unsafe_free] and [Two_ge_ibr.Unfenced] free one under the
     reader's feet (3 preemptions). *)
 
 type expectation = Safe | Faulty
@@ -95,11 +95,11 @@ val cases : unit -> case list
     shape re-certified under the Buckets and Gated retirement backends
     with per-retire sweeps, [handoff_drain] for every tracker with
     [Unsafe_free] riding along Faulty, [thread_churn] for every
-    tracker with [Unsafe_free] and [Ebr_noflush] riding along Faulty,
+    tracker with [Unsafe_free] and [Ebr.Noflush] riding along Faulty,
     [advance_race] for the QSBR-shaped trackers, [bucket_migrate] for
     every tracker, and [queue_dequeue_churn] for every mutable-pointer
     tracker (the queue's next cells are interior mutation, outside
-    POIBR's contract) — [Unsafe_free] and [Two_ge_unfenced] ride along
+    POIBR's contract) — [Unsafe_free] and [Two_ge_ibr.Unfenced] ride along
     Faulty on both new scenarios.  Expectations are what
     {!Check.explore} must conclude within each case's bound. *)
 

@@ -21,10 +21,11 @@
 
    DEBRA alone is not robust — a stalled thread still pins everything
    retired after its announcement.  The neutralization that makes it
-   robust (DEBRA+) lives in [Debra_plus]; the recovery policy is the
-   functor parameter below. *)
+   robust (DEBRA+) lives in [Debra_plus]; the recovery behaviour is
+   the functor parameter below.  The reservation table, its threshold
+   sweep and the hot path are otherwise EBR's. *)
 
-module type POLICY = sig
+module type RECOVERY = sig
   val name : string
   val summary : string
 
@@ -40,187 +41,73 @@ module type POLICY = sig
      reservation and the model checker exhibits its use-after-free. *)
 end
 
-module Make (P : POLICY) : Tracker_intf.TRACKER = struct
-  let name = P.name
+(* Per-handle state: the cached announcement. *)
+type announcement = {
+  mutable announce_left : int; (* fresh epoch read when this hits 0 *)
+  mutable cached : int;        (* last announced epoch; -1 = none yet *)
+}
 
-  let props = {
-    Tracker_intf.robust = false;
-    needs_unreserve = false;
-    mutable_pointers = true;
-    bounded_slots = false;
-    pointer_tag_words = 0;
-    fence_per_read = false;
-    summary = P.summary;
-  }
+module Policy (R : RECOVERY) = struct
+  open Tracker_kernel
 
-  type 'a t = {
-    epoch : Epoch.t;
-    reservations : int Atomic.t array;
-    alloc : 'a Alloc.t;
-    cfg : Tracker_intf.config;
-    census : 'a Handoff.path Tracker_common.Census.t;
-    mutable handoff : 'a Handoff.t option;
-  }
+  let name = R.name
+  let props = { Ebr.Policy.props with summary = R.summary }
 
-  type 'a handle = {
-    t : 'a t;
-    tid : int;
-    alloc_counter : int ref;
-    announce_left : int ref; (* fresh epoch read when this hits 0 *)
-    cached : int ref;        (* last announced epoch; -1 = none yet *)
-    path : 'a Handoff.path;
-  }
+  include Default_hooks
+  include Plain_ops
 
-  type 'a ptr = 'a Plain_ptr.t
+  type 'a res = int Atomic.t array
 
-  (* Same single-threshold conflict as EBR: reclaim every block
-     retired before the oldest announcement. *)
-  let make_reclaimer t ~tid =
-    Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-      ~empty_freq:t.cfg.Tracker_intf.empty_freq
-      ~current_epoch:(fun () -> Epoch.peek t.epoch)
-      ~source:(fun () ->
-        let reservations =
-          Tracker_common.snapshot_reservations t.reservations in
-        let max_safe = Array.fold_left min max_int reservations in
-        Reclaimer.Shape (Tracker_common.Conflict.Threshold max_safe))
-      ~free:(fun b -> Alloc.free t.alloc ~tid b)
-      ()
+  type state = announcement
 
-  let create ~threads (cfg : Tracker_intf.config) =
-    Tracker_intf.validate ~threads cfg;
-    (* Limbo bags are the scheme: remap the default flat list to the
-       epoch-bucketed backend (an explicit [Gated] choice stands). *)
-    let cfg =
-      match cfg.Tracker_intf.retire_backend with
-      | Reclaimer.List -> { cfg with retire_backend = Reclaimer.Buckets }
-      | Reclaimer.Buckets | Reclaimer.Gated -> cfg
-    in
-    let t = {
-      epoch = Epoch.create ();
-      reservations = Array.init threads (fun _ -> Atomic.make max_int);
-      alloc =
-        Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-          ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-      cfg;
-      census = Tracker_common.Census.create threads;
-      handoff = None;
-    } in
-    if cfg.background_reclaim then
-      t.handoff <-
-        Some
-          (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-             (make_reclaimer t ~tid:threads));
-    t
+  let epoch = Ebr.Policy.epoch
+  let create_res = Ebr.Policy.create_res
+  let create_state () = { announce_left = 0; cached = -1 }
+  let source = Ebr.Policy.source
+  let clear = Ebr.Policy.clear
 
-  let fresh_handle t tid path =
-    { t; tid; alloc_counter = ref 0; announce_left = ref 0;
-      cached = ref (-1); path }
-
-  let register t ~tid =
-    let path =
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid)
-    in
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    fresh_handle t tid path
-
-  let attach t =
-    match
-      Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-        match t.handoff with
-        | Some h -> Handoff.Queued h
-        | None -> Handoff.Direct (make_reclaimer t ~tid))
-    with
-    | None -> None
-    | Some (tid, path) ->
-      Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-        Handoff.path_pressure path);
-      Some (fresh_handle t tid path)
-
-  let handle_tid h = h.tid
-
-  let alloc h payload =
-    Epoch.tick h.t.epoch ~counter:h.alloc_counter ~freq:h.t.cfg.epoch_freq;
-    let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
-    Block.set_birth_epoch b (Epoch.peek h.t.epoch);
-    b
-
-  let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
-
-  let retire h b =
-    Block.transition_retire b;
-    (* The retire tag must not be stale (a smaller epoch would let the
-       bag free early), so this read is never amortized. *)
-    Block.set_retire_epoch b (Epoch.read h.t.epoch);
-    Handoff.path_add h.path ~tid:h.tid b
+  (* Limbo bags are the scheme: remap the default flat list to the
+     epoch-bucketed backend (an explicit [Gated] choice stands). *)
+  let retire_backend = function
+    | Reclaimer.List -> Reclaimer.Buckets
+    | (Reclaimer.Buckets | Reclaimer.Gated) as b -> b
 
   (* The amortized announcement: a fresh shared-epoch read only every
      [announce_freq] operations; in between, re-publish the cached
-     value for the cost of a local decrement.  Staleness is bounded by
-     one announcement period and errs conservative. *)
+     value for the cost of a local decrement.  Staleness is bounded
+     by one announcement period and errs conservative.  (The retire
+     tag, stamped by the kernel, is never amortized: a stale, smaller
+     epoch there would let a bag free early.) *)
   let announce_epoch h =
-    if !(h.cached) < 0 || !(h.announce_left) <= 0 then begin
-      h.announce_left := h.t.cfg.announce_freq;
-      h.cached := Epoch.read h.t.epoch
+    let st = h.st in
+    if st.cached < 0 || st.announce_left <= 0 then begin
+      st.announce_left <- h.t.cfg.Tracker_intf.announce_freq;
+      st.cached <- Epoch.read h.t.epoch
     end
     else Prim.local 1;
-    h.announce_left := !(h.announce_left) - 1;
-    !(h.cached)
+    st.announce_left <- st.announce_left - 1;
+    st.cached
 
   let start_op h =
-    Prim.write h.t.reservations.(h.tid) (announce_epoch h);
+    Prim.write h.t.res.(h.tid) (announce_epoch h);
     Ibr_obs.Probe.reserve ~slot:0
 
   let end_op h =
-    Prim.write h.t.reservations.(h.tid) max_int;
+    Prim.write h.t.res.(h.tid) max_int;
     Ibr_obs.Probe.unreserve ~slot:0
 
-  let make_ptr _ ?tag target = Plain_ptr.make ?tag target
-  let read _ ~slot:_ p = Plain_ptr.read p
-  let read_root h p = read h ~slot:0 p
-  let write _ p ?tag target = Plain_ptr.write p ?tag target
-  let cas _ p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
-  let unreserve _ ~slot:_ = ()
-  let reassign _ ~src:_ ~dst:_ = ()
-
-  let retired_count h = Handoff.path_count h.path
-
-  let force_empty h =
-    Handoff.path_drain h.path ~tid:h.tid;
-    Reclaimer.force (Handoff.path_reclaimer h.path)
-
-  let allocator t = t.alloc
-  let epoch_value t = Epoch.peek t.epoch
-  let reclaim_service t = Option.map Handoff.service t.handoff
-
-  (* Neutralize a dead (or suspended) thread: clear its announcement,
-     flushing its producer-private handoff scratch first so batched
-     retires reach the drainer instead of stranding until detach. *)
-  let eject t ~tid =
-    (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-    Prim.write t.reservations.(tid) max_int
-
-  (* Neutralization recovery, parameterized by policy: self-expire,
-     then (DEBRA+) forget the cached epoch for a prompt fresh
-     announcement, then (every sound variant) re-protect as a fresh
-     [start_op].  See [POLICY]. *)
-  let recover h =
-    eject h.t ~tid:h.tid;
-    if P.invalidate_cache_on_recover then begin
-      h.cached := -1;
-      h.announce_left := 0
+  (* Neutralization recovery after the kernel's self-expiry: (DEBRA+)
+     forget the cached epoch for a prompt fresh announcement, then
+     (every sound variant) re-protect as a fresh [start_op]. *)
+  let resume h =
+    if R.invalidate_cache_on_recover then begin
+      h.st.cached <- -1;
+      h.st.announce_left <- 0
     end;
-    if P.reprotect_on_recover then start_op h
-
-  let detach h =
-    force_empty h;
-    eject h.t ~tid:h.tid;
-    Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-    Tracker_common.Census.detach h.t.census ~tid:h.tid
+    if R.reprotect_on_recover then start_op h
 end
+
+module Make (R : RECOVERY) = Tracker_kernel.Make (Policy (R))
 
 include Make (struct
     let name = "DEBRA"

@@ -10,9 +10,9 @@
 
 include Tracker_intf.TRACKER
 
-(** The recovery policy distinguishing DEBRA, DEBRA+ and the unsound
-    norestart oracle; see the [.ml] for the soundness notes. *)
-module type POLICY = sig
+(** The recovery behaviour distinguishing DEBRA, DEBRA+ and the
+    unsound norestart oracle; see the [.ml] for the soundness notes. *)
+module type RECOVERY = sig
   val name : string
   val summary : string
 
@@ -24,4 +24,4 @@ module type POLICY = sig
       debra-norestart oracle) *)
 end
 
-module Make (P : POLICY) : Tracker_intf.TRACKER
+module Make (R : RECOVERY) : Tracker_intf.TRACKER

@@ -4,3 +4,16 @@
     {!Tracker_intf.TRACKER} for the operations. *)
 
 include Tracker_intf.TRACKER
+
+module Policy :
+  Tracker_kernel.POLICY
+  with type 'a res = int Atomic.t array
+   and type state = unit
+(** EBR's reservation policy, whose table and threshold sweep DEBRA
+    reuses. *)
+
+module Noflush : Tracker_intf.TRACKER
+(** Intentionally unsound EBR whose [detach] frees its pending
+    retirements without the final guarded sweep — the detach-without-
+    flush lifecycle bug the [thread_churn] scenario exists to catch.
+    Demonstration oracle only; not in {!Registry.all}. *)

@@ -12,39 +12,12 @@
    parked mid-operation freezes the epoch and with it all
    reclamation). *)
 
-let name = "EBR-Fraser"
+open Tracker_kernel
 
-let props = {
-  Tracker_intf.robust = false;
-  needs_unreserve = false;
-  mutable_pointers = true;
-  bounded_slots = false;
-  pointer_tag_words = 0;
-  fence_per_read = false;
-  summary =
-    "Fraser's EBR: epoch advances only when all active threads have \
-     observed it; two-epoch lag, frozen by any stalled thread";
-}
-
-(* Reservation values: the observed epoch, or [inactive]. *)
+(* Reservation values: the observed epoch, or [inactive].  A free or
+   ejected slot reads [inactive], which is also a joiner's correct
+   state between operations, so it never blocks the advance. *)
 let inactive = max_int
-
-type 'a t = {
-  epoch : Epoch.t;
-  reservations : int Atomic.t array;
-  alloc : 'a Alloc.t;
-  cfg : Tracker_intf.config;
-  census : 'a Handoff.path Tracker_common.Census.t;
-  mutable handoff : 'a Handoff.t option;
-}
-
-type 'a handle = {
-  t : 'a t;
-  tid : int;
-  path : 'a Handoff.path;
-}
-
-type 'a ptr = 'a Plain_ptr.t
 
 (* Advance e -> e+1 iff every active thread has posted e (or later —
    possible when it raced past us). *)
@@ -56,131 +29,66 @@ let try_advance t =
          Prim.charge_scan ();
          let r = Atomic.get slot in
          r = inactive || r >= e)
-      t.reservations
+      t.res
   in
   if all_observed then ignore (Epoch.advance_cas t.epoch ~expected:e)
 
-(* retire_epoch > e - 2, i.e. the two-epoch-lag threshold.  The
-   advance attempt is the reclaimer's [prepare] hook so it still runs
-   when the Gated backend skips the sweep itself — otherwise a closed
-   gate would freeze the epoch it is waiting on. *)
-let make_reclaimer t ~tid =
-  Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-    ~empty_freq:t.cfg.Tracker_intf.empty_freq
-    ~prepare:(fun () -> try_advance t)
-    ~current_epoch:(fun () -> Epoch.peek t.epoch)
-    ~source:(fun () ->
-      let e = Epoch.read t.epoch in
-      Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1)))
-    ~free:(fun b -> Alloc.free t.alloc ~tid b)
-    ()
+module Policy = struct
+  let name = "EBR-Fraser"
 
-let create ~threads (cfg : Tracker_intf.config) =
-  Tracker_intf.validate ~threads cfg;
-  let t = {
-    epoch = Epoch.create ();
-    reservations = Array.init threads (fun _ -> Atomic.make inactive);
-    alloc =
-      Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-        ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-    cfg;
-    census = Tracker_common.Census.create threads;
-    handoff = None;
-  } in
-  if cfg.background_reclaim then
-    t.handoff <-
-      Some
-        (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-           (make_reclaimer t ~tid:threads));
-  t
+  let props = {
+    Tracker_intf.robust = false;
+    needs_unreserve = false;
+    mutable_pointers = true;
+    bounded_slots = false;
+    pointer_tag_words = 0;
+    fence_per_read = false;
+    summary =
+      "Fraser's EBR: epoch advances only when all active threads have \
+       observed it; two-epoch lag, frozen by any stalled thread";
+  }
 
-let register t ~tid =
-  let path =
-    match t.handoff with
-    | Some h -> Handoff.Queued h
-    | None -> Handoff.Direct (make_reclaimer t ~tid)
-  in
-  Alloc.set_pressure_hook t.alloc ~tid (fun () -> Handoff.path_pressure path);
-  { t; tid; path }
+  include Default_hooks
+  include Plain_ops
 
-(* Dynamic registration.  A free slot reads [inactive], which is also
-   the correct state for a joiner between operations — it only posts
-   an epoch at [start_op] — so attach needs no reservation write. *)
-let attach t =
-  match
-    Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid))
-  with
-  | None -> None
-  | Some (tid, path) ->
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    Some { t; tid; path }
+  type 'a res = int Atomic.t array
+  type state = unit
 
-let handle_tid h = h.tid
+  let epoch = Quiescence
+  let create_res ~threads _ =
+    Array.init threads (fun _ -> Atomic.make inactive)
 
-let alloc h payload =
-  let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
-  Block.set_birth_epoch b (Epoch.peek h.t.epoch);
-  b
+  let create_state () = ()
 
-let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
+  (* retire_epoch > e - 2, i.e. the two-epoch-lag threshold. *)
+  let source t () =
+    let e = Epoch.read t.epoch in
+    Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1))
 
-let retire h b =
-  Block.transition_retire b;
-  Block.set_retire_epoch b (Epoch.read h.t.epoch);
-  Handoff.path_add h.path ~tid:h.tid b
+  (* The advance attempt runs before every sweep, even one the Gated
+     backend skips — otherwise a closed gate would freeze the epoch
+     it is waiting on. *)
+  let prepare = try_advance
 
-let start_op h =
-  let e = Epoch.read h.t.epoch in
-  Prim.write h.t.reservations.(h.tid) e;
-  Ibr_obs.Probe.reserve ~slot:0
+  (* The caller is between operations: help the epoch forward two
+     steps so blocks retired before its last operation become
+     reclaimable. *)
+  let before_force h =
+    try_advance h.t;
+    try_advance h.t
 
-let end_op h =
-  Prim.write h.t.reservations.(h.tid) inactive;
-  Ibr_obs.Probe.unreserve ~slot:0
+  let clear t ~tid = Prim.write t.res.(tid) inactive
 
-let make_ptr _ ?tag target = Plain_ptr.make ?tag target
-let read _ ~slot:_ p = Plain_ptr.read p
-let read_root h p = read h ~slot:0 p
-let write _ p ?tag target = Plain_ptr.write p ?tag target
-let cas _ p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
-let unreserve _ ~slot:_ = ()
-let reassign _ ~src:_ ~dst:_ = ()
+  let start_op h =
+    let e = Epoch.read h.t.epoch in
+    Prim.write h.t.res.(h.tid) e;
+    Ibr_obs.Probe.reserve ~slot:0
 
-let retired_count h = Handoff.path_count h.path
+  let end_op h =
+    Prim.write h.t.res.(h.tid) inactive;
+    Ibr_obs.Probe.unreserve ~slot:0
 
-(* Caller is between operations: help the epoch forward two steps so
-   blocks retired before its last operation become reclaimable. *)
-let force_empty h =
-  Handoff.path_drain h.path ~tid:h.tid;
-  try_advance h.t;
-  try_advance h.t;
-  Reclaimer.force (Handoff.path_reclaimer h.path)
+  let resume = start_op
+end
 
-let allocator t = t.alloc
-let epoch_value t = Epoch.peek t.epoch
-let reclaim_service t = Option.map Handoff.service t.handoff
-
-(* Neutralize a dead thread: marking it inactive both unpins its
-   reservation and lets the all-observed advance proceed again.  The
-   scratch flush unstrands batched handoff retires. *)
-let eject t ~tid =
-  (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-  Prim.write t.reservations.(tid) inactive
-
-(* Neutralization recovery: self-expire, then re-announce as a fresh
-   [start_op]. *)
-let recover h =
-  eject h.t ~tid:h.tid;
-  start_op h
-
-(* Dynamic deregistration: a parked slot reads [inactive], so a free
-   slot never blocks the all-observed epoch advance. *)
-let detach h =
-  force_empty h;
-  eject h.t ~tid:h.tid;
-  Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-  Tracker_common.Census.detach h.t.census ~tid:h.tid
+include Make (Policy)

@@ -8,217 +8,109 @@
    publication — eras change rarely, so the amortized per-read cost is
    far below HP's. *)
 
-let name = "HE"
-
-let props = {
-  Tracker_intf.robust = true;
-  needs_unreserve = true;
-  mutable_pointers = true;
-  bounded_slots = true;
-  pointer_tag_words = 0;
-  fence_per_read = false;
-  summary =
-    "era per active pointer; less precise than HP, far fewer fences";
-}
+open Tracker_kernel
 
 (* Era 0 = empty slot (global era starts at 1). *)
 let no_era = 0
 
-type 'a t = {
-  epoch : Epoch.t;
-  eras : int Atomic.t array array;   (* eras.(tid).(slot) *)
-  alloc : 'a Alloc.t;
-  cfg : Tracker_intf.config;
-  census : 'a Handoff.path Tracker_common.Census.t;
-  mutable handoff : 'a Handoff.t option;
-}
+module Policy = struct
+  let name = "HE"
 
-type 'a handle = {
-  t : 'a t;
-  tid : int;
-  alloc_counter : int ref;
-  mutable hwm : int;
-  path : 'a Handoff.path;
-}
+  let props = {
+    Tracker_intf.robust = true;
+    needs_unreserve = true;
+    mutable_pointers = true;
+    bounded_slots = true;
+    pointer_tag_words = 0;
+    fence_per_read = false;
+    summary =
+      "era per active pointer; less precise than HP, far fewer fences";
+  }
 
-type 'a ptr = 'a Plain_ptr.t
+  include Default_hooks
+  include Plain_ops
 
-(* A block survives if any reserved era intersects its lifetime.  The
-   era table is read once into a flat array, then digested into a
-   sorted snapshot so each block's test is a binary search rather than
-   a walk of every reserved era. *)
-let scan_eras t =
-  let threads = Array.length t.eras in
-  let slots = t.cfg.Tracker_intf.slots in
-  let eras = Array.make (threads * slots) no_era in
-  Array.iteri (fun i row ->
-    Array.iteri (fun j slot ->
-      Prim.charge_scan ();
-      eras.((i * slots) + j) <- Atomic.get slot)
-      row)
-    t.eras;
-  Tracker_common.Sweep_stats.note_snapshot ~entries:(threads * slots)
-    ~cycles:
-      (threads * slots * !Prim.costs.Ibr_runtime.Cost.scan_reservation);
-  eras
+  type 'a res = int Atomic.t array array   (* res.(tid).(slot) *)
+  type state = unit
 
-let source_of_eras eras =
-  if !Tracker_common.legacy_sweep then begin
-    (* Oracle path: linear scan of the reserved eras per block. *)
-    let reserved =
-      Array.to_list eras |> List.filter (fun e -> e <> no_era) in
-    Reclaimer.Predicate
-      (fun b ->
-         List.exists
-           (fun e -> Block.birth_epoch b <= e && e <= Block.retire_epoch b)
-           reserved)
-  end else
+  let epoch = Allocation Charged
+
+  let create_res ~threads (cfg : Tracker_intf.config) =
+    Array.init threads (fun _ ->
+      Array.init cfg.slots (fun _ -> Atomic.make no_era))
+
+  let create_state () = ()
+
+  (* A block survives if any reserved era intersects its lifetime.
+     The era table is read once into a flat array, then digested
+     into a sorted snapshot so each block's test is a binary search
+     rather than a walk of every reserved era. *)
+  let source t () =
+    let threads = Array.length t.res in
+    let slots = t.cfg.Tracker_intf.slots in
+    let eras = Array.make (threads * slots) no_era in
+    Array.iteri (fun i row ->
+      Array.iteri (fun j slot ->
+        Prim.charge_scan ();
+        eras.((i * slots) + j) <- Atomic.get slot)
+        row)
+      t.res;
+    Tracker_common.Sweep_stats.note_snapshot ~entries:(threads * slots)
+      ~cycles:
+        (threads * slots * !Prim.costs.Ibr_runtime.Cost.scan_reservation);
     Reclaimer.Shape
       (Tracker_common.Conflict.Intervals
          (Tracker_common.Sweep_snapshot.of_points ~none:no_era eras))
 
-let make_reclaimer t ~tid =
-  Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-    ~empty_freq:t.cfg.Tracker_intf.empty_freq
-    ~current_epoch:(fun () -> Epoch.peek t.epoch)
-    ~source:(fun () -> source_of_eras (scan_eras t))
-    ~free:(fun b -> Alloc.free t.alloc ~tid b)
-    ()
+  (* Expire every era slot in the row; a released row is a fresh
+     row's state. *)
+  let clear t ~tid =
+    Array.iter (fun slot -> Prim.write slot no_era) t.res.(tid)
 
-let create ~threads (cfg : Tracker_intf.config) =
-  Tracker_intf.validate ~threads cfg;
-  let t = {
-    epoch = Epoch.create ();
-    eras =
-      Array.init threads (fun _ ->
-        Array.init cfg.slots (fun _ -> Atomic.make no_era));
-    alloc =
-      Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-        ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-    cfg;
-    census = Tracker_common.Census.create threads;
-    handoff = None;
-  } in
-  if cfg.background_reclaim then
-    t.handoff <-
-      Some
-        (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-           (make_reclaimer t ~tid:threads));
-  t
+  let start_op h = h.hwm <- -1
+  let resume = start_op
 
-let register t ~tid =
-  let path =
-    match t.handoff with
-    | Some h -> Handoff.Queued h
-    | None -> Handoff.Direct (make_reclaimer t ~tid)
-  in
-  Alloc.set_pressure_hook t.alloc ~tid (fun () -> Handoff.path_pressure path);
-  { t; tid; alloc_counter = ref 0; hwm = -1; path }
+  let end_op h =
+    let row = h.t.res.(h.tid) in
+    for i = 0 to h.hwm do
+      if Prim.read row.(i) <> no_era then begin
+        Prim.write row.(i) no_era;
+        Ibr_obs.Probe.unreserve ~slot:i
+      end
+    done;
+    h.hwm <- -1
 
-(* Dynamic registration.  A released era row was cleared to [no_era]
-   by the leaver's detach — a fresh row's state. *)
-let attach t =
-  match
-    Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid))
-  with
-  | None -> None
-  | Some (tid, path) ->
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    Some { t; tid; alloc_counter = ref 0; hwm = -1; path }
+  (* get_protected: return a pointer only if it was read while the
+     current era was already published in [slot]; otherwise publish
+     the new era, fence, and re-read. *)
+  let read h ~slot p =
+    if h.hwm < slot then h.hwm <- slot;
+    let cell = h.t.res.(h.tid).(slot) in
+    let rec loop prev_era =
+      let v = Plain_ptr.read p in
+      let era = Epoch.read h.t.epoch in
+      if era = prev_era then v
+      else begin
+        Prim.write cell era;
+        Ibr_obs.Probe.reserve ~slot;
+        Prim.fence ();
+        loop era
+      end
+    in
+    loop (Prim.read cell)
 
-let handle_tid h = h.tid
+  let read_root h p = read h ~slot:0 p
 
-let alloc h payload =
-  Epoch.tick h.t.epoch ~counter:h.alloc_counter ~freq:h.t.cfg.epoch_freq;
-  let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
-  Block.set_birth_epoch b (Epoch.read h.t.epoch);
-  b
+  let unreserve h ~slot =
+    Prim.write h.t.res.(h.tid).(slot) no_era;
+    Ibr_obs.Probe.unreserve ~slot
 
-let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
+  let reassign h ~src ~dst =
+    if h.hwm < dst then h.hwm <- dst;
+    let row = h.t.res.(h.tid) in
+    Prim.local 1;
+    Prim.write row.(dst) (Prim.read row.(src));
+    Ibr_obs.Probe.reserve ~slot:dst
+end
 
-let retire h b =
-  Block.transition_retire b;
-  Block.set_retire_epoch b (Epoch.read h.t.epoch);
-  Handoff.path_add h.path ~tid:h.tid b
-
-let start_op h = h.hwm <- -1
-
-let end_op h =
-  let row = h.t.eras.(h.tid) in
-  for i = 0 to h.hwm do
-    if Prim.read row.(i) <> no_era then begin
-      Prim.write row.(i) no_era;
-      Ibr_obs.Probe.unreserve ~slot:i
-    end
-  done;
-  h.hwm <- -1
-
-let make_ptr _ ?tag target = Plain_ptr.make ?tag target
-
-(* get_protected: return a pointer only if it was read while the
-   current era was already published in [slot]; otherwise publish the
-   new era, fence, and re-read. *)
-let read h ~slot p =
-  if h.hwm < slot then h.hwm <- slot;
-  let cell = h.t.eras.(h.tid).(slot) in
-  let rec loop prev_era =
-    let v = Plain_ptr.read p in
-    let era = Epoch.read h.t.epoch in
-    if era = prev_era then v
-    else begin
-      Prim.write cell era;
-      Ibr_obs.Probe.reserve ~slot;
-      Prim.fence ();
-      loop era
-    end
-  in
-  loop (Prim.read cell)
-
-let read_root h p = read h ~slot:0 p
-let write _ p ?tag target = Plain_ptr.write p ?tag target
-let cas _ p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
-
-let unreserve h ~slot =
-  Prim.write h.t.eras.(h.tid).(slot) no_era;
-  Ibr_obs.Probe.unreserve ~slot
-
-let reassign h ~src ~dst =
-  if h.hwm < dst then h.hwm <- dst;
-  let row = h.t.eras.(h.tid) in
-  Prim.local 1;
-  Prim.write row.(dst) (Prim.read row.(src));
-  Ibr_obs.Probe.reserve ~slot:dst
-
-let retired_count h = Handoff.path_count h.path
-
-let force_empty h =
-  Handoff.path_drain h.path ~tid:h.tid;
-  Reclaimer.force (Handoff.path_reclaimer h.path)
-
-let allocator t = t.alloc
-let epoch_value t = Epoch.peek t.epoch
-let reclaim_service t = Option.map Handoff.service t.handoff
-
-(* Neutralize a dead thread: clear every era slot in its row.  The
-   scratch flush unstrands batched handoff retires. *)
-let eject t ~tid =
-  (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-  Array.iter (fun slot -> Prim.write slot no_era) t.eras.(tid)
-
-(* Neutralization recovery: era slots are per-read; drop the row and
-   re-protect as a fresh [start_op]. *)
-let recover h =
-  eject h.t ~tid:h.tid;
-  start_op h
-
-(* Dynamic deregistration: final sweep, clear the era row, flush the
-   magazines, release the slot. *)
-let detach h =
-  force_empty h;
-  eject h.t ~tid:h.tid;
-  Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-  Tracker_common.Census.detach h.t.census ~tid:h.tid
+include Make (Policy)

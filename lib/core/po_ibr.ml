@@ -8,184 +8,82 @@
    everything reachable from it.  Interior reads are completely
    uninstrumented — cheaper even than EBR's reads. *)
 
-let name = "POIBR"
+open Tracker_kernel
 
-let props = {
-  Tracker_intf.robust = true;
-  needs_unreserve = false;
-  mutable_pointers = false;
-  bounded_slots = false;
-  pointer_tag_words = 0;
-  fence_per_read = false;
-  summary =
-    "start epoch covers everything reachable from the root at start \
-     time; all pointers but the root must be immutable";
-}
+module Policy = struct
+  let name = "POIBR"
 
-type 'a t = {
-  epoch : Epoch.t;
-  reservations : int Atomic.t array;
-  alloc : 'a Alloc.t;
-  cfg : Tracker_intf.config;
-  census : 'a Handoff.path Tracker_common.Census.t;
-  mutable handoff : 'a Handoff.t option;
-}
+  let props = {
+    Tracker_intf.robust = true;
+    needs_unreserve = false;
+    mutable_pointers = false;
+    bounded_slots = false;
+    pointer_tag_words = 0;
+    fence_per_read = false;
+    summary =
+      "start epoch covers everything reachable from the root at start \
+       time; all pointers but the root must be immutable";
+  }
 
-type 'a handle = {
-  t : 'a t;
-  tid : int;
-  alloc_counter : int ref;
-  path : 'a Handoff.path;
-}
+  include Default_hooks
 
-type 'a ptr = 'a Plain_ptr.t
+  (* Interior pointers are immutable, so a plain read is already
+     safe: the root reservation covers the whole reachable set. *)
+  include Plain_ops
 
-(* Fig. 4 lines 1–8: a block is protected iff some reserved epoch lies
-   within its lifetime.  The snapshot is sorted once so each block's
-   test is a binary search, not a scan of every thread's slot. *)
-let source t =
-  let reservations = Tracker_common.snapshot_reservations t.reservations in
-  if !Tracker_common.legacy_sweep then
-    Reclaimer.Predicate
-      (fun b ->
-         let birth = Block.birth_epoch b and retire = Block.retire_epoch b in
-         Array.exists (fun res -> birth <= res && res <= retire) reservations)
-  else
+  type 'a res = int Atomic.t array
+  type state = unit
+
+  (* Fig. 4 lines 9–15: epoch tick on allocation, tag the birth
+     epoch. *)
+  let epoch = Allocation Charged
+  let create_res ~threads _ =
+    Array.init threads (fun _ -> Atomic.make max_int)
+
+  let create_state () = ()
+
+  (* Fig. 4 lines 1–8: a block is protected iff some reserved epoch
+     lies within its lifetime.  The snapshot is sorted once so each
+     block's test is a binary search, not a scan of every thread's
+     slot. *)
+  let source t () =
+    let reservations = Tracker_common.snapshot_reservations t.res in
     Reclaimer.Shape
       (Tracker_common.Conflict.Intervals
          (Tracker_common.Sweep_snapshot.of_points ~none:max_int
             reservations))
 
-let make_reclaimer t ~tid =
-  Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-    ~empty_freq:t.cfg.Tracker_intf.empty_freq
-    ~current_epoch:(fun () -> Epoch.peek t.epoch)
-    ~source:(fun () -> source t)
-    ~free:(fun b -> Alloc.free t.alloc ~tid b)
-    ()
+  (* Clearing the reservation unpins everything reachable from the
+     root it had snapshotted; a released slot is a joiner's correct
+     state until its first guarded root read. *)
+  let clear t ~tid = Prim.write t.res.(tid) max_int
 
-let create ~threads (cfg : Tracker_intf.config) =
-  Tracker_intf.validate ~threads cfg;
-  let t = {
-    epoch = Epoch.create ();
-    reservations = Array.init threads (fun _ -> Atomic.make max_int);
-    alloc =
-      Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-        ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-    cfg;
-    census = Tracker_common.Census.create threads;
-    handoff = None;
-  } in
-  if cfg.background_reclaim then
-    t.handoff <-
-      Some
-        (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-           (make_reclaimer t ~tid:threads));
-  t
-
-let register t ~tid =
-  let path =
-    match t.handoff with
-    | Some h -> Handoff.Queued h
-    | None -> Handoff.Direct (make_reclaimer t ~tid)
-  in
-  Alloc.set_pressure_hook t.alloc ~tid (fun () -> Handoff.path_pressure path);
-  { t; tid; alloc_counter = ref 0; path }
-
-(* Dynamic registration.  A released slot reads [max_int]
-   (unreserved), which is a joiner's correct state until its first
-   guarded root read. *)
-let attach t =
-  match
-    Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid))
-  with
-  | None -> None
-  | Some (tid, path) ->
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    Some { t; tid; alloc_counter = ref 0; path }
-
-let handle_tid h = h.tid
-
-(* Fig. 4 lines 9–15: epoch tick on allocation, tag the birth epoch. *)
-let alloc h payload =
-  Epoch.tick h.t.epoch ~counter:h.alloc_counter ~freq:h.t.cfg.epoch_freq;
-  let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
-  Block.set_birth_epoch b (Epoch.read h.t.epoch);
-  b
-
-let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
-
-let retire h b =
-  Block.transition_retire b;
-  Block.set_retire_epoch b (Epoch.read h.t.epoch);
-  Handoff.path_add h.path ~tid:h.tid b
-
-let start_op h =
-  let e = Epoch.read h.t.epoch in
-  Prim.write h.t.reservations.(h.tid) e;
-  Ibr_obs.Probe.reserve ~slot:0
-
-let end_op h =
-  Prim.write h.t.reservations.(h.tid) max_int;
-  Ibr_obs.Probe.unreserve ~slot:0
-
-let make_ptr _ ?tag target = Plain_ptr.make ?tag target
-
-(* Interior pointers are immutable, so a plain read is already safe:
-   the root reservation covers the whole reachable set. *)
-let read _ ~slot:_ p = Plain_ptr.read p
-
-(* Fig. 4 lines 25–30: reserve the epoch, fence, read the root, and
-   verify the epoch is unchanged — the "snapshot" idiom that pins the
-   root's contents inside the reserved epoch. *)
-let read_root h p =
-  let cell = h.t.reservations.(h.tid) in
-  let rec loop () =
+  let start_op h =
     let e = Epoch.read h.t.epoch in
-    Prim.write cell e;
-    Prim.fence ();
-    let v = Plain_ptr.read p in
-    let e' = Epoch.read h.t.epoch in
-    if e = e' then v else loop ()
-  in
-  loop ()
+    Prim.write h.t.res.(h.tid) e;
+    Ibr_obs.Probe.reserve ~slot:0
 
-let write _ p ?tag target = Plain_ptr.write p ?tag target
-let cas _ p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
-let unreserve _ ~slot:_ = ()
-let reassign _ ~src:_ ~dst:_ = ()
+  let end_op h =
+    Prim.write h.t.res.(h.tid) max_int;
+    Ibr_obs.Probe.unreserve ~slot:0
 
-let retired_count h = Handoff.path_count h.path
+  (* The retried traversal re-guards from the root. *)
+  let resume = start_op
 
-let force_empty h =
-  Handoff.path_drain h.path ~tid:h.tid;
-  Reclaimer.force (Handoff.path_reclaimer h.path)
+  (* Fig. 4 lines 25–30: reserve the epoch, fence, read the root, and
+     verify the epoch is unchanged — the "snapshot" idiom that pins
+     the root's contents inside the reserved epoch. *)
+  let read_root h p =
+    let cell = h.t.res.(h.tid) in
+    let rec loop () =
+      let e = Epoch.read h.t.epoch in
+      Prim.write cell e;
+      Prim.fence ();
+      let v = Plain_ptr.read p in
+      let e' = Epoch.read h.t.epoch in
+      if e = e' then v else loop ()
+    in
+    loop ()
+end
 
-let allocator t = t.alloc
-let epoch_value t = Epoch.peek t.epoch
-let reclaim_service t = Option.map Handoff.service t.handoff
-
-(* Neutralize a dead thread: clearing its epoch reservation unpins
-   everything reachable from the root it had snapshotted.  The scratch
-   flush unstrands batched handoff retires (see [Tracker_intf]). *)
-let eject t ~tid =
-  (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-  Prim.write t.reservations.(tid) max_int
-
-(* Neutralization recovery: self-expire, then re-protect as a fresh
-   [start_op]; the retried traversal re-guards from the root. *)
-let recover h =
-  eject h.t ~tid:h.tid;
-  start_op h
-
-(* Dynamic deregistration: final sweep, clear the reservation, flush
-   the magazines, release the slot. *)
-let detach h =
-  force_empty h;
-  eject h.t ~tid:h.tid;
-  Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-  Tracker_common.Census.detach h.t.census ~tid:h.tid
+include Make (Policy)

@@ -30,7 +30,9 @@ module type ADVANCE = sig
   (* Advance the epoch, all-quiescent-in-[expected] already checked. *)
 end
 
-module Make (A : ADVANCE) = struct
+module Policy (A : ADVANCE) = struct
+  open Tracker_kernel
+
   let name = A.name
 
   let props = {
@@ -43,24 +45,18 @@ module Make (A : ADVANCE) = struct
     summary = A.summary;
   }
 
-  type 'a t = {
-    epoch : Epoch.t;
-    (* Last epoch each thread has passed a quiescent state in. *)
-    quiescent : int Atomic.t array;
-    alloc : 'a Alloc.t;
-    cfg : Tracker_intf.config;
-    threads : int;
-    census : 'a Handoff.path Tracker_common.Census.t;
-    mutable handoff : 'a Handoff.t option;
-  }
+  include Default_hooks
+  include Plain_ops
 
-  type 'a handle = {
-    t : 'a t;
-    tid : int;
-    path : 'a Handoff.path;
-  }
+  (* The last epoch each thread has passed a quiescent state in. *)
+  type 'a res = int Atomic.t array
+  type state = unit
 
-  type 'a ptr = 'a Plain_ptr.t
+  let epoch = Quiescence
+
+  (* Initially every thread is quiescent in epoch 1. *)
+  let create_res ~threads _ = Array.init threads (fun _ -> Atomic.make 1)
+  let create_state () = ()
 
   (* Advance the global epoch if every thread has quiesced in it. *)
   let try_advance t =
@@ -70,148 +66,62 @@ module Make (A : ADVANCE) = struct
         (fun slot ->
            Prim.charge_scan ();
            Atomic.get slot >= e)
-        t.quiescent
+        t.res
     in
     if all_quiescent then A.advance t.epoch ~expected:e
 
-  (* retire_epoch > e - 2, i.e. the two-grace-period threshold.  The
-     advance attempt is the reclaimer's [prepare] hook: it must run
-     even when the Gated backend skips the sweep, because QSBR's epoch
-     only moves through it — a gate that suppressed it would wait on
-     an epoch that can no longer advance. *)
-  let make_reclaimer t ~tid =
-    Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-      ~empty_freq:t.cfg.Tracker_intf.empty_freq
-      ~prepare:(fun () -> try_advance t)
-      ~current_epoch:(fun () -> Epoch.peek t.epoch)
-      ~source:(fun () ->
-        let e = Epoch.read t.epoch in
-        Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1)))
-      ~free:(fun b -> Alloc.free t.alloc ~tid b)
-      ()
+  (* retire_epoch > e - 2, i.e. the two-grace-period threshold. *)
+  let source t () =
+    let e = Epoch.read t.epoch in
+    Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1))
 
-  let create ~threads (cfg : Tracker_intf.config) =
-    Tracker_intf.validate ~threads cfg;
-    let t = {
-      epoch = Epoch.create ();
-      (* Initially every thread is quiescent in epoch 1. *)
-      quiescent = Array.init threads (fun _ -> Atomic.make 1);
-      alloc =
-        Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-          ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-      cfg;
-      threads;
-      census = Tracker_common.Census.create threads;
-      handoff = None;
-    } in
-    if cfg.background_reclaim then
-      t.handoff <-
-        Some
-          (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-             (make_reclaimer t ~tid:threads));
-    t
+  (* The advance attempt runs before every sweep, even one the Gated
+     backend skips: QSBR's epoch only moves through it, so a gate
+     that suppressed it would wait on an epoch that can no longer
+     advance. *)
+  let prepare = try_advance
 
-  let register t ~tid =
-    let path =
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid)
-    in
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    { t; tid; path }
-
-  (* Dynamic registration.  A detached slot reads [max_int] ("always
-     quiescent"), which must not survive reuse: a joiner is quiescent
-     only *up to the attach instant*, so it publishes the current
-     epoch before it can touch shared memory — otherwise two advances
-     could race past its first operation and free a block it reads. *)
-  let attach t =
-    match
-      Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-        match t.handoff with
-        | Some h -> Handoff.Queued h
-        | None -> Handoff.Direct (make_reclaimer t ~tid))
-    with
-    | None -> None
-    | Some (tid, path) ->
-      Prim.write t.quiescent.(tid) (Epoch.read t.epoch);
-      Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-        Handoff.path_pressure path);
-      Some { t; tid; path }
-
-  let handle_tid h = h.tid
-
-  let alloc h payload =
-    let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
-    Block.set_birth_epoch b (Epoch.peek h.t.epoch);
-    b
-
-  let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
-
-  let retire h b =
-    Block.transition_retire b;
-    Block.set_retire_epoch b (Epoch.read h.t.epoch);
-    Handoff.path_add h.path ~tid:h.tid b
+  (* A parked slot reads [max_int] ("always quiescent"), which must
+     not survive reuse: a joiner is quiescent only *up to the attach
+     instant*, so it publishes the current epoch before it can touch
+     shared memory — otherwise two advances could race past its
+     first operation and free a block it reads. *)
+  let publish t ~tid = Prim.write t.res.(tid) (Epoch.read t.epoch)
+  let on_attach = publish
 
   let start_op _ = ()
 
   (* The quiescent state: no references held from here on. *)
   let end_op h =
     let e = Epoch.read h.t.epoch in
-    Prim.write h.t.quiescent.(h.tid) e;
+    Prim.write h.t.res.(h.tid) e;
     Ibr_obs.Probe.unreserve ~slot:0
 
-  let make_ptr _ ?tag target = Plain_ptr.make ?tag target
-  let read _ ~slot:_ p = Plain_ptr.read p
-  let read_root h p = read h ~slot:0 p
-  let write _ p ?tag target = Plain_ptr.write p ?tag target
-  let cas _ p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
-  let unreserve _ ~slot:_ = ()
-  let reassign _ ~src:_ ~dst:_ = ()
-
-  let retired_count h = Handoff.path_count h.path
-
-  (* The caller of force_empty is between operations, i.e. quiescent:
-     announce that, then drive up to two grace periods so that blocks
-     whose other readers have all quiesced become reclaimable. *)
-  let force_empty h =
-    Handoff.path_drain h.path ~tid:h.tid;
+  (* The caller of force_empty is between operations, i.e.
+     quiescent: announce that, then drive up to two grace periods so
+     that blocks whose other readers have all quiesced become
+     reclaimable. *)
+  let before_force h =
     end_op h;
     try_advance h.t;
     end_op h;
-    try_advance h.t;
-    Reclaimer.force (Handoff.path_reclaimer h.path)
-
-  let allocator t = t.alloc
-  let epoch_value t = Epoch.peek t.epoch
-  let reclaim_service t = Option.map Handoff.service t.handoff
+    try_advance h.t
 
   (* Neutralize a dead thread: a slot of [max_int] reads as quiescent
      in every future epoch, so the thread never blocks an advance
-     again.  The scratch flush unstrands batched handoff retires. *)
-  let eject t ~tid =
-    (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-    Prim.write t.quiescent.(tid) max_int
+     again (and a detached slot never blocks one while free). *)
+  let clear t ~tid = Prim.write t.res.(tid) max_int
 
   (* Neutralization recovery.  QSBR protection lives in the
      quiescence announcement, not [start_op] (a no-op here): like
-     [attach], re-publish the current epoch so the retried operation
+     attach, re-publish the current epoch so the retried operation
      does not read as "always quiescent" while it holds references. *)
-  let recover h =
-    eject h.t ~tid:h.tid;
-    Prim.write h.t.quiescent.(h.tid) (Epoch.read h.t.epoch);
+  let resume h =
+    publish h.t ~tid:h.tid;
     start_op h
-
-  (* Dynamic deregistration: [force_empty] already announces the
-     quiescent state and helps the epoch forward, then the slot is
-     parked at [max_int] so it never blocks an advance while free. *)
-  let detach h =
-    force_empty h;
-    eject h.t ~tid:h.tid;
-    Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-    Tracker_common.Census.detach h.t.census ~tid:h.tid
 end
+
+module Make (A : ADVANCE) = Tracker_kernel.Make (Policy (A))
 
 (* The sound scheme: strictly e -> e+1 by CAS, so racing advancers
    collapse into one grace period. *)

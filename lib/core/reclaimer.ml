@@ -131,7 +131,7 @@ let iter t f =
 (* Unconditional teardown drain: remove every block from the store and
    hand it to [f] — no conflict test, no gate.  This is exactly the
    "free your limbo list on exit without looking at anyone's
-   reservations" mistake; it exists so the Ebr_noflush demonstration
+   reservations" mistake; it exists so the Ebr.Noflush demonstration
    oracle can model a broken detach precisely (a pure
    reservation-ignoring free, with the store left consistent).  Sound
    code paths never call it. *)

@@ -92,6 +92,6 @@ val drain_all : 'a t -> ('a Block.t -> unit) -> unit
 (** Remove {e every} block from the store and hand it to the callback
     — no conflict test, no gate.  The
     "free your limbo list on exit without consulting reservations"
-    mistake, kept only so the [Ebr_noflush] demonstration oracle can
+    mistake, kept only so the [Ebr.Noflush] demonstration oracle can
     model a broken detach precisely; sound code paths never call
     it. *)

@@ -8,15 +8,9 @@
    [Sweep_snapshot] instead sorts and merges the reservations once per
    sweep, so each block's test is a binary search — O(retired x log T)
    — which is what keeps reclamation cheap at the 72+ thread counts
-   the paper's Fig. 8/9 stress.  The linear predicates are kept (and
-   selectable via [legacy_sweep]) as differential-testing oracles and
-   for the old-vs-new ablation bench. *)
-
-(* Debug/ablation flag: route [empty] through the original
-   O(retired x threads) linear-scan predicates instead of the sorted
-   snapshot.  Flipped by the `ablation:sweep` bench and the
-   differential tests; production paths leave it false. *)
-let legacy_sweep = ref false
+   the paper's Fig. 8/9 stress.  The linear interval predicate is kept
+   ([Interval_res.conflict_with_snapshot]) as the differential-testing
+   oracle and for the old-vs-new ablation bench. *)
 
 (* Global sweep telemetry, accumulated by every tracker instance
    (atomics: the domains backend sweeps in parallel).  Harness runners
@@ -232,26 +226,6 @@ module Sweep_snapshot = struct
     let m = merge_sorted los his n in
     { los = Array.sub los 0 m; his = Array.sub his 0 m }
 
-  (* Build from parallel endpoint arrays already read out of the
-     table.  A lower endpoint of [max_int] marks an unreserved slot
-     (or one caught mid-[clear]); such a slot cannot protect any block
-     with a real retire epoch, so it is dropped here. *)
-  let of_intervals ~lower ~upper =
-    let n = Array.length lower in
-    let los = Array.make n 0 and his = Array.make n 0 in
-    let k = ref 0 in
-    for i = 0 to n - 1 do
-      if lower.(i) <> max_int then begin
-        los.(!k) <- lower.(i);
-        (* A slot caught between [start]'s two writes shows the fresh
-           lower with a stale (cleared) upper; widen rather than
-           invert the interval. *)
-        his.(!k) <- (if upper.(i) < lower.(i) then lower.(i) else upper.(i));
-        incr k
-      end
-    done;
-    of_pairs los his !k
-
   (* Build from single-epoch reservations (HE eras, POIBR epochs):
      each reserved value [e] is the degenerate interval [e, e]; [none]
      is the scheme's empty-slot sentinel.  No pairing needed — sort
@@ -340,7 +314,7 @@ module Interval_res = struct
   (* Legacy linear-scan predicate: snapshot both endpoint arrays and
      test each block against every slot (Fig. 5 line 26, inclusive
      endpoints for safety).  O(threads) per block — kept as the
-     differential-testing oracle for [conflict_fast] and for the
+     differential-testing oracle for [sweep_snapshot] and for the
      `ablation:sweep` old-vs-new bench. *)
   let conflict_with_snapshot t =
     let lower = snapshot_reservations t.lower in
@@ -377,11 +351,6 @@ module Interval_res = struct
     Sweep_stats.note_snapshot ~entries:(2 * n)
       ~cycles:(2 * n * !Prim.costs.Ibr_runtime.Cost.scan_reservation);
     Sweep_snapshot.of_pairs los his !k
-
-  (* The production conflict predicate; obeys [legacy_sweep]. *)
-  let conflict_fast t =
-    if !legacy_sweep then conflict_with_snapshot t
-    else Conflict.pred (Conflict.Intervals (sweep_snapshot t))
 end
 
 (* Dynamic thread census: the slot manager behind every tracker's

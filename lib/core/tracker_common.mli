@@ -5,14 +5,9 @@
     The sweep path is the hot loop of every scheme's reclamation: one
     conflict test per retired block.  {!Sweep_snapshot} sorts and
     merges the reservations once per sweep so each block's test is a
-    binary search (O(retired x log T)); the linear predicates survive
-    behind {!legacy_sweep} as differential-testing oracles. *)
-
-val legacy_sweep : bool ref
-(** Debug/ablation flag: route sweeps through the original
-    O(retired x threads) linear-scan predicates instead of the sorted
-    snapshot.  Flipped by the `ablation:sweep` bench and the
-    differential tests; production paths leave it [false]. *)
+    binary search (O(retired x log T)); the linear interval predicate
+    survives as {!Interval_res.conflict_with_snapshot}, the
+    differential-testing oracle. *)
 
 (** Global sweep telemetry, accumulated by every tracker instance
     (atomics: the domains backend sweeps in parallel).  Harness
@@ -87,10 +82,6 @@ module Sweep_snapshot : sig
   (** [of_pairs los his n] digests the first [n] (lo, hi) pairs.
       Destructive on the input arrays (sorted in place). *)
 
-  val of_intervals : lower:int array -> upper:int array -> t
-  (** Build from parallel endpoint arrays; [max_int] lowers mark
-      unreserved slots and are dropped. *)
-
   val of_points : none:int -> int array -> t
   (** Build from single-epoch reservations (HE eras, POIBR epochs):
       each reserved value [e] is the degenerate interval [e, e];
@@ -132,10 +123,8 @@ module Interval_res : sig
 
   val sweep_snapshot : t -> Sweep_snapshot.t
   (** Sorted-snapshot digest of the table (one O(T log T) build, then
-      O(log T) per block). *)
-
-  val conflict_fast : t -> 'a Block.t -> bool
-  (** The production conflict predicate; obeys {!legacy_sweep}. *)
+      O(log T) per block) — the production sweep.  [max_int] lowers
+      mark unreserved slots and are dropped. *)
 end
 
 (** Dynamic thread census: slot occupancy manager behind every

@@ -79,6 +79,8 @@ let validate ~threads cfg =
     invalid_arg "Tracker config: threads must be >= 1";
   if cfg.epoch_freq <= 0 then
     invalid_arg "Tracker config: epoch_freq must be positive";
+  if cfg.slots < 1 then
+    invalid_arg "Tracker config: slots must be >= 1";
   if cfg.magazine_size < 1 then
     invalid_arg "Tracker config: magazine_size must be >= 1";
   if cfg.handoff_batch < 1 then

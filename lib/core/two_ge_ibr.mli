@@ -4,3 +4,10 @@
     {!Tracker_intf.TRACKER} for the operations. *)
 
 include Tracker_intf.TRACKER
+
+module Unfenced : Tracker_intf.TRACKER
+(** The literal Fig. 6 ordering of 2GEIBR — a deliberately UNSOUND
+    demonstration variant whose pointer read escapes before its
+    reservation is published.  Only [read] differs from the sound
+    scheme; the fault checker catches it under adversarial
+    schedules. *)

@@ -35,6 +35,20 @@ type op_stats = {
 let make_op_stats () =
   { ops = 0; restarts = 0; reservation_refreshes = 0; neutralizations = 0 }
 
+(* The reservation-slot budget: a scheme with per-pointer reservations
+   (HP, HE) gives each thread [cfg.slots] slots, and a structure
+   protects up to [slots_needed] pointers at once.  Too few would index
+   past the thread's slot row mid-operation, so refuse at creation. *)
+let check_slots ~rideable ~slots_needed
+    (module T : Ibr_core.Tracker_intf.TRACKER)
+    (cfg : Ibr_core.Tracker_intf.config) =
+  if T.props.bounded_slots && cfg.slots < slots_needed then
+    invalid_arg
+      (Printf.sprintf
+         "%s under %s needs %d reservation slots per thread, but the \
+          config has slots = %d"
+         rideable T.name slots_needed cfg.slots)
+
 (* [Fun.protect] without its closure: restoring the window cannot
    raise. *)
 let with_window open_ f =

@@ -15,6 +15,14 @@ type op_stats = {
 
 val make_op_stats : unit -> op_stats
 
+val check_slots :
+  rideable:string -> slots_needed:int -> Ibr_core.Tracker_intf.packed ->
+  Ibr_core.Tracker_intf.config -> unit
+(** Every rideable's [create] calls this first.
+    @raise Invalid_argument naming both numbers when the scheme has
+    per-pointer reservations ([bounded_slots]) and [cfg.slots] is
+    below [slots_needed]. *)
+
 val committed : (unit -> 'a) -> 'a
 (** Mask the caller's restart window across [f] (DESIGN.md §12): a
     neutralization signal delivered meanwhile stays pending instead

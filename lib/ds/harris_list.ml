@@ -41,6 +41,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
   }
 
   let create ~threads cfg =
+    Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
     let tracker = T.create ~threads cfg in
     { tracker; head = T.make_ptr tracker None; cfg }
 

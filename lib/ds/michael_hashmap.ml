@@ -36,6 +36,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let create_sized ?(buckets = default_buckets) ~threads cfg =
     if buckets land (buckets - 1) <> 0 || buckets <= 0 then
       invalid_arg "Michael_hashmap.create: buckets must be a power of two";
+    Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
     let tracker = T.create ~threads cfg in
     {
       tracker;

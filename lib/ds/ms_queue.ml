@@ -46,6 +46,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let slot_tail = 2     (* tail snapshot during a dequeue's help *)
 
   let create ~threads cfg =
+    Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
     let tracker = T.create ~threads cfg in
     (* The initial dummy needs an allocating handle; tid 0 is
        re-registered by the first worker, which is fine (same pattern

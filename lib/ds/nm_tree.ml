@@ -65,6 +65,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
   }
 
   let create ~threads cfg =
+    Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
     let tracker = T.create ~threads cfg in
     let h0 = T.register tracker ~tid:0 in
     let leaf k = T.alloc h0 (Leaf { key = k; value = 0 }) in

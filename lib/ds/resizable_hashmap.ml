@@ -91,6 +91,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
     =
     if lg < 1 || lg > max_lg then
       invalid_arg "Resizable_hashmap.create: need 1 <= lg <= max_lg";
+    Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
     let tracker = T.create ~threads cfg in
     let h0 = T.register tracker ~tid:0 in
     (* Bucket 0's dummy anchors the whole list; every other bucket

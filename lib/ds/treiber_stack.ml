@@ -32,6 +32,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
   }
 
   let create ~threads cfg =
+    Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
     let tracker = T.create ~threads cfg in
     { tracker; top = T.make_ptr tracker None; cfg }
 

@@ -105,6 +105,39 @@ let test_hashmap_negative_like_keys () =
     Alcotest.(check bool) "find big key" true (hm_ops.contains h ~key:k))
     keys
 
+(* --- reservation-slot budget ---------------------------------------- *)
+
+(* A scheme with per-pointer reservations gets [cfg.slots] slots per
+   thread; a structure that protects more pointers at once must be
+   refused at creation, not fail mid-operation with an out-of-bounds
+   slot index. *)
+let test_slot_budget_refused () =
+  let module NM = Ibr_ds.Nm_tree.Make (Hp) in
+  Alcotest.check_raises "HP nmtree with 2 slots"
+    (Invalid_argument
+       "natarajan-mittal-tree under HP needs 4 reservation slots per \
+        thread, but the config has slots = 2")
+    (fun () -> ignore (NM.create ~threads:1 { hm_cfg with slots = 2 }))
+
+let test_slot_budget_exact () =
+  let module L = Ibr_ds.Harris_list.Make (He) in
+  let ops = Option.get L.map in
+  let t = L.create ~threads:1 { hm_cfg with slots = 3 } in
+  let h = L.register t ~tid:0 in
+  for k = 0 to 63 do ignore (ops.insert h ~key:k ~value:k) done;
+  for k = 0 to 63 do
+    if k mod 2 = 0 then ignore (ops.remove h ~key:k)
+  done;
+  for k = 0 to 63 do
+    Alcotest.(check bool) "membership" (k mod 2 = 1) (ops.contains h ~key:k)
+  done;
+  L.check_invariants t
+
+let test_slots_validated () =
+  Alcotest.check_raises "slots = 0"
+    (Invalid_argument "Tracker config: slots must be >= 1")
+    (fun () -> ignore (Ebr.create ~threads:1 { hm_cfg with slots = 0 }))
+
 (* --- Bonsai balance under arbitrary op sequences -------------------- *)
 
 let qcheck_bonsai_balanced =
@@ -257,6 +290,10 @@ let suite =
     Alcotest.test_case "hashmap one bucket" `Quick test_hashmap_tiny_table;
     Alcotest.test_case "hashmap spread" `Quick test_hashmap_spread;
     Alcotest.test_case "hashmap big keys" `Quick test_hashmap_negative_like_keys;
+    Alcotest.test_case "slot budget refused at create" `Quick
+      test_slot_budget_refused;
+    Alcotest.test_case "slot budget met exactly" `Quick test_slot_budget_exact;
+    Alcotest.test_case "config rejects slots < 1" `Quick test_slots_validated;
     QCheck_alcotest.to_alcotest qcheck_bonsai_balanced;
     Alcotest.test_case "bonsai speculation reclaimed" `Slow
       test_bonsai_speculation_reclaimed;

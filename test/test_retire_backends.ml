@@ -147,9 +147,13 @@ let print_iv_script evs =
 let run_interval_script evs =
   let slots = ref [] and next_id = ref 0 in
   let snapshot () =
-    let lower = Array.of_list (List.map fst !slots)
-    and upper = Array.of_list (List.map snd !slots) in
-    Tracker_common.Sweep_snapshot.of_intervals ~lower ~upper
+    let res = Tracker_common.Interval_res.create (List.length !slots) in
+    List.iteri
+      (fun tid (lo, hi) ->
+         Atomic.set res.Tracker_common.Interval_res.lower.(tid) lo;
+         Atomic.set res.Tracker_common.Interval_res.upper.(tid) hi)
+      !slots;
+    Tracker_common.Interval_res.sweep_snapshot res
   in
   let make backend =
     let freed = Hashtbl.create 64 in

@@ -53,18 +53,24 @@ let mk_block id (birth, retire) =
   Block.set_retire_epoch b retire;
   b
 
+(* An interval reservation table holding [slots], one (lower, upper)
+   pair per thread. *)
+let interval_res slots =
+  let res = Tracker_common.Interval_res.create (List.length slots) in
+  List.iteri
+    (fun tid (lo, hi) ->
+       Atomic.set res.Tracker_common.Interval_res.lower.(tid) lo;
+       Atomic.set res.Tracker_common.Interval_res.upper.(tid) hi)
+    slots;
+  res
+
 let qcheck_interval_differential =
   QCheck.Test.make
     ~name:"sorted snapshot = linear scan (interval reservations)"
     ~count:1000
     (QCheck.make ~print:print_case table_gen)
     (fun (slots, blocks) ->
-       let res = Tracker_common.Interval_res.create (List.length slots) in
-       List.iteri
-         (fun tid (lo, hi) ->
-            Atomic.set res.Tracker_common.Interval_res.lower.(tid) lo;
-            Atomic.set res.Tracker_common.Interval_res.upper.(tid) hi)
-         slots;
+       let res = interval_res slots in
        let oracle = Tracker_common.Interval_res.conflict_with_snapshot res in
        let fast =
          Tracker_common.Conflict.pred
@@ -133,32 +139,6 @@ let qcheck_threshold_differential =
             oracle b = fast b)
          blocks)
 
-(* The [legacy_sweep] debug flag must route HE and the interval family
-   through the oracle predicate: flipping it mid-run may change cost,
-   never the set of blocks freed.  Checked here on a tiny end-to-end
-   sweep of each form. *)
-let test_legacy_flag_equivalence () =
-  let check_form name build_conflict =
-    let outcomes use_legacy =
-      Tracker_common.legacy_sweep := use_legacy;
-      Fun.protect
-        ~finally:(fun () -> Tracker_common.legacy_sweep := false)
-        (fun () ->
-           let conflict = build_conflict () in
-           List.init 40 (fun i -> conflict (mk_block i (i * 5, (i * 5) + 20))))
-    in
-    Alcotest.(check (list bool)) name (outcomes true) (outcomes false)
-  in
-  let res = Tracker_common.Interval_res.create 8 in
-  List.iteri
-    (fun tid (lo, hi) ->
-       Atomic.set res.Tracker_common.Interval_res.lower.(tid) lo;
-       Atomic.set res.Tracker_common.Interval_res.upper.(tid) hi)
-    [ (10, 30); (max_int, max_int); (55, 90); (120, 120); (7, 7);
-      (max_int, 40); (63, max_int); (150, 180) ];
-  check_form "interval family" (fun () ->
-    Tracker_common.Interval_res.conflict_fast res)
-
 let test_sweep_stats_accumulate () =
   let before = Tracker_common.Sweep_stats.snap () in
   let retired = Tracker_common.Retired.create () in
@@ -180,11 +160,13 @@ let test_sweep_stats_accumulate () =
   Alcotest.(check int) "kept the rest" 5 (Tracker_common.Retired.count retired)
 
 let test_snapshot_merges () =
-  (* Overlapping and adjacent intervals collapse; disjoint ones stay. *)
+  (* Overlapping and adjacent intervals collapse; disjoint ones stay;
+     the unreserved slot is dropped.  Built by the production digest
+     of an interval table. *)
   let snap =
-    Tracker_common.Sweep_snapshot.of_intervals
-      ~lower:[| 5; 1; 3; 20; max_int; 22 |]
-      ~upper:[| 9; 2; 4; 21; max_int; 30 |]
+    Tracker_common.Interval_res.sweep_snapshot
+      (interval_res
+         [ (5, 9); (1, 2); (3, 4); (20, 21); (max_int, max_int); (22, 30) ])
   in
   (* [1,2]+[3,4]+[5,9] merge (adjacent integers), [20,21]+[22,30] merge. *)
   Alcotest.(check int) "two merged runs" 2
@@ -203,8 +185,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_interval_differential;
     QCheck_alcotest.to_alcotest qcheck_era_differential;
     QCheck_alcotest.to_alcotest qcheck_threshold_differential;
-    Alcotest.test_case "legacy flag equivalence" `Quick
-      test_legacy_flag_equivalence;
     Alcotest.test_case "sweep stats accumulate" `Quick
       test_sweep_stats_accumulate;
     Alcotest.test_case "snapshot merge/conflict" `Quick test_snapshot_merges;
