@@ -7,6 +7,7 @@
 
 open Cmdliner
 module Cli = Ibr_harness.Cli
+module Campaign = Ibr_harness.Campaign
 
 let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
     ~key_range ~background_reclaim ~magazine_size ~handoff_batch ~output
@@ -20,7 +21,7 @@ let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
     | Some r -> { base with key_range = r }
     | None -> base
   in
-  let override_tracker_cfg (cfg : Ibr_core.Tracker_intf.config) =
+  let tweak (cfg : Ibr_core.Tracker_intf.config) =
     let cfg =
       { cfg with retire_backend = Cli.parse_retire_backend retire } in
     let cfg =
@@ -45,33 +46,20 @@ let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
     | Some k -> { cfg with handoff_batch = k }
     | None -> cfg
   in
-  let result =
+  (* -i is microseconds on domains: 1 virtual cycle ~ 1 us, so the same
+     -i reaches a comparable run length on either backend.  Fault
+     profiles the backend cannot honor raise [Unsupported]. *)
+  let machine =
     match backend with
-    | "sim" ->
-      let base =
-        Ibr_harness.Runner_sim.default_config ~threads ~horizon:interval
-          ~cores ~seed ~faults:(Cli.parse_faults faults) ~spec ()
-      in
-      let cfg =
-        { base with tracker_cfg = override_tracker_cfg base.tracker_cfg } in
-      Ibr_harness.Runner_sim.run_named ~tracker_name:tracker
-        ~ds_name:rideable cfg
-    | "domains" ->
-      (* -i is microseconds here: 1 virtual cycle ~ 1 us, so the same
-         -i reaches a comparable run length on either backend.  Fault
-         profiles the backend cannot honor raise [Unsupported]. *)
-      let base =
-        Ibr_harness.Runner_domains.default_config ~threads
-          ~duration_s:(float_of_int interval /. 1e6) ~seed
-          ~faults:(Cli.parse_faults faults) ~spec ()
-      in
-      let cfg =
-        { base with tracker_cfg = override_tracker_cfg base.tracker_cfg } in
-      Ibr_harness.Runner_domains.run_named ~tracker_name:tracker
-        ~ds_name:rideable cfg
+    | "sim" -> Campaign.Sim
+    | "domains" -> Campaign.Domains
     | s -> failwith (Printf.sprintf "unknown backend %S (sim|domains)" s)
   in
-  match result with
+  match
+    Campaign.run
+      (Campaign.point ~spec ~cores ~seed ~faults:(Cli.parse_faults faults)
+         ~backend:machine ~tweak ~threads ~horizon:interval tracker rideable)
+  with
   | None ->
     Fmt.epr "error: tracker %s is not compatible with rideable %s@." tracker
       rideable;

@@ -62,3 +62,15 @@ let render ppf fig =
   Fmt.pf ppf "@."
 
 let to_string fig = Fmt.str "%a" render fig
+
+(* Tidy format, one line per point. *)
+let to_csv fig =
+  "fig,series,threads,value\n"
+  ^ String.concat ""
+      (List.concat_map
+         (fun s ->
+            List.map
+              (fun (x, y) ->
+                 Printf.sprintf "%s,%s,%d,%.6f\n" fig.fig_id s.label x y)
+              s.points)
+         fig.series)

@@ -1,6 +1,6 @@
-(** Terminal rendering of figure data: a table per figure plus a
-    sparkline per series, so curve shapes are visible straight from
-    bench output. *)
+(** Figure data: a terminal table per figure plus a sparkline per
+    series, so curve shapes are visible straight from bench output,
+    and the tidy CSV the campaigns archive. *)
 
 type series = {
   label : string;
@@ -15,6 +15,8 @@ type figure = {
 }
 
 val sparkline : float list -> string
-val xs_of : figure -> int list
-val render : Format.formatter -> figure -> unit
 val to_string : figure -> string
+
+val to_csv : figure -> string
+(** Tidy format: header [fig,series,threads,value], then one line per
+    point. *)

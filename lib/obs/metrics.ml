@@ -1,5 +1,5 @@
 (* The metric registry: the single place a subsystem declares what it
-   measures.  [Stats] snapshots the registry and [Csv_out] derives its
+   measures.  [Stats] snapshots the registry and derives its CSV
    header from it, so adding a metric touches exactly one file — the
    one that owns the number.
 

@@ -1,5 +1,5 @@
 (* Harness components: workload generation, stats arithmetic, CSV,
-   chart rendering, experiment wiring, and the simulator runner. *)
+   chart rendering, campaign wiring, and the simulator runner. *)
 
 open Ibr_harness
 
@@ -89,11 +89,11 @@ let test_chart_render () =
 
 let test_experiment_lineup () =
   let names lineup = List.map (fun (e : Ibr_core.Registry.entry) -> e.name) lineup in
-  let bonsai = names (Experiment.lineup "bonsai") in
+  let bonsai = names (Campaign.lineup "bonsai") in
   Alcotest.(check bool) "bonsai excludes HP" true (not (List.mem "HP" bonsai));
   Alcotest.(check bool) "bonsai excludes HE" true (not (List.mem "HE" bonsai));
   Alcotest.(check bool) "bonsai includes POIBR" true (List.mem "POIBR" bonsai);
-  let list_lineup = names (Experiment.lineup "list") in
+  let list_lineup = names (Campaign.lineup "list") in
   Alcotest.(check bool) "list excludes POIBR" true
     (not (List.mem "POIBR" list_lineup));
   Alcotest.(check bool) "list includes HP" true (List.mem "HP" list_lineup)
@@ -132,7 +132,7 @@ let test_runner_sim_incompatible_pair () =
     (Runner_sim.run_named ~tracker_name:"POIBR" ~ds_name:"list" cfg = None)
 
 let test_fig7_table_text () =
-  let s = Experiment.fig7_table () in
+  let s = Campaign.fig7_table () in
   List.iter
     (fun name ->
        Alcotest.(check bool) (name ^ " in fig7") true

@@ -31,4 +31,7 @@ let () =
       (* After service for the same reason: a Neutralize watchdog
          lazily registers the neutralizations/recovered gauges. *)
       ("neutralize", Test_neutralize.suite);
+      (* After obs for both reasons: the gated campaigns run services
+         and neutralizing watchdogs. *)
+      ("campaign", Test_campaign.suite);
     ]

@@ -373,18 +373,17 @@ let test_stall_neutralize_signals_flow () =
 (* ---- the stall+neutralize campaign: checks hold, bit-reproducible ---- *)
 
 let focused_campaign () =
-  Experiment.robustness_sweep
-    ~trackers:[ "EBR"; "DEBRA" ]
-    ~profiles:[ "stall-storm"; "stall+neutralize" ]
-    ()
+  Campaign.robust_rows
+    (Campaign.robust_points ~trackers:[ "EBR"; "DEBRA" ]
+       ~profiles:[ "stall-storm"; "stall+neutralize" ] ())
 
 let test_campaign_checks_hold () =
   let rows = focused_campaign () in
-  let checks = Experiment.robustness_checks rows in
+  let checks = Campaign.robustness_checks rows in
   Alcotest.(check bool) "campaign produced the neutralize claims" true
     (List.length checks >= 4);
   List.iter
-    (fun (c : Experiment.check) ->
+    (fun (c : Campaign.claim) ->
        Alcotest.(check bool)
          (Printf.sprintf "%s (%s)" c.claim c.detail)
          true c.holds)

@@ -1,4 +1,5 @@
-(* CI gate for BENCH_6.json (bench/main.exe --bench-json).
+(* CI gate for BENCH_6.json (the bench6 campaign:
+   bench/main.exe --out DIR bench6 writes DIR/BENCH_6.json).
 
      dune exec tools/bench_check.exe -- NEW.json [BASELINE.json]
 
