@@ -457,12 +457,12 @@ let metas =
 let trace =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Record a probe trace of the run(s) and write it as                  Chrome trace-event JSON (load in Perfetto or                  chrome://tracing).")
+           ~doc:"Record a probe trace of the run(s) and write it as                  Chrome trace-event JSON (load in Perfetto or                  chrome://tracing).  Simulator closed-loop runs only:                  the domains backend raises Unsupported, and --service,                  --check and --check-replay refuse it.")
 
 let hist =
   Arg.(value & flag
        & info [ "hist" ]
-           ~doc:"Collect retire-age and per-primitive cost histograms;                  prints a summary and adds retire_age columns to the CSV                  row.")
+           ~doc:"Collect retire-age and per-primitive cost histograms;                  prints a summary and adds retire_age columns to the CSV                  row.  Simulator closed-loop runs only, as --trace.")
 
 let cmd =
   let doc = "run one IBR microbenchmark configuration" in
@@ -478,6 +478,16 @@ let cmd =
           if menu_flag then list_menu ()
           else
             try
+              (* Probes observe closed-loop runs only; refuse them up
+                 front rather than drop them silently. *)
+              (match check, check_replay, service with
+               | Some _, _, _ | _, Some _, _ | _, _, true
+                 when trace <> None || hist ->
+                 failwith
+                   "--trace and --hist record closed-loop runs only; \
+                    they cannot be combined with --service, --check or \
+                    --check-replay"
+               | _ -> ());
               match check, check_replay with
               | Some target, _ ->
                 run_check ~target ~bound:check_bound ~budget:check_budget

@@ -39,48 +39,57 @@
    [Fault.Alloc_exhausted] and aborts the operation by raising
    [Exhausted].
 
-   Statistics are atomics so the real-domains backend can share an
-   allocator across domains. *)
+   Statistics live in the per-thread caches, as plain ints only the
+   owner writes, and [stats] sums them, as jemalloc's tcache keeps
+   per-thread request counts.  Each cache is a [Padded] block, on
+   cache lines of its own, so on the real-domains backend an alloc or
+   free served by the magazines writes exactly one word that other
+   threads also write: [footprint] (plus [peak_footprint] on a new
+   high).  That word stays shared on purpose: it is the single
+   linearization point that makes capacity admission strict and the
+   simulator's peak exact (DESIGN.md §9b). *)
 
 exception Exhausted
 
 (* A per-thread cache: the loaded magazine, a spare that is always
-   either full or empty, and an atomic count of blocks across both so
-   other threads can read the cache size without touching the lists
-   (only the owner writes them). *)
+   either full or empty, a count of blocks across both (one word, so
+   other threads can read the cache size without touching the lists),
+   and the owner's statistics.  Only the owner writes any field (the
+   background reclaimer frees on its own slot, [threads]). *)
 type 'a cache = {
   mutable loaded : 'a Block.t list;
   mutable loaded_n : int;
   mutable previous : 'a Block.t list;
   mutable previous_n : int;
-  count : int Atomic.t;
+  mutable count : int;
+  mutable allocated : int;      (* alloc calls *)
+  mutable fresh : int;          (* allocations served by new blocks *)
+  mutable reused : int;         (* allocations served from a cache *)
+  mutable freed : int;          (* free calls *)
+  mutable mag_hits : int;       (* allocs served from loaded/previous *)
+  mutable mag_misses : int;     (* allocs that went to depot or fresh *)
+  mutable depot_refills : int;  (* magazines taken from the depot *)
+  mutable depot_flushes : int;  (* magazines pushed to the depot *)
 }
 
 type 'a t = {
   reuse : bool;
   magazine_size : int;
-  caches : 'a cache array;                  (* per-thread magazines *)
+  caches : 'a cache array;        (* per-thread magazines and stats *)
   (* Stack of size-tagged magazines.  The overflow path only ever
      pushes full ones; [flush_magazines] (the detach path) pushes
      partials, so each entry carries its block count. *)
   depot : (int * 'a Block.t list) list Atomic.t;
   depot_count : int Atomic.t;               (* blocks in the depot *)
   next_id : int Atomic.t;
-  allocated : int Atomic.t;   (* total alloc calls *)
-  fresh : int Atomic.t;       (* allocations served by new blocks *)
-  reused : int Atomic.t;      (* allocations served from a cache *)
-  freed : int Atomic.t;       (* total free calls *)
   footprint : int Atomic.t;   (* live+retired; admission reserves here *)
   mutable capacity : int option;       (* max live+retired blocks *)
   pressure : (unit -> unit) option array; (* per-thread pressure hooks *)
   retry_budget : int;
   peak_footprint : int Atomic.t;
+  (* Touched only when the heap is full. *)
   pressure_retries : int Atomic.t;
   oom_events : int Atomic.t;
-  mag_hits : int Atomic.t;      (* allocs served from loaded/previous *)
-  mag_misses : int Atomic.t;    (* allocs that went to depot or fresh *)
-  depot_refills : int Atomic.t; (* magazines taken from the depot *)
-  depot_flushes : int Atomic.t; (* magazines pushed to the depot *)
 }
 
 let create ?(reuse = true) ?capacity ?(retry_budget = 8)
@@ -96,15 +105,14 @@ let create ?(reuse = true) ?capacity ?(retry_budget = 8)
     magazine_size;
     caches =
       Array.init threads (fun _ ->
-          { loaded = []; loaded_n = 0; previous = []; previous_n = 0;
-            count = Atomic.make 0 });
+          Ibr_runtime.Padded.copy
+            { loaded = []; loaded_n = 0; previous = []; previous_n = 0;
+              count = 0; allocated = 0; fresh = 0; reused = 0; freed = 0;
+              mag_hits = 0; mag_misses = 0; depot_refills = 0;
+              depot_flushes = 0 });
     depot = Atomic.make [];
     depot_count = Atomic.make 0;
     next_id = Atomic.make 0;
-    allocated = Atomic.make 0;
-    fresh = Atomic.make 0;
-    reused = Atomic.make 0;
-    freed = Atomic.make 0;
     footprint = Atomic.make 0;
     capacity;
     pressure = Array.make threads None;
@@ -112,10 +120,6 @@ let create ?(reuse = true) ?capacity ?(retry_budget = 8)
     peak_footprint = Atomic.make 0;
     pressure_retries = Atomic.make 0;
     oom_events = Atomic.make 0;
-    mag_hits = Atomic.make 0;
-    mag_misses = Atomic.make 0;
-    depot_refills = Atomic.make 0;
-    depot_flushes = Atomic.make 0;
   }
 
 let threads t = Array.length t.caches
@@ -202,7 +206,7 @@ let admit t ~tid =
 
 (* -- magazine machinery (owner-thread only, except the depot) -- *)
 
-let depot_push t ~n mag =
+let depot_push t c ~n mag =
   let rec loop () =
     let cur = Atomic.get t.depot in
     if not (Atomic.compare_and_set t.depot cur ((n, mag) :: cur)) then
@@ -210,9 +214,10 @@ let depot_push t ~n mag =
   in
   loop ();
   ignore (Atomic.fetch_and_add t.depot_count n);
-  Atomic.incr t.depot_flushes
+  c.count <- c.count - n;
+  c.depot_flushes <- c.depot_flushes + 1
 
-let depot_pop t =
+let depot_pop t c =
   let rec loop () =
     match Atomic.get t.depot with
     | [] -> None
@@ -221,7 +226,7 @@ let depot_pop t =
     | ((n, mag) :: rest) as cur ->
       if Atomic.compare_and_set t.depot cur rest then begin
         ignore (Atomic.fetch_and_add t.depot_count (-n));
-        Atomic.incr t.depot_refills;
+        c.depot_refills <- c.depot_refills + 1;
         Some (n, mag)
       end
       else loop ()
@@ -236,14 +241,14 @@ let pop_loaded c =
   | b :: rest ->
     c.loaded <- rest;
     c.loaded_n <- c.loaded_n - 1;
-    Atomic.decr c.count;
+    c.count <- c.count - 1;
     b
 
 (* Pop one cached block, or None.  Order: loaded, then swap in the
    full previous, then refill a whole magazine from the depot. *)
 let cache_pop t c =
   if c.loaded_n > 0 then begin
-    Atomic.incr t.mag_hits;
+    c.mag_hits <- c.mag_hits + 1;
     Some (pop_loaded c)
   end
   else if c.previous_n > 0 then begin
@@ -251,16 +256,16 @@ let cache_pop t c =
     c.loaded_n <- c.previous_n;
     c.previous <- [];
     c.previous_n <- 0;
-    Atomic.incr t.mag_hits;
+    c.mag_hits <- c.mag_hits + 1;
     Some (pop_loaded c)
   end
   else begin
-    Atomic.incr t.mag_misses;
-    match depot_pop t with
+    c.mag_misses <- c.mag_misses + 1;
+    match depot_pop t c with
     | Some (n, mag) ->
       c.loaded <- mag;
       c.loaded_n <- n;
-      ignore (Atomic.fetch_and_add c.count n);
+      c.count <- c.count + n;
       Some (pop_loaded c)
     | None -> None
   end
@@ -270,10 +275,7 @@ let cache_pop t c =
    depot first — one CAS moves [magazine_size] blocks. *)
 let cache_push t c b =
   if c.loaded_n >= t.magazine_size then begin
-    if c.previous_n > 0 then begin
-      depot_push t ~n:c.previous_n c.previous;
-      ignore (Atomic.fetch_and_add c.count (-c.previous_n))
-    end;
+    if c.previous_n > 0 then depot_push t c ~n:c.previous_n c.previous;
     c.previous <- c.loaded;
     c.previous_n <- c.loaded_n;
     c.loaded <- [];
@@ -281,25 +283,26 @@ let cache_push t c b =
   end;
   c.loaded <- b :: c.loaded;
   c.loaded_n <- c.loaded_n + 1;
-  Atomic.incr c.count
+  c.count <- c.count + 1
 
 let alloc t ~tid payload =
   check_tid t tid;
   admit t ~tid;
-  Atomic.incr t.allocated;
+  let c = t.caches.(tid) in
+  c.allocated <- c.allocated + 1;
   (* The probe fires before [Prim.charge_alloc]: the charge's
      [Hooks.step] is a preemption point where the horizon can unwind
      the fiber, and the event must stay atomic with the counter
      increments above (probes never step). *)
-  match if t.reuse then cache_pop t t.caches.(tid) else None with
+  match if t.reuse then cache_pop t c else None with
   | Some b ->
     Block.reincarnate b payload;
-    Atomic.incr t.reused;
+    c.reused <- c.reused + 1;
     Ibr_obs.Probe.alloc ~block:(Block.id b) ~reused:true;
     Prim.charge_alloc ~reused:true;
     b
   | None ->
-    Atomic.incr t.fresh;
+    c.fresh <- c.fresh + 1;
     let b = Block.make ~id:(Atomic.fetch_and_add t.next_id 1) payload in
     Ibr_obs.Probe.alloc ~block:(Block.id b) ~reused:false;
     Prim.charge_alloc ~reused:false;
@@ -309,21 +312,23 @@ let alloc t ~tid payload =
 let free t ~tid b =
   check_tid t tid;
   Block.transition_reclaim b;
-  Atomic.incr t.freed;
+  let c = t.caches.(tid) in
+  c.freed <- c.freed + 1;
   Atomic.decr t.footprint;
   Ibr_obs.Probe.reclaim ~block:(Block.id b) ~unpublished:false;
   Prim.charge_free ();
-  if t.reuse then cache_push t t.caches.(tid) b
+  if t.reuse then cache_push t c b
 
 (* Reclaim a block that was never published (lost install CAS). *)
 let free_unpublished t ~tid b =
   check_tid t tid;
   Block.transition_reclaim_unpublished b;
-  Atomic.incr t.freed;
+  let c = t.caches.(tid) in
+  c.freed <- c.freed + 1;
   Atomic.decr t.footprint;
   Ibr_obs.Probe.reclaim ~block:(Block.id b) ~unpublished:true;
   Prim.charge_free ();
-  if t.reuse then cache_push t t.caches.(tid) b
+  if t.reuse then cache_push t c b
 
 (* Detach path: return thread [tid]'s cached free blocks to the shared
    depot so they stay allocatable after the thread leaves.  Only the
@@ -334,12 +339,7 @@ let free_unpublished t ~tid b =
 let flush_magazines t ~tid =
   check_tid t tid;
   let c = t.caches.(tid) in
-  let flush blocks n =
-    if n > 0 then begin
-      depot_push t ~n blocks;
-      ignore (Atomic.fetch_and_add c.count (-n))
-    end
-  in
+  let flush blocks n = if n > 0 then depot_push t c ~n blocks in
   flush c.loaded c.loaded_n;
   c.loaded <- [];
   c.loaded_n <- 0;
@@ -352,7 +352,7 @@ type stats = {
   fresh : int;
   reused : int;
   freed : int;
-  live : int;       (* allocated - freed: Live or Retired blocks *)
+  live : int;       (* footprint = allocated - freed: Live or Retired *)
   cached : int;     (* blocks sitting in magazines and the depot *)
   peak_footprint : int;  (* high-water mark of live *)
   pressure_retries : int;
@@ -363,28 +363,27 @@ type stats = {
   depot_flushes : int;
 }
 
+(* Sums of the per-thread shards, counted at push/pop: no walks over
+   other threads' lists.  Exact once the writers have quiesced (joined
+   domains, or any point of a simulated run).  [live] reads the one
+   shared word instead, so a mid-run read on real domains (the
+   watchdog's) is a value the footprint actually held. *)
 let stats t =
-  (* Counted at push/pop: no walks over other threads' lists. *)
-  let cached =
-    Array.fold_left (fun n c -> n + Atomic.get c.count) 0 t.caches
-    + Atomic.get t.depot_count
-  in
-  let allocated = Atomic.get t.allocated in
-  let freed = Atomic.get t.freed in
+  let sum f = Array.fold_left (fun n c -> n + f c) 0 t.caches in
   {
-    allocated;
-    fresh = Atomic.get t.fresh;
-    reused = Atomic.get t.reused;
-    freed;
-    live = allocated - freed;
-    cached;
+    allocated = sum (fun c -> c.allocated);
+    fresh = sum (fun c -> c.fresh);
+    reused = sum (fun c -> c.reused);
+    freed = sum (fun c -> c.freed);
+    live = Atomic.get t.footprint;
+    cached = sum (fun c -> c.count) + Atomic.get t.depot_count;
     peak_footprint = Atomic.get t.peak_footprint;
     pressure_retries = Atomic.get t.pressure_retries;
     oom_events = Atomic.get t.oom_events;
-    mag_hits = Atomic.get t.mag_hits;
-    mag_misses = Atomic.get t.mag_misses;
-    depot_refills = Atomic.get t.depot_refills;
-    depot_flushes = Atomic.get t.depot_flushes;
+    mag_hits = sum (fun c -> c.mag_hits);
+    mag_misses = sum (fun c -> c.mag_misses);
+    depot_refills = sum (fun c -> c.depot_refills);
+    depot_flushes = sum (fun c -> c.depot_flushes);
   }
 
 (* Metric registration: allocator stats are instance-scoped, so they

@@ -82,7 +82,8 @@ type stats = {
   fresh : int;      (** served by fresh blocks *)
   reused : int;     (** served from a cache *)
   freed : int;      (** total frees *)
-  live : int;       (** allocated - freed (Live or Retired) *)
+  live : int;       (** the footprint: allocated - freed (Live or
+                        Retired) *)
   cached : int;     (** blocks sitting in magazines and the depot *)
   peak_footprint : int;   (** high-water mark of [live] *)
   pressure_retries : int; (** backpressure rounds taken by {!alloc} *)
@@ -94,6 +95,14 @@ type stats = {
 }
 
 val stats : 'a t -> stats
+(** Every field but [live], [peak_footprint], [pressure_retries],
+    [oom_events] and the depot's share of [cached] is a sum of
+    per-thread counters that only their owners write.  The sums are
+    exact once the writers have quiesced (after [Domain.join], and at
+    any point of a simulated run); read mid-run from another domain
+    they may lag.  [live] reads the shared footprint word, which
+    equals [allocated - freed] whenever no admission is in flight. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 val publish_stats : stats -> unit

@@ -33,7 +33,8 @@ module Policy = struct
      allocation as §3 does for all schemes (one convention across the
      board makes the robustness bound uniform). *)
   let epoch = Allocation Uncharged
-  let create_res ~threads _ = Array.init threads (fun _ -> Atomic.make max_int)
+  let create_res ~threads _ =
+    Array.init threads (fun _ -> Ibr_runtime.Padded.copy (Atomic.make max_int))
   let create_state () = ()
 
   (* A single-threshold conflict: reclaim every block retired before

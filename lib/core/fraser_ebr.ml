@@ -56,7 +56,7 @@ module Policy = struct
 
   let epoch = Quiescence
   let create_res ~threads _ =
-    Array.init threads (fun _ -> Atomic.make inactive)
+    Array.init threads (fun _ -> Ibr_runtime.Padded.copy (Atomic.make inactive))
 
   let create_state () = ()
 

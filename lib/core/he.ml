@@ -37,7 +37,8 @@ module Policy = struct
 
   let create_res ~threads (cfg : Tracker_intf.config) =
     Array.init threads (fun _ ->
-      Array.init cfg.slots (fun _ -> Atomic.make no_era))
+      Array.init cfg.slots (fun _ ->
+        Ibr_runtime.Padded.copy (Atomic.make no_era)))
 
   let create_state () = ()
 

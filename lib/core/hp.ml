@@ -35,7 +35,8 @@ module Policy = struct
 
   let create_res ~threads (cfg : Tracker_intf.config) =
     Array.init threads (fun _ ->
-      Array.init cfg.slots (fun _ -> Atomic.make None))
+      Array.init cfg.slots (fun _ ->
+        Ibr_runtime.Padded.copy (Atomic.make None)))
 
   let create_state () = ()
 

@@ -38,7 +38,7 @@ module Policy = struct
      epoch. *)
   let epoch = Allocation Charged
   let create_res ~threads _ =
-    Array.init threads (fun _ -> Atomic.make max_int)
+    Array.init threads (fun _ -> Ibr_runtime.Padded.copy (Atomic.make max_int))
 
   let create_state () = ()
 

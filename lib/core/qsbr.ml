@@ -55,7 +55,8 @@ module Policy (A : ADVANCE) = struct
   let epoch = Quiescence
 
   (* Initially every thread is quiescent in epoch 1. *)
-  let create_res ~threads _ = Array.init threads (fun _ -> Atomic.make 1)
+  let create_res ~threads _ =
+    Array.init threads (fun _ -> Ibr_runtime.Padded.copy (Atomic.make 1))
   let create_state () = ()
 
   (* Advance the global epoch if every thread has quiesced in it. *)

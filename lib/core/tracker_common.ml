@@ -295,10 +295,9 @@ module Interval_res = struct
     upper : int Atomic.t array;
   }
 
-  let create threads = {
-    lower = Array.init threads (fun _ -> Atomic.make max_int);
-    upper = Array.init threads (fun _ -> Atomic.make max_int);
-  }
+  let create threads =
+    let cell _ = Ibr_runtime.Padded.copy (Atomic.make max_int) in
+    { lower = Array.init threads cell; upper = Array.init threads cell }
 
   (* start_op: lower = upper = current epoch (Fig. 5 line 43). *)
   let start t ~tid e =

@@ -49,6 +49,7 @@ let sim_caps : Runner_intf.capabilities = {
   neutralize = true;
   alloc_capacity = true;
   service = true;
+  probes = true;
 }
 
 let sim_exec ~sched ~horizon : Runner_intf.exec =
@@ -83,6 +84,7 @@ let domains_caps : Runner_intf.capabilities = {
   neutralize = true;
   alloc_capacity = true;
   service = true;
+  probes = false;
 }
 
 (* Sleep [n] microseconds.  Short waits spin on the monotonic clock:
@@ -106,17 +108,19 @@ let domains_exec ~threads ~duration_s ~seed ~faults () : Runner_intf.exec =
   let end_ns = ref 0 in
   let now () = (Monotonic.now_ns () - !start_ns) / 1000 in
   let worker_running () = now () < duration_us in
-  (* Per-worker op counters and fault PRNGs for [worker_tick].  The
-     counters are distinct-index plain writes (no sharing); the PRNG
-     seed is decorrelated from the workload stream. *)
-  let ticks = Array.make (max threads 1) 0 in
+  (* Per-worker op counters and fault PRNGs for [worker_tick].  Each
+     counter is a plain ref that only its worker writes, on cache
+     lines of its own; the PRNG seed is decorrelated from the workload
+     stream. *)
+  let ticks = Array.init (max threads 1) (fun _ -> Padded.copy (ref 0)) in
   let fault_rngs =
     Array.init (max threads 1) (fun i ->
       Rng.stream ~seed:(seed lxor 0x57a11) ~index:i)
   in
   let worker_tick ~tid =
-    let c = ticks.(tid) + 1 in
-    ticks.(tid) <- c;
+    let r = ticks.(tid) in
+    let c = !r + 1 in
+    r := c;
     if c land 63 <> 0 then true
     else begin
       (* Clock check and fault draw every 64 ops, keeping the
@@ -200,6 +204,9 @@ let domains_exec ~threads ~duration_s ~seed ~faults () : Runner_intf.exec =
 
 (* -- the shared run loop -- *)
 
+(* One worker's completed and aborted operations. *)
+type counts = { mutable ops : int; mutable aborted : int }
+
 (* Fail fast when the mix draws on a capability the rideable does not
    export, naming the rideables that could run it instead. *)
 let check_caps ~ds_name (module S : Ds_intf.RIDEABLE) (mix : Workload.mix) =
@@ -231,6 +238,7 @@ let check_caps ~ds_name (module S : Ds_intf.RIDEABLE) (mix : Workload.mix) =
 let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     (module S : Ds_intf.RIDEABLE) (cfg : config) =
   Runner_intf.require exec cfg.faults;
+  Runner_intf.require_probes exec;
   check_caps ~ds_name (module S) cfg.spec.mix;
   (* Resolve the capability records once; the fail-fast above
      guarantees every op the mix can draw has its record. *)
@@ -259,10 +267,14 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
      let st = S.allocator_stats t in
      S.set_capacity t (Some (st.live + (cfg.threads * slack_per_thread)))
    | _ -> ());
-  (* Measured phase. *)
-  let ops = Array.make cfg.threads 0 in
-  let aborted = Array.make cfg.threads 0 in
-  let samplers = Array.init cfg.threads (fun _ -> Stats.make_sampler ()) in
+  (* Measured phase.  Each worker writes its counters and its sampler
+     on every operation, so each sits on cache lines of its own. *)
+  let counts =
+    Array.init cfg.threads (fun _ -> Padded.copy { ops = 0; aborted = 0 })
+  in
+  let samplers =
+    Array.init cfg.threads (fun _ -> Padded.copy (Stats.make_sampler ()))
+  in
   for _ = 0 to cfg.threads - 1 do
     exec.spawn (fun ~tid ->
       let h = S.register t ~tid in
@@ -276,8 +288,9 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
       in
       (* Runs until the scheduler unwinds it at the horizon (sim) or
          [worker_tick] reports the wall deadline (domains). *)
+      let c = counts.(tid) and sampler = samplers.(tid) in
       let rec loop () =
-        Stats.sample samplers.(tid) (S.retired_count h);
+        Stats.sample sampler (S.retired_count h);
         let key = Workload.pick_key rng cfg.spec in
         (try
            (match Workload.pick_op rng cfg.spec.mix with
@@ -295,7 +308,7 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
               ignore ((Option.get qops).Ds_intf.dequeue h)
             | Workload.Migrate ->
               ignore ((Option.get bops).Ds_intf.migrate h));
-           ops.(tid) <- ops.(tid) + 1
+           c.ops <- c.ops + 1
          with
          | Ibr_core.Alloc.Exhausted
          | Ibr_core.Fault.Memory_fault (Ibr_core.Fault.Alloc_exhausted, _)
@@ -303,7 +316,7 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
            (* Heap full after the backpressure ladder: the op
               aborted (its reservations were released on unwind);
               keep going — later sweeps may free room. *)
-           aborted.(tid) <- aborted.(tid) + 1);
+           c.aborted <- c.aborted + 1);
         match cfg.faults with
         | Stall_watchdog _ when tid = 0 -> park ()
         | _ -> if exec.worker_tick ~tid then loop ()
@@ -335,7 +348,7 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     let spawn_dog ~period ~grace ~remedy =
       Watchdog.spawn_exec ~exec ~period ~grace ~threads:cfg.threads
         ~remedy
-        ~progress:(fun tid -> ops.(tid) + aborted.(tid))
+        ~progress:(fun tid -> counts.(tid).ops + counts.(tid).aborted)
         ~footprint:(fun () -> (S.allocator_stats t).live)
         ~eject:(fun tid -> S.eject t ~tid)
         ()
@@ -371,7 +384,7 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
   (match service with
    | Some svc -> svc.Ibr_core.Handoff.shutdown_flush ()
    | None -> ());
-  let total_ops = Array.fold_left ( + ) 0 ops in
+  let total_ops = Array.fold_left (fun n c -> n + c.ops) 0 counts in
   let merged = Stats.merge_samplers (Array.to_list samplers) in
   let makespan = exec.makespan () in
   (* Publish the instance-scoped gauges, then snapshot. *)

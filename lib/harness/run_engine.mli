@@ -57,7 +57,8 @@ val run :
 (** Run one configuration to completion and assemble its stats row
     ([backend] stamped from the exec).
     @raise Runner_intf.Unsupported if [config.faults] needs a
-    capability the backend does not declare.
+    capability the backend does not declare, or if {!Ibr_obs.Probe}
+    tracing or histograms are on and the backend lacks ["probes"].
     @raise Invalid_argument if the mix draws on a capability the
     rideable does not export (the message lists capable rideables). *)
 

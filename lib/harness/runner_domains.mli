@@ -8,7 +8,8 @@
     this backend supports (["stall-storm"], ["stall+watchdog"]) are
     injected for real — sleeps and a wall-clock watchdog; profiles
     needing scheduler-injected crashes raise
-    {!Runner_intf.Unsupported}. *)
+    {!Runner_intf.Unsupported}, and so does a run with
+    {!Ibr_obs.Probe} tracing or histograms on. *)
 
 type config = {
   threads : int;            (** domains *)

@@ -29,11 +29,12 @@ type capabilities = {
   neutralize : bool;      (* restart signals deliverable to workers *)
   alloc_capacity : bool;  (* capped-allocator backpressure *)
   service : bool;         (* open-loop service runs with churn *)
+  probes : bool;          (* Ibr_obs.Probe tracing and histograms *)
 }
 
 let capability_names =
   [ "deterministic"; "crash_faults"; "stall_faults"; "virtual_time";
-    "watchdog"; "neutralize"; "alloc_capacity"; "service" ]
+    "watchdog"; "neutralize"; "alloc_capacity"; "service"; "probes" ]
 
 let has caps = function
   | "deterministic" -> caps.deterministic
@@ -44,6 +45,7 @@ let has caps = function
   | "neutralize" -> caps.neutralize
   | "alloc_capacity" -> caps.alloc_capacity
   | "service" -> caps.service
+  | "probes" -> caps.probes
   | c -> invalid_arg ("Runner_intf.has: unknown capability " ^ c)
 
 exception Unsupported of { backend : string; capability : string }
@@ -211,6 +213,15 @@ let require exec faults =
 let require_capability exec capability =
   if not (has exec.caps capability) then
     unsupported ~backend:exec.backend ~capability
+
+(* Probes stamp each event with [Hooks.current_tid] and [global_now],
+   which only the simulator's handler answers, and record into rings
+   and tables nothing synchronises.  A run with tracing or histograms
+   on needs a backend that declares [probes]: elsewhere the trace and
+   the tallies would be plausible-looking and wrong. *)
+let require_probes exec =
+  if Ibr_obs.Probe.enabled () || Ibr_obs.Probe.hist_enabled () then
+    require_capability exec "probes"
 
 (* Markdown-ish capability table for docs and --menu output. *)
 let caps_row caps =

@@ -250,6 +250,7 @@ let check ~metric ~target ~actual =
 let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     (module S : Ds_intf.RIDEABLE) (p : profile) =
   Runner_intf.require_capability exec "service";
+  Runner_intf.require_probes exec;
   Run_engine.check_caps ~ds_name (module S) p.spec.mix;
   if p.workers < 1 then invalid_arg "Service.run: workers must be >= 1";
   if p.fleet < 1 then invalid_arg "Service.run: fleet must be >= 1";

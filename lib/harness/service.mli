@@ -135,7 +135,8 @@ val run_exec :
     targets carry over under the 1 cycle ~ 1 us convention) with real
     attach/detach churn across domains.
     @raise Runner_intf.Unsupported if the backend lacks the
-    ["service"] capability. *)
+    ["service"] capability, or ["probes"] while {!Ibr_obs.Probe}
+    tracing or histograms are on. *)
 
 val run_named :
   tracker_name:string -> ds_name:string -> profile -> result option

@@ -73,27 +73,30 @@ let to_csv_row r =
 let csv_header_tagged () = "backend," ^ csv_header ()
 let to_csv_row_tagged r = r.backend ^ "," ^ to_csv_row r
 
-(* Incremental mean/peak accumulator for the unreclaimed metric. *)
+(* Incremental mean/peak accumulator for the unreclaimed metric.  The
+   sum is an int, so sampling allocates nothing, and below 2^53 it
+   converts to a float exactly, as a running float sum would. *)
 type sampler = {
-  mutable sum : float;
+  mutable sum : int;
   mutable n : int;
   mutable peak : int;
 }
 
-let make_sampler () = { sum = 0.0; n = 0; peak = 0 }
+let make_sampler () = { sum = 0; n = 0; peak = 0 }
 
 let sample s v =
-  s.sum <- s.sum +. float_of_int v;
+  s.sum <- s.sum + v;
   s.n <- s.n + 1;
   if v > s.peak then s.peak <- v
 
 let merge_samplers ss =
   let m = make_sampler () in
   List.iter (fun s ->
-    m.sum <- m.sum +. s.sum;
+    m.sum <- m.sum + s.sum;
     m.n <- m.n + s.n;
     if s.peak > m.peak then m.peak <- s.peak)
     ss;
   m
 
-let mean s = if s.n = 0 then 0.0 else s.sum /. float_of_int s.n
+let mean s =
+  if s.n = 0 then 0.0 else float_of_int s.sum /. float_of_int s.n

@@ -47,9 +47,10 @@ val to_csv_row_tagged : t -> string
     table.  The untagged layout is pinned by the golden CSV and stays
     unchanged. *)
 
-(** Incremental mean/peak accumulator. *)
+(** Incremental mean/peak accumulator.  [sum] is an exact integer
+    sum: sampling allocates nothing. *)
 type sampler = {
-  mutable sum : float;
+  mutable sum : int;
   mutable n : int;
   mutable peak : int;
 }

@@ -151,8 +151,54 @@ let test_fault_reset () =
   Fault.reset ();
   Alcotest.(check int) "counters cleared" 0 (Fault.total ())
 
+(* [Padded.copy]: the copy is at least 17 fields long, so its own
+   field sits a cache line apart from any other padded block's, and it
+   behaves as the original under every atomic operation, also after
+   the GC has moved it. *)
+type pair = { mutable a : int; b : string list }
+type floats = { x : float; y : float }
+
+let test_padded () =
+  let module Padded = Ibr_runtime.Padded in
+  let c = Padded.copy (Atomic.make 5) in
+  Alcotest.(check bool) "cell spans >= 17 fields" true
+    (Obj.size (Obj.repr c) >= 17);
+  Gc.compact ();
+  Alcotest.(check int) "get" 5 (Atomic.get c);
+  Atomic.set c 6;
+  Alcotest.(check int) "set, exchange" 6 (Atomic.exchange c 7);
+  Alcotest.(check bool) "compare_and_set" true (Atomic.compare_and_set c 7 8);
+  Alcotest.(check bool) "failed compare_and_set" false
+    (Atomic.compare_and_set c 7 9);
+  Alcotest.(check int) "fetch_and_add" 8 (Atomic.fetch_and_add c 2);
+  Gc.compact ();
+  Alcotest.(check int) "after compaction" 10 (Atomic.get c);
+  (* A boxed payload and a record survive the GC moving them. *)
+  let boxed = Padded.copy (Atomic.make [ "x" ]) in
+  let r = Padded.copy { a = 1; b = [ "y"; "z" ] } in
+  Gc.compact ();
+  Alcotest.(check (list string)) "boxed payload" [ "x" ]
+    (Atomic.exchange boxed [ "w" ]);
+  r.a <- r.a + 1;
+  Gc.full_major ();
+  Alcotest.(check (list string)) "swapped payload" [ "w" ] (Atomic.get boxed);
+  Alcotest.(check int) "record int field" 2 r.a;
+  Alcotest.(check (list string)) "record list field" [ "y"; "z" ] r.b;
+  Alcotest.(check bool) "record spans >= 18 fields" true
+    (Obj.size (Obj.repr r) >= 18);
+  let refused f =
+    match f () with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "immediate refused" true
+    (refused (fun () -> Padded.copy 3));
+  Alcotest.(check bool) "all-float record refused" true
+    (refused (fun () -> Padded.copy { x = 1.0; y = 2.0 }))
+
 let suite =
   [
+    Alcotest.test_case "padded copy" `Quick test_padded;
     Alcotest.test_case "lifecycle" `Quick test_block_lifecycle;
     Alcotest.test_case "UAF raises" `Quick test_use_after_free_raises;
     Alcotest.test_case "UAF counted" `Quick test_use_after_free_counted;

@@ -43,4 +43,66 @@ let cases =
            Registry.tag_ibr_wcas; Registry.two_ge_ibr ])
     [ "list"; "hashmap"; "nmtree"; "bonsai" ]
 
-let suite = cases
+(* The allocator's statistics are per-thread shards summed on read.
+   Two domains share one allocator in reuse mode, with 4-block
+   magazines so depot refills and flushes keep happening.  Each
+   allocates and frees on its own tid, and every third block crosses
+   over: allocated on one tid, retired there, freed on the other.
+   After the join the sums must satisfy the allocator's identities
+   exactly; a shard that two domains wrote would lose increments. *)
+let test_alloc_shards_exact () =
+  let a = Alloc.create ~threads:2 ~magazine_size:4 () in
+  let rounds = 20_000 in
+  let mailbox = Array.init 2 (fun _ -> Atomic.make []) in
+  let finished = Atomic.make 0 in
+  let worker tid () =
+    let rec send b =
+      let box = mailbox.(1 - tid) in
+      let cur = Atomic.get box in
+      if not (Atomic.compare_and_set box cur (b :: cur)) then send b
+    in
+    let receive () =
+      List.iter (Alloc.free a ~tid) (Atomic.exchange mailbox.(tid) [])
+    in
+    for i = 1 to rounds do
+      let own = Alloc.alloc a ~tid i in
+      let unpublished = Alloc.alloc a ~tid i in
+      let crossing = Alloc.alloc a ~tid i in
+      Block.transition_retire own;
+      Alloc.free a ~tid own;
+      Alloc.free_unpublished a ~tid unpublished;
+      Block.transition_retire crossing;
+      send crossing;
+      if i land 7 = 0 then receive ()
+    done;
+    (* Once both have finished sending, take what is left. *)
+    Atomic.incr finished;
+    while Atomic.get finished < 2 do Domain.cpu_relax () done;
+    receive ()
+  in
+  let (), faults =
+    Fault.with_counting (fun () ->
+      List.iter Domain.join
+        (List.map (fun tid -> Domain.spawn (worker tid)) [ 0; 1 ]))
+  in
+  let s = Alloc.stats a in
+  Alcotest.(check int) "no fault reported" 0 faults;
+  Alcotest.(check int) "allocated = 3 per round per domain"
+    (2 * 3 * rounds) s.allocated;
+  Alcotest.(check int) "allocated = fresh + reused" s.allocated
+    (s.fresh + s.reused);
+  Alcotest.(check int) "allocated = mag_hits + mag_misses" s.allocated
+    (s.mag_hits + s.mag_misses);
+  Alcotest.(check int) "reused = mag_hits + depot_refills" s.reused
+    (s.mag_hits + s.depot_refills);
+  Alcotest.(check int) "freed = allocated" s.allocated s.freed;
+  Alcotest.(check int) "live = 0" 0 s.live;
+  Alcotest.(check int) "footprint = 0" 0 (Alloc.footprint a);
+  Alcotest.(check int) "cached = fresh" s.fresh s.cached;
+  Alcotest.(check bool) "the depot was used both ways" true
+    (s.depot_refills > 0 && s.depot_flushes > 0)
+
+let suite =
+  Alcotest.test_case "sharded allocator stats exact after join" `Quick
+    test_alloc_shards_exact
+  :: cases

@@ -77,8 +77,9 @@ let gen_caps =
          neutralize = bits land 128 <> 0;
          alloc_capacity = bits land 32 <> 0;
          service = bits land 64 <> 0;
+         probes = bits land 256 <> 0;
        })
-    (QCheck.Gen.int_bound 255)
+    (QCheck.Gen.int_bound 511)
 
 let qcheck_missing_consistent =
   QCheck.Test.make ~name:"missing = required \\ held; require raises first"
@@ -215,6 +216,38 @@ let test_service_requires_capability () =
          (Service.run_named_exec ~exec ~tracker_name:"EBR" ~ds_name:"hashmap"
             profile))
 
+(* Probes read the tid and clock through the simulator's handler and
+   record into unsynchronised rings, so with a trace recording a
+   domains run fails fast, before any domain starts, and the same run
+   on the sim still goes through and records. *)
+let test_probes_need_capability () =
+  Alcotest.(check bool) "sim declares probes" true
+    (Runner_intf.has Run_engine.sim_caps "probes");
+  Alcotest.(check bool) "domains does not" false
+    (Runner_intf.has Run_engine.domains_caps "probes");
+  let domains =
+    Runner_domains.default_config ~threads:2 ~duration_s:0.05
+      ~spec:small_spec ()
+  and sim =
+    Runner_sim.default_config ~threads:2 ~cores:2 ~horizon:10_000
+      ~spec:small_spec ()
+  in
+  Ibr_obs.Probe.start ~capacity:1024 ~threads:4 ();
+  Fun.protect ~finally:Ibr_obs.Probe.stop (fun () ->
+    Alcotest.check_raises "tracing refused on domains"
+      (Runner_intf.Unsupported { backend = "domains"; capability = "probes" })
+      (fun () ->
+         ignore
+           (Runner_domains.run_named ~tracker_name:"EBR" ~ds_name:"hashmap"
+              domains));
+    let r =
+      Option.get
+        (Runner_sim.run_named ~tracker_name:"EBR" ~ds_name:"hashmap" sim)
+    in
+    Alcotest.(check bool) "the sim run completes" true (r.Stats.ops > 0);
+    Alcotest.(check bool) "and is traced" true
+      (Ibr_obs.Probe.events () <> []))
+
 (* ---- installed handlers: the native path stays dispatch-free ---- *)
 
 let installed = Ibr_runtime.Hooks.installed
@@ -313,6 +346,8 @@ let suite =
       test_domains_crash_unsupported;
     Alcotest.test_case "service needs the service capability" `Quick
       test_service_requires_capability;
+    Alcotest.test_case "probes raise Unsupported on domains, run on sim"
+      `Quick test_probes_need_capability;
     Alcotest.test_case "no handler installed outside runs" `Quick
       test_no_handler_outside_runs;
     Alcotest.test_case "Sched.run restores the handler count" `Quick

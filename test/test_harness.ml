@@ -60,7 +60,25 @@ let test_sampler () =
   Alcotest.(check int) "peak" 10 s.peak;
   let merged = Stats.merge_samplers [ s; s ] in
   Alcotest.(check int) "merged n" 8 merged.n;
-  Alcotest.(check (float 0.001)) "merged mean" 4.0 (Stats.mean merged)
+  Alcotest.(check (float 0.001)) "merged mean" 4.0 (Stats.mean merged);
+  (* The sum is an exact int.  Near 2^40 its mean is still exact, and
+     bit-identical to the running float sum the sampler used to keep:
+     a float sum of ints is exact below 2^53. *)
+  let base = 1 lsl 40 in
+  let vs = [ base + 1; base + 2; base + 3; base + 6; base - 7 ] in
+  let big = Stats.make_sampler () in
+  List.iter (Stats.sample big) vs;
+  Alcotest.(check int) "exact sum" ((5 * base) + 5) big.sum;
+  Alcotest.(check int) "peak" (base + 6) big.peak;
+  let float_sum = List.fold_left (fun a v -> a +. float_of_int v) 0.0 vs in
+  Alcotest.(check bool) "mean = float running sum / n" true
+    (Stats.mean big = float_sum /. 5.0);
+  Alcotest.(check bool) "mean exact" true
+    (Stats.mean big = float_of_int (base + 1));
+  let merged = Stats.merge_samplers [ big; big; s ] in
+  Alcotest.(check int) "merged exact sum" ((10 * base) + 10 + 16) merged.sum;
+  Alcotest.(check bool) "merged mean = float running sum / n" true
+    (Stats.mean merged = ((float_sum +. float_sum) +. 16.0) /. 14.0)
 
 let test_csv_row_shape () =
   let row = {
