@@ -9,9 +9,19 @@ open Cmdliner
 module Cli = Ibr_harness.Cli
 module Campaign = Ibr_harness.Campaign
 
+(* The tracker-config flags, applied alike to closed-loop runs and
+   --service.  [threads] scales --epoch-freq as the paper's n * k. *)
+let tweak ~threads ~retire ~empty_freq ~epoch_freq ~background_reclaim
+    (cfg : Ibr_core.Tracker_intf.config) =
+  { cfg with
+    retire_backend = Cli.parse_retire_backend retire;
+    empty_freq = Option.value empty_freq ~default:cfg.empty_freq;
+    epoch_freq =
+      (match epoch_freq with Some k -> k * threads | None -> cfg.epoch_freq);
+    background_reclaim = cfg.background_reclaim || background_reclaim }
+
 let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
-    ~key_range ~background_reclaim ~magazine_size ~handoff_batch ~output
-    ~verbose =
+    ~key_range ~background_reclaim ~output ~verbose =
   let { Cli.rideable; tracker; threads; interval; mix; retire; faults } =
     base in
   let mix = Cli.parse_mix mix in
@@ -21,31 +31,8 @@ let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
     | Some r -> { base with key_range = r }
     | None -> base
   in
-  let tweak (cfg : Ibr_core.Tracker_intf.config) =
-    let cfg =
-      { cfg with retire_backend = Cli.parse_retire_backend retire } in
-    let cfg =
-      match empty_freq with Some k -> { cfg with empty_freq = k } | None -> cfg
-    in
-    let cfg =
-      match epoch_freq with
-      | Some k -> { cfg with epoch_freq = k * threads }
-      | None -> cfg
-    in
-    let cfg =
-      if background_reclaim then
-        { cfg with Ibr_core.Tracker_intf.background_reclaim = true }
-      else cfg
-    in
-    let cfg =
-      match magazine_size with
-      | Some m -> { cfg with magazine_size = m }
-      | None -> cfg
-    in
-    match handoff_batch with
-    | Some k -> { cfg with handoff_batch = k }
-    | None -> cfg
-  in
+  let tweak =
+    tweak ~threads ~retire ~empty_freq ~epoch_freq ~background_reclaim in
   (* -i is microseconds on domains: 1 virtual cycle ~ 1 us, so the same
      -i reaches a comparable run length on either backend.  Fault
      profiles the backend cannot honor raise [Unsupported]. *)
@@ -85,12 +72,13 @@ let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
 
 (* ---- open-loop service simulation (--service) ---- *)
 
-let run_service ~rideable ~tracker ~threads ~interval ~cores ~seed ~backend
-    ~fleet ~period ~arrival ~zipf ~watchdog ~slo_p50 ~slo_p99 ~slo_p999
-    ~slo_peak ~key_range ~output ~verbose =
+let run_service ~rideable ~tracker ~threads ~interval ~mix ~cores ~seed
+    ~backend ~tweak ~fleet ~period ~arrival ~zipf ~watchdog ~slo_p50 ~slo_p99
+    ~slo_p999 ~slo_peak ~key_range ~output ~verbose =
   let module Service = Ibr_harness.Service in
   let spec =
-    let base = Ibr_harness.Workload.spec_for rideable in
+    let mix = Cli.parse_mix mix in
+    let base = Ibr_harness.Workload.spec_for ~mix rideable in
     match key_range with
     | Some r -> { base with key_range = r }
     | None -> base
@@ -118,6 +106,7 @@ let run_service ~rideable ~tracker ~threads ~interval ~cores ~seed ~backend
       ?watchdog:(if watchdog then Some (15_000, 3) else None)
       ~slo ~spec ()
   in
+  let profile = { profile with tracker_cfg = tweak profile.tracker_cfg } in
   let result =
     match backend with
     | "sim" -> Service.run_named ~tracker_name:tracker ~ds_name:rideable profile
@@ -207,7 +196,7 @@ let run_check ~target ~bound ~budget ~out ~verbose =
          match outcome.verdict, c.expect with
          | Check.Certified _, Scenarios.Safe
          | Check.Witness _, Scenarios.Faulty -> true
-         | (Check.Certified _ | Check.Witness _ | Check.Exhausted _), _ -> false
+         | _ -> false
        in
        if not ok then begin
          incr mismatches;
@@ -319,19 +308,6 @@ let background_reclaim =
                  to a per-thread handoff queue drained by a dedicated \
                  reclaimer (a fiber on sim, a domain on domains).")
 
-let magazine_size =
-  Arg.(value & opt (some int) None
-       & info [ "magazine-size" ] ~docv:"N"
-           ~doc:"Blocks per allocator magazine (per-thread free-block \
-                 cache; default 64).")
-
-let handoff_batch =
-  Arg.(value & opt (some int) None
-       & info [ "handoff-batch" ] ~docv:"K"
-           ~doc:"Buffer K retirements per thread before publishing them \
-                 to the background reclaimer's handoff queue (default 1 \
-                 = publish immediately).")
-
 let seed =
   Arg.(value & opt int 0xbeef & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
@@ -397,7 +373,10 @@ let service =
                  bursty schedule (diurnal ramp + spikes), Zipf-skewed \
                  keys, worker fibers joining and leaving the tracker \
                  census, SLO pass/fail verdicts (exit status 1 on \
-                 FAIL).  -t sets the census capacity, -i the horizon.")
+                 FAIL).  -t sets the census capacity, -i the horizon; \
+                 -m, -b, --empty-freq, --epoch-freq and \
+                 --background-reclaim apply as in closed-loop runs, \
+                 and -f and --meta are refused.")
 
 let service_fleet =
   Arg.(value & opt (some int) None
@@ -470,11 +449,10 @@ let cmd =
     Term.(
       const (fun menu_flag rideable tracker threads interval mix retire
               faults cores seed backend empty_freq epoch_freq key_range
-              background_reclaim magazine_size handoff_batch
-              output verbose metas trace hist check check_bound check_budget
-              check_out check_replay service service_fleet service_period
-              service_arrival service_zipf service_watchdog slo_p50 slo_p99
-              slo_p999 slo_peak ->
+              background_reclaim output verbose metas trace hist check
+              check_bound check_budget check_out check_replay service
+              service_fleet service_period service_arrival service_zipf
+              service_watchdog slo_p50 slo_p99 slo_p999 slo_peak ->
           if menu_flag then list_menu ()
           else
             try
@@ -488,14 +466,28 @@ let cmd =
                     they cannot be combined with --service, --check or \
                     --check-replay"
                | _ -> ());
+              (* The service runs one fault-free configuration; a
+                 flag it cannot honour is an error, not a no-op. *)
+              if service
+                 && (metas <> []
+                     || Cli.parse_faults faults
+                        <> Ibr_harness.Runner_intf.No_faults)
+              then
+                failwith
+                  "--service runs one configuration without injected \
+                   faults; it cannot be combined with -f or --meta";
               match check, check_replay with
               | Some target, _ ->
                 run_check ~target ~bound:check_bound ~budget:check_budget
                   ~out:check_out ~verbose
               | None, Some path -> run_replay ~path
               | None, None when service ->
-                run_service ~rideable ~tracker ~threads ~interval ~cores
-                  ~seed ~backend ~fleet:service_fleet ~period:service_period
+                run_service ~rideable ~tracker ~threads ~interval ~mix
+                  ~cores ~seed ~backend
+                  ~tweak:
+                    (tweak ~threads ~retire ~empty_freq ~epoch_freq
+                       ~background_reclaim)
+                  ~fleet:service_fleet ~period:service_period
                   ~arrival:service_arrival ~zipf:service_zipf
                   ~watchdog:service_watchdog ~slo_p50 ~slo_p99 ~slo_p999
                   ~slo_peak ~key_range ~output ~verbose
@@ -508,8 +500,8 @@ let cmd =
                 List.iter
                   (fun (base : Cli.base) ->
                      run_one ~base ~cores ~seed ~backend ~empty_freq
-                       ~epoch_freq ~key_range ~background_reclaim
-                       ~magazine_size ~handoff_batch ~output ~verbose)
+                       ~epoch_freq ~key_range ~background_reclaim ~output
+                       ~verbose)
                   (Cli.expand_metas metas
                      { Cli.rideable; tracker; threads; interval; mix;
                        retire; faults });
@@ -532,11 +524,10 @@ let cmd =
               Stdlib.exit 1)
       $ menu $ rideable $ tracker $ threads $ interval $ mix $ retire
       $ faults $ cores $ seed $ backend $ empty_freq $ epoch_freq $ key_range
-      $ background_reclaim $ magazine_size $ handoff_batch
-      $ output $ verbose $ metas $ trace $ hist $ check $ check_bound
-      $ check_budget $ check_out $ check_replay $ service $ service_fleet
-      $ service_period $ service_arrival $ service_zipf $ service_watchdog
-      $ slo_p50 $ slo_p99 $ slo_p999 $ slo_peak)
+      $ background_reclaim $ output $ verbose $ metas $ trace $ hist $ check
+      $ check_bound $ check_budget $ check_out $ check_replay $ service
+      $ service_fleet $ service_period $ service_arrival $ service_zipf
+      $ service_watchdog $ slo_p50 $ slo_p99 $ slo_p999 $ slo_peak)
   in
   Cmd.v (Cmd.info "ibr-bench" ~doc) term
 

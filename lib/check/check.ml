@@ -34,9 +34,19 @@ type verdict =
     }
   | Exhausted of { schedules : int }
     (* Budget ran out before the bound was fully explored. *)
+  | Diverged of { schedules : int }
+    (* The last schedule ran past [max_decisions]. *)
 
 exception Budget
 exception Nondeterministic of string
+exception Too_long
+
+(* Decisions one schedule may take.  The longest schedule of
+   [--check all] takes 111 (thread_churn/HE).  A body that spins
+   behind a preempted lock holder never finishes under the default
+   choice, which keeps the current thread running, so without a cap
+   its schedule would grow until memory ran out. *)
+let max_decisions = 10_000
 
 (* One decision point of the last executed run. *)
 type frame = {
@@ -58,6 +68,7 @@ let run_schedule scenario ~forced ~skip ~expected =
   let observed = ref [] in
   let decide ~runnable ~current =
     let i = !depth in
+    if i >= max_decisions then raise Too_long;
     incr depth;
     let tid =
       if i < Array.length forced then forced.(i)
@@ -157,7 +168,9 @@ let explore ?(bound = default_bound) ?(budget = default_budget) scenario =
         Witness { trace; failure; schedules = !schedules; preemptions }
       | `Exhausted -> deepen (b + 1)
   in
-  try deepen 0 with Budget -> Exhausted { schedules = !schedules }
+  try deepen 0 with
+  | Budget -> Exhausted { schedules = !schedules }
+  | Too_long -> Diverged { schedules = !schedules }
 
 (* Uniform random walk: each dispatch picks uniformly among runnable
    threads.  Cheap, embarrassingly parallel in spirit, and a useful
@@ -207,3 +220,6 @@ let pp_verdict ppf = function
       schedules preemptions (Trace.switches trace) failure
   | Exhausted { schedules } ->
     Fmt.pf ppf "budget exhausted after %d schedules, no verdict" schedules
+  | Diverged { schedules } ->
+    Fmt.pf ppf "schedule %d ran past %d decisions (livelock?), no verdict"
+      schedules max_decisions

@@ -19,6 +19,10 @@ type verdict =
     }
   | Exhausted of { schedules : int }
       (** Budget ran out before the bound was fully explored. *)
+  | Diverged of { schedules : int }
+      (** Schedule number [schedules] took more than {!max_decisions}
+          decisions, e.g. a body spinning behind a preempted lock
+          holder; exploration stops there. *)
 
 exception Nondeterministic of string
 (** A forced replay prefix diverged from its earlier execution —
@@ -28,6 +32,8 @@ exception Nondeterministic of string
 val default_bound : int    (** 3 *)
 
 val default_budget : int   (** 50_000 schedules *)
+
+val max_decisions : int    (** per schedule *)
 
 val explore : ?bound:int -> ?budget:int -> Scenario.t -> verdict
 (** Exhaustive DFS with iterative deepening over preemption bounds

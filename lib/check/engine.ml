@@ -41,7 +41,8 @@ let describe_faults ~before =
 
 (* Run [scenario] once, taking every dispatch decision from [decide].
    [decide] sees the same (runnable, current) view the scheduler
-   does. *)
+   does.  An exception from [decide] abandons the run and is re-raised:
+   it is the caller's signal, not a failure of the scenario. *)
 let run (scenario : Scenario.t) ~(decide : Sched.decider) : result =
   let inst = scenario.make () in
   if Array.length inst.bodies <> scenario.threads then
@@ -51,8 +52,14 @@ let run (scenario : Scenario.t) ~(decide : Sched.decider) : result =
   let sched = Sched.create check_config in
   Array.iter (fun body -> ignore (Sched.spawn sched body)) inst.bodies;
   let decisions = ref [] and preempts = ref 0 and n = ref 0 in
+  let abandoned = ref None in
   Sched.set_decider sched (fun ~runnable ~current ->
-    let tid = decide ~runnable ~current in
+    let tid =
+      try decide ~runnable ~current
+      with e ->
+        abandoned := Some e;
+        raise e
+    in
     if current >= 0 && tid <> current && Array.exists (Int.equal current) runnable
     then incr preempts;
     decisions := tid :: !decisions;
@@ -68,6 +75,7 @@ let run (scenario : Scenario.t) ~(decide : Sched.decider) : result =
       | (), _ -> Some ("memory fault: " ^ describe_faults ~before)
       | exception e -> Some ("exception: " ^ Printexc.to_string e))
   in
+  Option.iter raise !abandoned;
   { failure; decisions = List.rev !decisions; preemptions = !preempts;
     dispatches = !n }
 

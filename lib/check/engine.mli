@@ -20,7 +20,8 @@ type result = {
 
 val run : Scenario.t -> decide:Ibr_runtime.Sched.decider -> result
 (** One fresh run of the scenario, every dispatch decision taken from
-    [decide]. *)
+    [decide].  An exception raised by [decide] abandons the run and is
+    re-raised. *)
 
 val default_choice : runnable:int array -> current:int -> int
 (** The non-preemptive default schedule: continue the current thread;

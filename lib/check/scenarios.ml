@@ -185,6 +185,55 @@ let handoff_drain (entry : Registry.entry) =
     { Scenario.bodies = [| reader; writer; drainer |];
       finish = (fun () -> None) })
 
+(* A thread's final sweep under background reclamation (DESIGN.md
+   §10b).  [force_empty] is the first step of every [detach]; on a
+   queued path the blocks it could sweep sit in the service's
+   reclaimer, which the service sweeps under its drain lock.  Three
+   bodies, with [empty_freq = 2] so the service's drain sweeps as soon
+   as both retirements reach it:
+
+   - the writer unlinks and retires [x], then calls [force_empty];
+   - the producer holds a guarded read of [x] across its deref, then
+     retires its own block [y];
+   - the service drains once.
+
+   A sweep of the shared reclaimer outside the lock, racing the
+   service's cadence sweep, condemns the same blocks twice and frees
+   them twice (1 preemption).  [Unsafe_free] frees [x] under the
+   producer's deref.  Trackers with no service fall back to a
+   force-empty third body, as in [handoff_drain]. *)
+let detach_drain (entry : Registry.entry) =
+  let module T = (val entry.tracker : Tracker_intf.TRACKER) in
+  Scenario.v ~name:("detach_drain/" ^ entry.name) ~threads:3 (fun () ->
+    let c =
+      { (cfg ~empty_freq:2 2) with Tracker_intf.background_reclaim = true }
+    in
+    let t = T.create ~threads:2 c in
+    let h0 = T.register t ~tid:0 and h1 = T.register t ~tid:1 in
+    (* Allocated during setup: published before any thread runs. *)
+    let x = T.alloc h0 1 and y = T.alloc h1 2 in
+    let ptr = T.make_ptr t (Some x) in
+    let writer _ =
+      T.start_op h0;
+      T.write h0 ptr None;
+      T.retire h0 x;
+      T.end_op h0;
+      T.force_empty h0
+    in
+    let producer _ =
+      T.start_op h1;
+      deref (T.read_root h1 ptr);
+      T.retire h1 y;
+      T.end_op h1
+    in
+    let service =
+      match T.reclaim_service t with
+      | Some svc -> fun _ -> ignore (svc.Handoff.drain ())
+      | None -> fun _ -> T.force_empty h1
+    in
+    { Scenario.bodies = [| writer; producer; service |];
+      finish = (fun () -> None) })
+
 (* Dynamic-census churn (DESIGN.md §10): the detach protocol raced
    against a reader mid-interval, plus slot reuse by a joiner.  Census
    capacity 2, three bodies:
@@ -459,7 +508,8 @@ type case = {
    path rerouted through the background-reclaim handoff queue, the
    drain and sweep racing the reader inside the explored schedules;
    [Unsafe_free] again rides along Faulty (its immediate free needs no
-   queue, so the same bound separates it). *)
+   queue, so the same bound separates it).  [detach_drain] does the
+   same for a thread's final sweep against the service's. *)
 let cases () =
   let rw e expect bound = { scenario = reader_writer e; expect; bound } in
   let rwb backend e expect bound =
@@ -469,6 +519,7 @@ let cases () =
   let ar e expect bound = { scenario = advance_race e; expect; bound } in
   let cm e expect bound = { scenario = crash_mid_op e; expect; bound } in
   let hd e expect bound = { scenario = handoff_drain e; expect; bound } in
+  let dd e expect bound = { scenario = detach_drain e; expect; bound } in
   let tc e expect bound = { scenario = thread_churn e; expect; bound } in
   let nm e expect bound =
     { scenario = neutralize_mid_op e; expect; bound } in
@@ -482,6 +533,8 @@ let cases () =
   @ [ nm Registry.debra_norestart Faulty 2 ]
   @ List.map (fun e -> hd e Safe 2) Registry.all
   @ [ hd Registry.unsafe_free Faulty 2 ]
+  @ List.map (fun e -> dd e Safe 2) Registry.all
+  @ [ dd Registry.unsafe_free Faulty 2 ]
   @ List.map (fun e -> tc e Safe 2) Registry.all
   @ [ tc Registry.unsafe_free Faulty 2; tc Registry.ebr_noflush Faulty 2 ]
   @ List.concat_map

@@ -37,6 +37,16 @@ val handoff_drain : Ibr_core.Registry.entry -> Scenario.t
     Trackers without a service fall back to a force-empty third
     thread. *)
 
+val detach_drain : Ibr_core.Registry.entry -> Scenario.t
+(** Three threads under [background_reclaim = true] and
+    [empty_freq = 2] (DESIGN.md §10b): a writer that retires a block
+    and then runs [force_empty], the first step of [detach]; a
+    producer that holds a guarded read of that block and then retires
+    its own; and the service draining once.  Only the service may
+    sweep its reclaimer: a [force_empty] that also sweeps it frees the
+    same blocks twice (1 preemption).  [Unsafe_free] faults on the
+    producer's deref. *)
+
 val thread_churn : Ibr_core.Registry.entry -> Scenario.t
 (** Three bodies on a census of capacity 2 (DESIGN.md §10): a reader
     holding a guarded root read, a churner that retires the block the
@@ -93,14 +103,15 @@ val cases : unit -> case list
 (** The full suite: [reader_writer] and [crash_mid_op] for every
     correct tracker (Safe) and for the oracles, the reader_writer
     shape re-certified under the Buckets and Gated retirement backends
-    with per-retire sweeps, [handoff_drain] for every tracker with
-    [Unsafe_free] riding along Faulty, [thread_churn] for every
-    tracker with [Unsafe_free] and [Ebr.Noflush] riding along Faulty,
-    [advance_race] for the QSBR-shaped trackers, [bucket_migrate] for
-    every tracker, and [queue_dequeue_churn] for every mutable-pointer
-    tracker (the queue's next cells are interior mutation, outside
-    POIBR's contract) — [Unsafe_free] and [Two_ge_ibr.Unfenced] ride along
-    Faulty on both new scenarios.  Expectations are what
+    with per-retire sweeps, [handoff_drain] and [detach_drain] for
+    every tracker with [Unsafe_free] riding along Faulty,
+    [thread_churn] for every tracker with [Unsafe_free] and
+    [Ebr.Noflush] riding along Faulty, [advance_race] for the
+    QSBR-shaped trackers, [bucket_migrate] for every tracker, and
+    [queue_dequeue_churn] for every mutable-pointer tracker (the
+    queue's next cells are interior mutation, outside POIBR's
+    contract) — [Unsafe_free] and [Two_ge_ibr.Unfenced] ride along
+    Faulty on both of the last two.  Expectations are what
     {!Check.explore} must conclude within each case's bound. *)
 
 val find : string -> case option

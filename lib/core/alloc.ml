@@ -72,9 +72,11 @@ type 'a cache = {
   mutable depot_flushes : int;  (* magazines pushed to the depot *)
 }
 
+(* Blocks per magazine; one depot CAS moves this many. *)
+let magazine_size = 64
+
 type 'a t = {
   reuse : bool;
-  magazine_size : int;
   caches : 'a cache array;        (* per-thread magazines and stats *)
   (* Stack of size-tagged magazines.  The overflow path only ever
      pushes full ones; [flush_magazines] (the detach path) pushes
@@ -92,17 +94,13 @@ type 'a t = {
   oom_events : int Atomic.t;
 }
 
-let create ?(reuse = true) ?capacity ?(retry_budget = 8)
-    ?(magazine_size = 64) ~threads () =
+let create ?(reuse = true) ?capacity ?(retry_budget = 8) ~threads () =
   if threads < 1 then invalid_arg "Alloc.create: threads must be >= 1";
-  if magazine_size < 1 then
-    invalid_arg "Alloc.create: magazine_size must be >= 1";
   (match capacity with
    | Some c when c < 1 -> invalid_arg "Alloc.create: capacity must be >= 1"
    | _ -> ());
   {
     reuse;
-    magazine_size;
     caches =
       Array.init threads (fun _ ->
           Ibr_runtime.Padded.copy
@@ -123,7 +121,6 @@ let create ?(reuse = true) ?capacity ?(retry_budget = 8)
   }
 
 let threads t = Array.length t.caches
-let magazine_size t = t.magazine_size
 
 let check_tid t tid =
   if tid < 0 || tid >= Array.length t.caches then
@@ -274,7 +271,7 @@ let cache_pop t c =
    [previous]; when both are full, flush the (full) [previous] to the
    depot first — one CAS moves [magazine_size] blocks. *)
 let cache_push t c b =
-  if c.loaded_n >= t.magazine_size then begin
+  if c.loaded_n >= magazine_size then begin
     if c.previous_n > 0 then depot_push t c ~n:c.previous_n c.previous;
     c.previous <- c.loaded;
     c.previous_n <- c.loaded_n;

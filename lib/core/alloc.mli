@@ -28,17 +28,17 @@ exception Exhausted
 type 'a t
 
 val create :
-  ?reuse:bool -> ?capacity:int -> ?retry_budget:int ->
-  ?magazine_size:int -> threads:int -> unit -> 'a t
+  ?reuse:bool -> ?capacity:int -> ?retry_budget:int -> threads:int ->
+  unit -> 'a t
 (** [reuse] defaults to [true]; [capacity] to unbounded;
     [retry_budget] (pressure-hook/backoff rounds per full-heap
-    allocation) to 8; [magazine_size] (blocks per magazine) to 64.
-    @raise Invalid_argument if [threads < 1], [capacity < 1] or
-    [magazine_size < 1]. *)
+    allocation) to 8.
+    @raise Invalid_argument if [threads < 1] or [capacity < 1]. *)
 
 val threads : 'a t -> int
 
-val magazine_size : 'a t -> int
+val magazine_size : int
+(** Blocks per magazine: 64. *)
 
 val capacity : 'a t -> int option
 

@@ -41,6 +41,12 @@ module type RECOVERY = sig
      reservation and the model checker exhibits its use-after-free. *)
 end
 
+(* Operations per fresh shared-epoch read.  Brown checks the epoch
+   every ~100 operations; scaled down like [epoch_freq] so several
+   announcement periods fit one simulated run.  1 would announce per
+   operation, as classic EBR does. *)
+let announce_freq = 8
+
 (* Per-handle state: the cached announcement. *)
 type announcement = {
   mutable announce_left : int; (* fresh epoch read when this hits 0 *)
@@ -81,7 +87,7 @@ module Policy (R : RECOVERY) = struct
   let announce_epoch h =
     let st = h.st in
     if st.cached < 0 || st.announce_left <= 0 then begin
-      st.announce_left <- h.t.cfg.Tracker_intf.announce_freq;
+      st.announce_left <- announce_freq;
       st.cached <- Epoch.read h.t.epoch
     end
     else Prim.local 1;

@@ -10,6 +10,9 @@
 
 include Tracker_intf.TRACKER
 
+val announce_freq : int
+(** Operations per fresh shared-epoch read: 8. *)
+
 (** The recovery behaviour distinguishing DEBRA, DEBRA+ and the
     unsound norestart oracle; see the [.ml] for the soundness notes. *)
 module type RECOVERY = sig

@@ -87,7 +87,6 @@ module Noflush = struct
      ([Reclaimer.drain_all]) in place of the final guarded sweep. *)
   let detach h =
     detach_with h ~final:(fun h ->
-      Handoff.path_drain h.path ~tid:h.tid;
       Reclaimer.drain_all (Handoff.path_reclaimer h.path) (fun b ->
         Alloc.free h.t.alloc ~tid:h.tid b))
 end

@@ -18,23 +18,16 @@
    uses [try_lock]: if the service is already mid-drain, the mutator's
    backoff ladder simply yields to it.
 
-   A producer can additionally batch: with [batch = k > 1], retires
-   accumulate in a plain thread-local buffer and are appended as one
-   CAS every k retirements, amortizing the queue traffic.  The buffer
-   is only ever touched by its owner (and by the quiesced shutdown
-   flush), so it needs no synchronization; [path_drain] — the hook a
-   detaching or force-sweeping caller already goes through — flushes
-   the caller's own buffer first, so no block can be stranded behind a
-   departed thread.  [batch = 1] (the default) takes the original
-   push path bit-for-bit. *)
+   Every sweep of the service's reclaimer runs under that lock: the
+   drain cadence, the pressure fallback and the shutdown flush.  No
+   other thread may sweep it — a mutator's [force_empty] on a queued
+   path sweeps nothing — or two threads would condemn, and free, the
+   same blocks. *)
 
 type 'a t = {
   queues : 'a Block.t list Atomic.t array;
   rc : 'a Reclaimer.t;       (* service-owned; sweeps run here *)
   lock : bool Atomic.t;      (* serialises drain vs. sync fallback *)
-  batch : int;               (* producer-side buffer size; 1 = none *)
-  bufs : 'a Block.t list array;   (* per-producer, owner-only *)
-  buf_n : int array;
 }
 
 (* Global handoff telemetry (atomics: the domains backend pushes and
@@ -63,18 +56,10 @@ module Stats = struct
     reg "handoff_syncs" 485 syncs
 end
 
-let create ~producers ?(batch = 1) rc =
-  if batch < 1 then invalid_arg "Handoff.create: batch < 1";
-  {
-    queues = Array.init producers (fun _ -> Atomic.make []);
+let create ~producers rc =
+  { queues = Array.init producers (fun _ -> Atomic.make []);
     rc;
-    lock = Atomic.make false;
-    batch;
-    bufs = Array.make producers [];
-    buf_n = Array.make producers 0;
-  }
-
-let reclaimer t = t.rc
+    lock = Atomic.make false }
 
 (* Blocks queued but not yet handed to the reclaimer.  Each segment is
    read with one atomic load (the list itself is immutable), so this
@@ -82,60 +67,23 @@ let reclaimer t = t.rc
    producers have quiesced. *)
 let queued t =
   Array.fold_left (fun n q -> n + List.length (Atomic.get q)) 0 t.queues
-  + Array.fold_left ( + ) 0 t.buf_n
-
-(* Append the caller's whole buffer as one CAS.  Caller is the buffer
-   owner (or the quiesced shutdown flush), so taking the buffer with
-   plain reads/writes is race-free; the CAS races only the consumer's
-   exchange.  Buffer and queue are both newest-first, so the
-   concatenation preserves retirement order end to end. *)
-let flush_own t ~tid =
-  match t.bufs.(tid) with
-  | [] -> ()
-  | chunk ->
-    t.bufs.(tid) <- [];
-    t.buf_n.(tid) <- 0;
-    let q = t.queues.(tid) in
-    let k = List.length chunk in
-    let rec loop () =
-      let cur = Atomic.get q in
-      let ok = Atomic.compare_and_set q cur (chunk @ cur) in
-      (* Count before the cost charge, as in [push]. *)
-      if ok then begin
-        ignore (Atomic.fetch_and_add Stats.pushed k);
-        List.iter (fun b -> Ibr_obs.Probe.handoff ~block:(Block.id b)) chunk
-      end;
-      Prim.charge_cas ~ok;
-      if not ok then loop ()
-    in
-    loop ()
 
 let push t ~tid b =
-  if t.batch > 1 then begin
-    (* Buffer first, then charge: if the charge unwinds the fiber at
-       the horizon the block is already buffered, and the shutdown
-       flush collects buffers, so nothing is lost or double-counted. *)
-    t.bufs.(tid) <- b :: t.bufs.(tid);
-    t.buf_n.(tid) <- t.buf_n.(tid) + 1;
-    Prim.local 1;
-    if t.buf_n.(tid) >= t.batch then flush_own t ~tid
-  end
-  else
-    let q = t.queues.(tid) in
-    let rec loop () =
-      let cur = Atomic.get q in
-      let ok = Atomic.compare_and_set q cur (b :: cur) in
-      (* Count before the cost charge: the charge's step can unwind the
-         fiber at the horizon, and a queued-but-uncounted block would
-         break the shutdown invariant (drained = pushed). *)
-      if ok then begin
-        Atomic.incr Stats.pushed;
-        Ibr_obs.Probe.handoff ~block:(Block.id b)
-      end;
-      Prim.charge_cas ~ok;
-      if not ok then loop ()
-    in
-    loop ()
+  let q = t.queues.(tid) in
+  let rec loop () =
+    let cur = Atomic.get q in
+    let ok = Atomic.compare_and_set q cur (b :: cur) in
+    (* Count before the cost charge: the charge's step can unwind the
+       fiber at the horizon, and a queued-but-uncounted block would
+       break the shutdown invariant (drained = pushed). *)
+    if ok then begin
+      Atomic.incr Stats.pushed;
+      Ibr_obs.Probe.handoff ~block:(Block.id b)
+    end;
+    Prim.charge_cas ~ok;
+    if not ok then loop ()
+  in
+  loop ()
 
 (* -- drains (caller must hold [lock]) -- *)
 
@@ -188,13 +136,9 @@ let pressure t =
          Reclaimer.pressure t.rc)
 
 (* Shutdown: move everything queued into the reclaimer and sweep.
-   Producers must have quiesced (joined domains / unwound fibers), so
-   collecting their batch buffers with plain reads is sound — a crash
-   or horizon unwind mid-batch leaves its buffer here, not leaked.
-   The drain loop still tolerates a straggling exchange race. *)
+   The drain loop tolerates a straggling producer's push. *)
 let flush t =
   with_lock t (fun () ->
-    Array.iteri (fun tid _ -> flush_own t ~tid) t.queues;
     while drain_locked t > 0 do () done;
     Reclaimer.pressure t.rc)
 
@@ -246,17 +190,6 @@ let path_add p ~tid b =
 let path_count = function
   | Direct rc -> Reclaimer.count rc
   | Queued h -> queued h + Reclaimer.count h.rc
-
-(* Before a caller's own prepare + force: flush the caller's batch
-   buffer and make sure queued blocks are in the store so the forced
-   sweep can see them.  Detach runs through here, so a departing
-   thread can never strand buffered retirements behind its slot. *)
-let path_drain p ~tid =
-  match p with
-  | Direct _ -> ()
-  | Queued h ->
-    flush_own h ~tid;
-    ignore (drain h)
 
 let path_pressure = function
   | Direct rc -> Reclaimer.pressure rc

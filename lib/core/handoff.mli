@@ -5,34 +5,15 @@
 
 type 'a t
 
-val create : producers:int -> ?batch:int -> 'a Reclaimer.t -> 'a t
+val create : producers:int -> 'a Reclaimer.t -> 'a t
 (** One single-producer queue segment per thread id in
     [0 .. producers-1]; [rc] is the service-owned reclaimer every
-    drain feeds (its sweep cadence runs on the draining thread).
-
-    [batch] (default 1): with [k > 1], each producer retires into a
-    plain thread-local buffer appended to its queue as one CAS every
-    [k] pushes, amortizing the queue traffic.  Buffered blocks count
-    in {!queued}; {!path_drain} flushes the caller's own buffer, and
-    the shutdown {!flush} collects every buffer (sound because
-    producers have quiesced by then).  [batch = 1] is the original
-    one-CAS-per-retire path, bit-for-bit. *)
-
-val reclaimer : 'a t -> 'a Reclaimer.t
+    drain feeds.  Only the lock holder sweeps [rc]: the drain cadence,
+    {!pressure} and {!flush} all run under the drain lock. *)
 
 val push : 'a t -> tid:int -> 'a Block.t -> unit
-(** Queue one retired block (retire epoch already set).  Only thread
-    [tid] may push to its own segment.  With [batch > 1] the block may
-    sit in the producer's local buffer until the batch fills. *)
-
-val flush_own : 'a t -> tid:int -> unit
-(** Append producer [tid]'s private batch buffer to its queue (one
-    CAS); no-op when the buffer is empty.  Normally called by the
-    producer itself; a tracker's [eject] may call it for a {e dead,
-    parked, or suspended} victim — the same single-writer condition
-    under which ejection is sound at all — so a neutralized or
-    crashed thread's buffered retires reach the drainer instead of
-    stranding until detach. *)
+(** Queue one retired block (retire epoch already set) with one CAS.
+    Only thread [tid] may push to its own segment. *)
 
 val drain : 'a t -> int
 (** Take-all exchange of every segment into the reclaimer; returns
@@ -54,8 +35,8 @@ val shutdown_flush : 'a t -> unit
     abandoned a fiber mid-drain leaves the lock held forever. *)
 
 val queued : 'a t -> int
-(** Blocks pushed (including batch-buffered) but not yet drained
-    (exact once producers quiesce). *)
+(** Blocks pushed but not yet drained (exact once producers
+    quiesce). *)
 
 (** Monomorphic view for runners and data-structure wrappers.
     [shutdown_flush] is {!flush} that first *seizes* the drain lock:
@@ -81,11 +62,6 @@ type 'a path =
 val path_reclaimer : 'a path -> 'a Reclaimer.t
 val path_add : 'a path -> tid:int -> 'a Block.t -> unit
 val path_count : 'a path -> int
-val path_drain : 'a path -> tid:int -> unit
-(** Pre-force drain so a forced sweep sees queued blocks ([Direct]:
-    no-op).  Flushes the calling thread's batch buffer first, so a
-    detaching thread cannot strand buffered retirements. *)
-
 val path_pressure : 'a path -> unit
 
 (** Global handoff telemetry, registered as metric counters

@@ -32,9 +32,7 @@ let create ~threads (cfg : Tracker_intf.config) =
   Tracker_intf.validate ~threads cfg;
   (* Nothing ever sweeps, so a background reclaimer has no work:
      [background_reclaim] is ignored and [reclaim_service] is [None]. *)
-  { alloc =
-      Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-        ~threads ();
+  { alloc = Alloc.create ~reuse:cfg.reuse ~threads ();
     cfg;
     census = Tracker_common.Census.create threads }
 

@@ -19,10 +19,6 @@ type config = {
      k; k = 30 in their experiments). *)
   slots : int;
   (* Hazard slots per thread for pointer-based schemes (HP, HE). *)
-  max_cas_failures : int;
-  (* Data-structure operations restart with a fresh reservation after
-     this many failed CASes — the starvation bound of §4.3.1.
-     0 disables restarting. *)
   reuse : bool;
   (* Allocator reuse (benchmark mode) vs. precise-UAF mode (tests). *)
   retire_backend : Reclaimer.backend;
@@ -38,35 +34,15 @@ type config = {
      drain+sweep so the robustness bounds still hold.  Off by default:
      inline sweeping is the paper's configuration and keeps traced
      runs bit-identical with earlier PRs. *)
-  magazine_size : int;
-  (* Capacity of each per-thread allocator magazine (jemalloc
-     tcache-style free-block caching; see [Alloc]). *)
-  handoff_batch : int;
-  (* Background reclamation only: retire into a thread-local buffer
-     flushed as one handoff-queue append every [handoff_batch]
-     retirements, amortizing the queue CAS.  1 (the default) takes the
-     original one-CAS-per-retire path bit-for-bit; see [Handoff]. *)
-  announce_freq : int;
-  (* DEBRA-family amortization: re-read the global epoch only every
-     [announce_freq] operations, re-publishing a cached (possibly
-     stale, hence conservative) announcement in between.  Brown's
-     "check the epoch every ~100 operations"; scaled down like
-     [epoch_freq] so several announcement periods fit one simulated
-     run.  1 = announce-per-op (classic EBR behaviour).  Ignored by
-     non-DEBRA schemes. *)
 }
 
 let default_config ?(threads = 1) () = {
   epoch_freq = 2 * threads;
   empty_freq = 30;
   slots = 8;
-  max_cas_failures = 128;
   reuse = true;
   retire_backend = Reclaimer.List;
   background_reclaim = false;
-  magazine_size = 64;
-  handoff_batch = 1;
-  announce_freq = 8;
 }
 
 (* Reject configurations that would silently disable a scheme's
@@ -80,13 +56,7 @@ let validate ~threads cfg =
   if cfg.epoch_freq <= 0 then
     invalid_arg "Tracker config: epoch_freq must be positive";
   if cfg.slots < 1 then
-    invalid_arg "Tracker config: slots must be >= 1";
-  if cfg.magazine_size < 1 then
-    invalid_arg "Tracker config: magazine_size must be >= 1";
-  if cfg.handoff_batch < 1 then
-    invalid_arg "Tracker config: handoff_batch must be >= 1";
-  if cfg.announce_freq < 1 then
-    invalid_arg "Tracker config: announce_freq must be >= 1"
+    invalid_arg "Tracker config: slots must be >= 1"
 
 (* Fig. 7 row: qualitative properties of a scheme. *)
 type properties = {
@@ -126,12 +96,11 @@ module type TRACKER = sig
 
   val detach : 'a handle -> unit
   (* Release an [attach]ed handle.  The caller must be between
-     operations (no reservation held).  Order inside: final
-     drain-and-sweep of the handle's retired blocks, publish a
-     quiescent reservation, flush the allocator magazines, then free
-     the census slot — so a joiner that reuses the slot can never
-     alias a reservation the leaver still held.  The handle must not
-     be used afterwards. *)
+     operations (no reservation held).  Order inside: [force_empty],
+     publish a quiescent reservation, flush the allocator magazines,
+     then free the census slot — so a joiner that reuses the slot can
+     never alias a reservation the leaver still held.  The handle must
+     not be used afterwards. *)
 
   val handle_tid : 'a handle -> int
   (* The census slot this handle occupies (stable for its lifetime). *)
@@ -169,6 +138,11 @@ module type TRACKER = sig
   (* Observability *)
   val retired_count : 'a handle -> int
   val force_empty : 'a handle -> unit
+  (* Sweep the handle's own retired blocks now, ignoring the cadence.
+     Under [background_reclaim] the handle's retirements already
+     belong to the service, which sweeps them under its drain lock;
+     then this only runs the scheme's pre-sweep hook and frees
+     nothing, so no block is swept from two threads at once. *)
   val allocator : 'a t -> 'a Alloc.t
   val epoch_value : 'a t -> int   (* 0 for epoch-less schemes *)
 
@@ -181,13 +155,11 @@ module type TRACKER = sig
   val eject : 'a t -> tid:int -> unit
   (* DEBRA+/NBR-style neutralization: expire thread [tid]'s
      reservations so they no longer pin retired blocks, restoring
-     reclamation after the thread crash-faulted, and flush any
-     producer-private handoff scratch the victim still buffered
-     (batched handoff would otherwise strand those retires until
-     detach).  SOUND ONLY for a dead, parked, or suspended thread —
-     ejecting a running thread that still dereferences its protected
-     blocks readmits use-after-free (the watchdog's progress heuristic
-     is the caller's responsibility; see DESIGN.md §7).  A victim that
+     reclamation after the thread crash-faulted.  SOUND ONLY for a
+     dead, parked, or suspended thread — ejecting a running thread
+     that still dereferences its protected blocks readmits
+     use-after-free (the watchdog's progress heuristic is the
+     caller's responsibility; see DESIGN.md §7).  A victim that
      is *neutralized* rather than crashed may run again afterwards,
      but only through [recover], which re-establishes protection
      before the operation retries.  No-op for schemes that hold
@@ -197,10 +169,9 @@ module type TRACKER = sig
   (* Neutralization recovery (DEBRA+, DESIGN.md §12): called by
      [Ds_common.with_op] after [Fault.Neutralized] unwound the
      current attempt.  Contract: drop every reservation the handle
-     holds (an [eject]-style self-expiry, including the handoff
-     scratch flush) and then re-establish protection exactly as if
-     [start_op] had just run, so the retried attempt starts from a
-     clean, protected state.  The deliberately unsound
+     holds (an [eject]-style self-expiry) and then re-establish
+     protection exactly as if [start_op] had just run, so the retried
+     attempt starts from a clean, protected state.  The deliberately unsound
      [debra-norestart] variant omits the re-protect step — that is
      the bug class this API exists to make impossible to write by
      accident elsewhere. *)

@@ -165,7 +165,7 @@ module Make (P : POLICY) = struct
       epoch = Epoch.create ();
       res = P.create_res ~threads cfg;
       alloc =
-        Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
+        Alloc.create ~reuse:cfg.reuse
           ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
       cfg;
       census = Tracker_common.Census.create threads;
@@ -174,8 +174,7 @@ module Make (P : POLICY) = struct
     if cfg.background_reclaim then
       t.handoff <-
         Some
-          (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-             (make_reclaimer t ~tid:threads));
+          (Handoff.create ~producers:threads (make_reclaimer t ~tid:threads));
     t
 
   let path_of t tid =
@@ -254,21 +253,20 @@ module Make (P : POLICY) = struct
 
   let retired_count h = Handoff.path_count h.path
 
+  (* A queued path's blocks belong to the service, which sweeps them
+     under its drain lock; sweeping them here too would race it and
+     free the same block twice. *)
   let force_empty h =
-    Handoff.path_drain h.path ~tid:h.tid;
     P.before_force h;
-    Reclaimer.force (Handoff.path_reclaimer h.path)
+    match h.path with
+    | Handoff.Direct rc -> Reclaimer.force rc
+    | Handoff.Queued _ -> ()
 
   let allocator t = t.alloc
   let reclaim_service t = Option.map Handoff.service t.handoff
 
-  (* Neutralize a dead (or suspended) thread: expire its reservations.
-     Flush its producer-private handoff scratch first — batched
-     retires still buffered there are invisible to the drainer and
-     would otherwise stay stranded until detach. *)
-  let eject t ~tid =
-    (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-    P.clear t ~tid
+  (* Neutralize a dead (or suspended) thread: expire its reservations. *)
+  let eject t ~tid = P.clear t ~tid
 
   (* Neutralization recovery: self-expire, then re-protect. *)
   let recover h =
@@ -276,11 +274,12 @@ module Make (P : POLICY) = struct
     P.resume h
 
   (* Dynamic deregistration, the one place its order lives: a final
-     sweep while still registered, publish the quiescent reservation,
-     return the magazines to the depot, then release the census slot
-     — so a joiner reusing the slot can never alias a reservation
-     this thread still held.  [final] is the final sweep; only the
-     EBR-noflush oracle passes anything but [force_empty]. *)
+     sweep while still registered (none on a queued path), publish the
+     quiescent reservation, return the magazines to the depot, then
+     release the census slot — so a joiner reusing the slot can never
+     alias a reservation this thread still held.  [final] is the final
+     sweep; only the EBR-noflush oracle passes anything but
+     [force_empty]. *)
   let detach_with ~final h =
     final h;
     eject h.t ~tid:h.tid;

@@ -29,9 +29,7 @@ let create ~threads (cfg : Tracker_intf.config) =
   Tracker_intf.validate ~threads cfg;
   (* Frees on retire: there is no deferred work to hand off, so
      [background_reclaim] is ignored and [reclaim_service] is [None]. *)
-  { alloc =
-      Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-        ~threads ();
+  { alloc = Alloc.create ~reuse:cfg.reuse ~threads ();
     census = Tracker_common.Census.create threads }
 
 let register t ~tid = { t; tid }

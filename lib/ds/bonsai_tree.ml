@@ -40,7 +40,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
   type t = {
     tracker : node T.t;
     root : node T.ptr;         (* the only mutable pointer *)
-    cfg : Tracker_intf.config;
   }
 
   type handle = {
@@ -52,7 +51,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let create ~threads cfg =
     Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
     let tracker = T.create ~threads cfg in
-    { tracker; root = T.make_ptr tracker None; cfg }
+    { tracker; root = T.make_ptr tracker None }
 
   let register tree ~tid =
     { tree; th = T.register tree.tracker ~tid;
@@ -209,7 +208,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
       ~start_op:(fun () -> T.start_op h.th)
       ~end_op:(fun () -> T.end_op h.th)
       ~on_neutralize:(fun () -> T.recover h.th)
-      ~max_cas_failures:h.tree.cfg.max_cas_failures
       f
 
   (* Run one copy-and-swing-root update. *)

@@ -75,7 +75,11 @@ let with_window open_ f =
 let committed f =
   if Ibr_runtime.Hooks.active () then with_window false f else f ()
 
-let with_op ~stats ~start_op ~end_op ~on_neutralize ~max_cas_failures f =
+(* The §4.3.1 starvation bound: consecutive restarts after which an
+   operation refreshes its reservation. *)
+let max_cas_failures = 128
+
+let with_op ~stats ~start_op ~end_op ~on_neutralize f =
   let open Ibr_runtime in
   Ibr_obs.Probe.op_begin ();
   (* Open the restart window for exactly the attempt body; [end_op] /
@@ -89,7 +93,7 @@ let with_op ~stats ~start_op ~end_op ~on_neutralize ~max_cas_failures f =
     | exception Restart ->
       stats.restarts <- stats.restarts + 1;
       let fails = fails + 1 in
-      if max_cas_failures > 0 && fails >= max_cas_failures then begin
+      if fails >= max_cas_failures then begin
         (* Starvation bound: drop and re-acquire the reservation. *)
         end_op ();
         start_op ();

@@ -32,14 +32,17 @@ val committed : (unit -> 'a) -> 'a
     twice.  Masked code must not perform guarded dereferences
     ([Block.get]). *)
 
+val max_cas_failures : int
+(** Consecutive restarts after which {!with_op} refreshes the
+    reservation: 128. *)
+
 val with_op :
   stats:op_stats -> start_op:(unit -> unit) -> end_op:(unit -> unit) ->
-  on_neutralize:(unit -> unit) ->
-  max_cas_failures:int -> (unit -> 'a) -> 'a
+  on_neutralize:(unit -> unit) -> (unit -> 'a) -> 'a
 (** Run one application operation, re-entering [f] on {!Restart} and
-    dropping/re-acquiring the reservation after [max_cas_failures]
-    consecutive restarts (0 disables the bound).  [end_op] runs on
-    both normal and exceptional exit.
+    dropping/re-acquiring the reservation after {!max_cas_failures}
+    consecutive restarts.  [end_op] runs on both normal and
+    exceptional exit.
 
     [f] runs with the restart window open: {!Fault.Neutralized}
     delivered inside it unwinds the attempt, [on_neutralize] runs

@@ -31,7 +31,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
   type t = {
     tracker : node T.t;
     head : node T.ptr;
-    cfg : Tracker_intf.config;
   }
 
   type handle = {
@@ -43,7 +42,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let create ~threads cfg =
     Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
     let tracker = T.create ~threads cfg in
-    { tracker; head = T.make_ptr tracker None; cfg }
+    { tracker; head = T.make_ptr tracker None }
 
   let register list ~tid =
     { list; th = T.register list.tracker ~tid;
@@ -170,7 +169,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
       ~start_op:(fun () -> T.start_op h.th)
       ~end_op:(fun () -> T.end_op h.th)
       ~on_neutralize:(fun () -> T.recover h.th)
-      ~max_cas_failures:h.list.cfg.max_cas_failures
       f
 
   let insert h ~key ~value =

@@ -24,7 +24,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
     tracker : L.node T.t;
     buckets : L.node T.ptr array;
     mask : int;
-    cfg : Tracker_intf.config;
   }
 
   type handle = {
@@ -42,7 +41,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
       tracker;
       buckets = Array.init buckets (fun _ -> T.make_ptr tracker None);
       mask = buckets - 1;
-      cfg;
     }
 
   let create ~threads cfg = create_sized ~threads cfg
@@ -72,7 +70,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
       ~start_op:(fun () -> T.start_op h.th)
       ~end_op:(fun () -> T.end_op h.th)
       ~on_neutralize:(fun () -> T.recover h.th)
-      ~max_cas_failures:h.map.cfg.max_cas_failures
       f
 
   let insert h ~key ~value =

@@ -31,7 +31,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
     tracker : node T.t;
     head : node T.ptr;    (* current dummy *)
     tail : node T.ptr;    (* last or second-to-last node *)
-    cfg : Tracker_intf.config;
   }
 
   type handle = {
@@ -57,7 +56,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
       tracker;
       head = T.make_ptr tracker (Some dummy);
       tail = T.make_ptr tracker (Some dummy);
-      cfg;
     }
 
   let register queue ~tid =
@@ -77,7 +75,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
       ~start_op:(fun () -> T.start_op h.th)
       ~end_op:(fun () -> T.end_op h.th)
       ~on_neutralize:(fun () -> T.recover h.th)
-      ~max_cas_failures:h.queue.cfg.max_cas_failures
       f
 
   let enqueue h value =

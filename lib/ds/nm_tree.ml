@@ -55,7 +55,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
   type t = {
     tracker : node T.t;
     root : node Block.t;        (* R; never retired *)
-    cfg : Tracker_intf.config;
   }
 
   type handle = {
@@ -85,7 +84,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
            right = T.make_ptr tracker (Some (leaf inf2));
          })
     in
-    { tracker; root = r; cfg }
+    { tracker; root = r }
 
   let register tree ~tid =
     { tree; th = T.register tree.tracker ~tid;
@@ -248,7 +247,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
       ~start_op:(fun () -> T.start_op h.th)
       ~end_op:(fun () -> T.end_op h.th)
       ~on_neutralize:(fun () -> T.recover h.th)
-      ~max_cas_failures:h.tree.cfg.max_cas_failures
       f
 
   let leaf_key sr =

@@ -67,7 +67,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
     table : data T.ptr;         (* the current Table block *)
     count : int Atomic.t;       (* regular-node population (resize trigger) *)
     max_lg : int;
-    cfg : Tracker_intf.config;
   }
 
   type handle = {
@@ -111,7 +110,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
       table = T.make_ptr tracker (Some tb);
       count = Atomic.make 0;
       max_lg;
-      cfg;
     }
 
   let create ~threads cfg = create_sized ~threads cfg
@@ -234,7 +232,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
       ~start_op:(fun () -> T.start_op h.th)
       ~end_op:(fun () -> T.end_op h.th)
       ~on_neutralize:(fun () -> T.recover h.th)
-      ~max_cas_failures:h.hm.cfg.max_cas_failures
       f
 
   let so_regular key = rev31 key lor 1

@@ -22,7 +22,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
   type t = {
     tracker : node T.t;
     top : node T.ptr;
-    cfg : Tracker_intf.config;
   }
 
   type handle = {
@@ -34,7 +33,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let create ~threads cfg =
     Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
     let tracker = T.create ~threads cfg in
-    { tracker; top = T.make_ptr tracker None; cfg }
+    { tracker; top = T.make_ptr tracker None }
 
   let register stack ~tid =
     { stack; th = T.register stack.tracker ~tid;
@@ -53,7 +52,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
       ~start_op:(fun () -> T.start_op h.th)
       ~end_op:(fun () -> T.end_op h.th)
       ~on_neutralize:(fun () -> T.recover h.th)
-      ~max_cas_failures:h.stack.cfg.max_cas_failures
       f
 
   let push h value =

@@ -131,31 +131,6 @@ let test_domains_quiescence () =
     (Option.get
        (Runner_domains.run_named ~tracker_name:"EBR" ~ds_name:"hashmap" cfg))
 
-(* Batched handoff (handoff_batch > 1): retires buffer in per-thread
-   scratch and publish k at a time; quiescence and determinism must
-   survive the batching, and the batch counter must show it ran. *)
-let test_sim_quiescence_batched () =
-  let run () =
-    let cfg =
-      Runner_sim.default_config ~threads:4 ~cores:4 ~horizon:20_000
-        ~seed:0xb6 ~spec:small_spec ()
-    in
-    let cfg =
-      { cfg with
-        Runner_sim.tracker_cfg =
-          { cfg.Runner_sim.tracker_cfg with
-            Tracker_intf.background_reclaim = true; handoff_batch = 4 } }
-    in
-    Option.get
-      (Runner_sim.run_named ~tracker_name:"EBR" ~ds_name:"hashmap" cfg)
-  in
-  let r = run () in
-  quiescent r;
-  Alcotest.(check bool) "batched publishes happened" true
-    (Stats.metric r "handoff_batches" > 0);
-  Alcotest.(check string) "reproducible row" (Stats.to_csv_row r)
-    (Stats.to_csv_row (run ()))
-
 (* Virtual time must not move when the feature is off: same seed, same
    makespan and op count as ever (the golden CSV pins the full row;
    this pins the off-by-default contract from inside the suite). *)
@@ -188,8 +163,6 @@ let suite =
       test_sim_quiescence_under_crash;
     Alcotest.test_case "domains shutdown quiescence" `Quick
       test_domains_quiescence;
-    Alcotest.test_case "batched handoff: quiescent and deterministic" `Quick
-      test_sim_quiescence_batched;
     Alcotest.test_case "off by default: no handoff, deterministic" `Quick
       test_off_by_default_is_inert;
   ]

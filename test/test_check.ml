@@ -32,8 +32,8 @@ let run_case (c : Scenarios.case) () =
     Alcotest.failf "%s: expected a fault witness, got certified" name
   | Check.Witness w, Scenarios.Safe ->
     Alcotest.failf "%s: spurious witness: %s" name w.failure
-  | Check.Exhausted { schedules }, _ ->
-    Alcotest.failf "%s: budget exhausted after %d schedules" name schedules
+  | (Check.Exhausted _ | Check.Diverged _) as v, _ ->
+    Alcotest.failf "%s: %a" name Check.pp_verdict v
 
 let expectation_cases =
   List.map
@@ -54,7 +54,8 @@ let witness_pipeline name ~insufficient_bound ~needed_preemptions () =
    | Check.Witness w ->
      Alcotest.failf "%s faults at bound %d already: %s" name
        insufficient_bound w.failure
-   | Check.Exhausted _ -> Alcotest.failf "%s: budget exhausted" name);
+   | (Check.Exhausted _ | Check.Diverged _) as v ->
+     Alcotest.failf "%s: %a" name Check.pp_verdict v);
   match Check.check ~bound:case.bound case.scenario with
   | { verdict = Check.Witness w; minimal = Some (tr, stats) } ->
     Alcotest.(check int)
@@ -101,6 +102,25 @@ let test_checked_in_traces () =
           | Some _ -> ()
           | None -> Alcotest.failf "%s did not reproduce its fault" path))
     checked_in_traces
+
+(* ---- the per-schedule decision cap ---- *)
+
+(* Body 0 spins on a flag that only body 1 sets.  The default choice
+   keeps body 0 running, so the first schedule never ends; the cap must
+   turn it into a verdict instead of a hang. *)
+let test_spin_hits_decision_cap () =
+  let spin =
+    Scenario.v ~name:"spin" ~threads:2 (fun () ->
+      let flag = ref false in
+      { Scenario.bodies =
+          [| (fun _ -> while not !flag do Ibr_runtime.Hooks.step 1 done);
+             (fun _ -> flag := true) |];
+        finish = (fun () -> None) })
+  in
+  match Check.explore ~bound:0 spin with
+  | Check.Diverged { schedules } ->
+    Alcotest.(check int) "stopped at the first schedule" 1 schedules
+  | v -> Alcotest.failf "expected the decision cap: %a" Check.pp_verdict v
 
 (* ---- random walk cross-check ---- *)
 
@@ -229,6 +249,8 @@ let suite =
            ~needed_preemptions:2);
       Alcotest.test_case "checked-in traces reproduce" `Quick
         test_checked_in_traces;
+      Alcotest.test_case "a spinning schedule hits the decision cap" `Quick
+        test_spin_hits_decision_cap;
       Alcotest.test_case "random walk finds UnsafeFree" `Quick
         test_random_walk_finds_unsafe_free;
       Alcotest.test_case "random walk never certifies" `Quick

@@ -44,14 +44,16 @@ let cases =
     [ "list"; "hashmap"; "nmtree"; "bonsai" ]
 
 (* The allocator's statistics are per-thread shards summed on read.
-   Two domains share one allocator in reuse mode, with 4-block
-   magazines so depot refills and flushes keep happening.  Each
-   allocates and frees on its own tid, and every third block crosses
-   over: allocated on one tid, retired there, freed on the other.
+   Two domains share one allocator in reuse mode.  Each allocates and
+   frees on its own tid, and every third block crosses over: allocated
+   on one tid, retired there, freed on the other.  Crossings are
+   received in bursts of 256, more than the two magazines a cache
+   holds, so a burst overflows to the depot and the rounds after it,
+   which allocate one block more than they free, refill from there.
    After the join the sums must satisfy the allocator's identities
    exactly; a shard that two domains wrote would lose increments. *)
 let test_alloc_shards_exact () =
-  let a = Alloc.create ~threads:2 ~magazine_size:4 () in
+  let a = Alloc.create ~threads:2 () in
   let rounds = 20_000 in
   let mailbox = Array.init 2 (fun _ -> Atomic.make []) in
   let finished = Atomic.make 0 in
@@ -73,7 +75,7 @@ let test_alloc_shards_exact () =
       Alloc.free_unpublished a ~tid unpublished;
       Block.transition_retire crossing;
       send crossing;
-      if i land 7 = 0 then receive ()
+      if i land 255 = 0 then receive ()
     done;
     (* Once both have finished sending, take what is left. *)
     Atomic.incr finished;

@@ -309,7 +309,6 @@ let test_domains_neutralize_delivers () =
   exec.spawn (fun ~tid:_ ->
     Ibr_ds.Ds_common.with_op ~stats ~start_op:ignore ~end_op:ignore
       ~on_neutralize:(fun () -> Atomic.incr recovered)
-      ~max_cas_failures:0
       (fun () ->
          Atomic.set started true;
          while

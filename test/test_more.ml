@@ -200,19 +200,22 @@ let test_with_op_restart_accounting () =
   let stats = Ibr_ds.Ds_common.make_op_stats () in
   let starts = ref 0 and ends = ref 0 in
   let tries = ref 0 in
+  let bound = Ibr_ds.Ds_common.max_cas_failures in
+  let restarts = (2 * bound) + 1 in
   let result =
     Ibr_ds.Ds_common.with_op ~stats
       ~start_op:(fun () -> incr starts)
       ~end_op:(fun () -> incr ends)
       ~on_neutralize:(fun () -> ())
-      ~max_cas_failures:3
       (fun () ->
          incr tries;
-         if !tries <= 7 then raise Ibr_ds.Ds_common.Restart else "done")
+         if !tries <= restarts then raise Ibr_ds.Ds_common.Restart
+         else "done")
   in
   Alcotest.(check string) "result" "done" result;
-  Alcotest.(check int) "restarts" 7 stats.restarts;
-  (* 7 failures with threshold 3: refreshes after the 3rd and 6th. *)
+  Alcotest.(check int) "restarts" restarts stats.restarts;
+  (* 2 * bound + 1 failures: refreshes after the bound-th and the
+     (2 * bound)-th. *)
   Alcotest.(check int) "reservation refreshes" 2 stats.reservation_refreshes;
   Alcotest.(check int) "balanced start/end" !starts !ends;
   Alcotest.(check int) "ops counted" 1 stats.ops
@@ -225,7 +228,6 @@ let test_with_op_exception_safe () =
        ~start_op:(fun () -> ())
        ~end_op:(fun () -> incr ends)
        ~on_neutralize:(fun () -> ())
-       ~max_cas_failures:0
        (fun () -> failwith "inner")
    with Failure _ -> ());
   Alcotest.(check int) "end_op ran on exception" 1 !ends

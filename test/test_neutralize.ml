@@ -10,8 +10,8 @@
    - restart idempotence: model-based linearizability of the hashmap
      under a barrage of injected mid-op neutralizations — a restarted
      attempt must never double-apply an operation;
-   - handoff hygiene: batched retire scratch is flushed by [recover],
-     so pushed = drained balances across mid-op restarts;
+   - handoff hygiene: pushed = drained balances across mid-op
+     restarts and detaches under a live drainer;
    - reproducibility: the stall+neutralize fault profile is
      bit-deterministic in the seed and never ejects. *)
 
@@ -248,18 +248,17 @@ let qcheck_restart_idempotent =
 
 (* ---- handoff hygiene across mid-op restarts (satellite) ---- *)
 
-(* With [handoff_batch > 1] a worker accumulates retirements in a
-   private scratch buffer; [recover] must flush it (like eject does)
-   or blocks sit stranded in an unwound attempt's buffer forever.
-   After the run and a shutdown flush, every block ever pushed to the
-   queue must have been drained. *)
+(* Workers retire into the handoff queue while restart signals unwind
+   their attempts mid-operation and they detach under a live drainer.
+   No retirement may be stranded or counted twice: after the run and a
+   shutdown flush, every block ever pushed to the queue must have been
+   drained. *)
 let test_handoff_balanced_after_neutralization () =
   Handoff.Stats.reset ();
   let threads = 3 in
   let cfg =
     { (Tracker_intf.default_config ~threads ()) with
-      background_reclaim = true; handoff_batch = 4;
-      epoch_freq = 2; empty_freq = 4 } in
+      background_reclaim = true; epoch_freq = 2; empty_freq = 4 } in
   let maker = Ibr_ds.Ds_registry.find_exn "hashmap" in
   let (module S) =
     maker.instantiate Registry.debra_plus.tracker in

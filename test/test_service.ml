@@ -297,7 +297,7 @@ let test_detach_hands_over_retirements () =
 (* ---- allocator: magazine ownership across detach ------------------- *)
 
 let test_flush_magazines () =
-  let a = Alloc.create ~threads:2 ~magazine_size:8 () in
+  let a = Alloc.create ~threads:2 () in
   let blocks = List.init 6 (fun i -> Alloc.alloc a ~tid:0 i) in
   List.iter
     (fun b ->
