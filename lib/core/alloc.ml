@@ -146,13 +146,10 @@ let set_pressure_hook t ~tid hook =
    in total — long enough for every other thread to get a sweep in. *)
 let backoff_base = 64
 
-let note_peak t fp =
-  let rec go () =
-    let peak = Atomic.get t.peak_footprint in
-    if fp > peak && not (Atomic.compare_and_set t.peak_footprint peak fp)
-    then go ()
-  in
-  go ()
+let rec note_peak t fp =
+  let peak = Atomic.get t.peak_footprint in
+  if fp > peak && not (Atomic.compare_and_set t.peak_footprint peak fp)
+  then note_peak t fp
 
 (* Admission by reservation: fetch-and-add the footprint, undo if that
    overshot the cap.  The peak is taken from the *successful*
@@ -162,73 +159,66 @@ let note_peak t fp =
    with an exponentially growing virtual-time backoff — each
    [Hooks.step] is a preemption point, so other threads' frees can
    land between attempts.  Admission failure is a reported fault plus
-   a graceful abort. *)
+   a graceful abort.  [attempt] counts the pressure retries so far;
+   the loops here and below are top-level functions, so an
+   allocation allocates nothing of its own (DESIGN.md §1a). *)
+let rec admit_capped t ~tid ~cap attempt =
+  let f = Atomic.fetch_and_add t.footprint 1 + 1 in
+  if f <= cap then note_peak t f
+  else begin
+    Atomic.decr t.footprint;
+    if attempt < t.retry_budget then begin
+      Atomic.incr t.pressure_retries;
+      Ibr_obs.Probe.pressure ();
+      (match t.pressure.(tid) with Some hook -> hook () | None -> ());
+      Ibr_runtime.Hooks.step (backoff_base lsl attempt);
+      admit_capped t ~tid ~cap (attempt + 1)
+    end
+    else begin
+      Atomic.incr t.oom_events;
+      Fault.report Alloc_exhausted
+        (Printf.sprintf
+           "alloc: %d live+retired blocks at capacity %d after %d \
+            pressure retries (tid %d)"
+           (footprint t) cap t.retry_budget tid);
+      raise Exhausted
+    end
+  end
+
 let admit t ~tid =
   match t.capacity with
-  | None ->
-    note_peak t (Atomic.fetch_and_add t.footprint 1 + 1)
-  | Some cap ->
-    let try_reserve () =
-      let f = Atomic.fetch_and_add t.footprint 1 + 1 in
-      if f <= cap then Some f
-      else begin
-        Atomic.decr t.footprint;
-        None
-      end
-    in
-    let attempt = ref 0 in
-    let rec go () =
-      match try_reserve () with
-      | Some f -> note_peak t f
-      | None ->
-        if !attempt < t.retry_budget then begin
-          Atomic.incr t.pressure_retries;
-          Ibr_obs.Probe.pressure ();
-          (match t.pressure.(tid) with Some hook -> hook () | None -> ());
-          Ibr_runtime.Hooks.step (backoff_base lsl !attempt);
-          incr attempt;
-          go ()
-        end
-        else begin
-          Atomic.incr t.oom_events;
-          Fault.report Alloc_exhausted
-            (Printf.sprintf
-               "alloc: %d live+retired blocks at capacity %d after %d \
-                pressure retries (tid %d)"
-               (footprint t) cap t.retry_budget tid);
-          raise Exhausted
-        end
-    in
-    go ()
+  | None -> note_peak t (Atomic.fetch_and_add t.footprint 1 + 1)
+  | Some cap -> admit_capped t ~tid ~cap 0
 
 (* -- magazine machinery (owner-thread only, except the depot) -- *)
 
-let depot_push t c ~n mag =
-  let rec loop () =
-    let cur = Atomic.get t.depot in
-    if not (Atomic.compare_and_set t.depot cur ((n, mag) :: cur)) then
-      loop ()
-  in
-  loop ();
-  ignore (Atomic.fetch_and_add t.depot_count n);
-  c.count <- c.count - n;
-  c.depot_flushes <- c.depot_flushes + 1
+let rec depot_push t c ~n mag =
+  let cur = Atomic.get t.depot in
+  if not (Atomic.compare_and_set t.depot cur ((n, mag) :: cur)) then
+    depot_push t c ~n mag
+  else begin
+    ignore (Atomic.fetch_and_add t.depot_count n);
+    c.count <- c.count - n;
+    c.depot_flushes <- c.depot_flushes + 1
+  end
 
-let depot_pop t c =
-  let rec loop () =
-    match Atomic.get t.depot with
-    | [] -> None
-    (* CAS against the value read, not a reconstruction: a fresh cons
-       cell is never physically equal to the stored list. *)
-    | ((n, mag) :: rest) as cur ->
-      if Atomic.compare_and_set t.depot cur rest then begin
-        ignore (Atomic.fetch_and_add t.depot_count (-n));
-        c.depot_refills <- c.depot_refills + 1;
-        Some (n, mag)
-      end
-      else loop ()
-  in
-  loop ()
+(* Take a whole magazine from the depot into [loaded]; false when the
+   depot is empty. *)
+let rec depot_refill t c =
+  match Atomic.get t.depot with
+  | [] -> false
+  (* CAS against the value read, not a reconstruction: a fresh cons
+     cell is never physically equal to the stored list. *)
+  | ((n, mag) :: rest) as cur ->
+    if Atomic.compare_and_set t.depot cur rest then begin
+      ignore (Atomic.fetch_and_add t.depot_count (-n));
+      c.depot_refills <- c.depot_refills + 1;
+      c.loaded <- mag;
+      c.loaded_n <- n;
+      c.count <- c.count + n;
+      true
+    end
+    else depot_refill t c
 
 (* Pop the head of [loaded] (which the caller has ensured is
    non-empty). *)
@@ -241,12 +231,15 @@ let pop_loaded c =
     c.count <- c.count - 1;
     b
 
-(* Pop one cached block, or None.  Order: loaded, then swap in the
-   full previous, then refill a whole magazine from the depot. *)
-let cache_pop t c =
+(* Make sure [loaded] holds a cached block, counting the hit or miss:
+   loaded itself, then the full previous swapped in, then a whole
+   magazine refilled from the depot.  False when no cached block
+   exists.  A flag rather than an option, so a cache hit allocates
+   nothing. *)
+let cache_ready t c =
   if c.loaded_n > 0 then begin
     c.mag_hits <- c.mag_hits + 1;
-    Some (pop_loaded c)
+    true
   end
   else if c.previous_n > 0 then begin
     c.loaded <- c.previous;
@@ -254,17 +247,11 @@ let cache_pop t c =
     c.previous <- [];
     c.previous_n <- 0;
     c.mag_hits <- c.mag_hits + 1;
-    Some (pop_loaded c)
+    true
   end
   else begin
     c.mag_misses <- c.mag_misses + 1;
-    match depot_pop t c with
-    | Some (n, mag) ->
-      c.loaded <- mag;
-      c.loaded_n <- n;
-      c.count <- c.count + n;
-      Some (pop_loaded c)
-    | None -> None
+    depot_refill t c
   end
 
 (* Push one freed block.  When [loaded] is full, rotate it to
@@ -291,19 +278,21 @@ let alloc t ~tid payload =
      [Hooks.step] is a preemption point where the horizon can unwind
      the fiber, and the event must stay atomic with the counter
      increments above (probes never step). *)
-  match if t.reuse then cache_pop t c else None with
-  | Some b ->
+  if t.reuse && cache_ready t c then begin
+    let b = pop_loaded c in
     Block.reincarnate b payload;
     c.reused <- c.reused + 1;
     Ibr_obs.Probe.alloc ~block:(Block.id b) ~reused:true;
     Prim.charge_alloc ~reused:true;
     b
-  | None ->
+  end
+  else begin
     c.fresh <- c.fresh + 1;
     let b = Block.make ~id:(Atomic.fetch_and_add t.next_id 1) payload in
     Ibr_obs.Probe.alloc ~block:(Block.id b) ~reused:false;
     Prim.charge_alloc ~reused:false;
     b
+  end
 
 (* Reclaim a retired block: poison it and (in reuse mode) cache it. *)
 let free t ~tid b =

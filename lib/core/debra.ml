@@ -47,10 +47,12 @@ end
    operation, as classic EBR does. *)
 let announce_freq = 8
 
-(* Per-handle state: the cached announcement. *)
+(* Per-handle state: the cached announcement and the slot it is
+   published in. *)
 type announcement = {
   mutable announce_left : int; (* fresh epoch read when this hits 0 *)
   mutable cached : int;        (* last announced epoch; -1 = none yet *)
+  cell : int Atomic.t;         (* this thread's reservation *)
 }
 
 module Policy (R : RECOVERY) = struct
@@ -64,11 +66,12 @@ module Policy (R : RECOVERY) = struct
 
   type 'a res = int Atomic.t array
 
-  type state = announcement
+  type 'a state = announcement
 
   let epoch = Ebr.Policy.epoch
   let create_res = Ebr.Policy.create_res
-  let create_state () = { announce_left = 0; cached = -1 }
+  let create_state t ~tid =
+    { announce_left = 0; cached = -1; cell = t.res.(tid) }
   let source = Ebr.Policy.source
   let clear = Ebr.Policy.clear
 
@@ -95,11 +98,11 @@ module Policy (R : RECOVERY) = struct
     st.cached
 
   let start_op h =
-    Prim.write h.t.res.(h.tid) (announce_epoch h);
+    Prim.write h.st.cell (announce_epoch h);
     Ibr_obs.Probe.reserve ~slot:0
 
   let end_op h =
-    Prim.write h.t.res.(h.tid) max_int;
+    Prim.write h.st.cell max_int;
     Ibr_obs.Probe.unreserve ~slot:0
 
   (* Neutralization recovery after the kernel's self-expiry: (DEBRA+)

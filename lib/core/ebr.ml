@@ -27,7 +27,7 @@ module Policy = struct
   include Plain_ops
 
   type 'a res = int Atomic.t array
-  type state = unit
+  type 'a state = int Atomic.t   (* this thread's reservation *)
 
   (* Fig. 2 ties epoch advancement to retirement; we tie it to
      allocation as §3 does for all schemes (one convention across the
@@ -35,7 +35,7 @@ module Policy = struct
   let epoch = Allocation Uncharged
   let create_res ~threads _ =
     Array.init threads (fun _ -> Ibr_runtime.Padded.copy (Atomic.make max_int))
-  let create_state () = ()
+  let create_state t ~tid = t.res.(tid)
 
   (* A single-threshold conflict: reclaim every block retired before
      the oldest reservation (O(1) per block under any backend). *)
@@ -48,11 +48,11 @@ module Policy = struct
 
   let start_op h =
     let e = Epoch.read h.t.epoch in
-    Prim.write h.t.res.(h.tid) e;
+    Prim.write h.st e;
     Ibr_obs.Probe.reserve ~slot:0
 
   let end_op h =
-    Prim.write h.t.res.(h.tid) max_int;
+    Prim.write h.st max_int;
     Ibr_obs.Probe.unreserve ~slot:0
 
   let resume = start_op

@@ -8,7 +8,7 @@ include Tracker_intf.TRACKER
 module Policy :
   Tracker_kernel.POLICY
   with type 'a res = int Atomic.t array
-   and type state = unit
+   and type 'a state = int Atomic.t
 (** EBR's reservation policy, whose table and threshold sweep DEBRA
     reuses. *)
 

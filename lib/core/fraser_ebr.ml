@@ -52,13 +52,13 @@ module Policy = struct
   include Plain_ops
 
   type 'a res = int Atomic.t array
-  type state = unit
+  type 'a state = int Atomic.t   (* this thread's observed epoch *)
 
   let epoch = Quiescence
   let create_res ~threads _ =
     Array.init threads (fun _ -> Ibr_runtime.Padded.copy (Atomic.make inactive))
 
-  let create_state () = ()
+  let create_state t ~tid = t.res.(tid)
 
   (* retire_epoch > e - 2, i.e. the two-epoch-lag threshold. *)
   let source t () =
@@ -81,11 +81,11 @@ module Policy = struct
 
   let start_op h =
     let e = Epoch.read h.t.epoch in
-    Prim.write h.t.res.(h.tid) e;
+    Prim.write h.st e;
     Ibr_obs.Probe.reserve ~slot:0
 
   let end_op h =
-    Prim.write h.t.res.(h.tid) inactive;
+    Prim.write h.st inactive;
     Ibr_obs.Probe.unreserve ~slot:0
 
   let resume = start_op

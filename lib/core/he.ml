@@ -31,7 +31,7 @@ module Policy = struct
   include Plain_ops
 
   type 'a res = int Atomic.t array array   (* res.(tid).(slot) *)
-  type state = unit
+  type 'a state = int Atomic.t array       (* this thread's row *)
 
   let epoch = Allocation Charged
 
@@ -40,7 +40,7 @@ module Policy = struct
       Array.init cfg.slots (fun _ ->
         Ibr_runtime.Padded.copy (Atomic.make no_era)))
 
-  let create_state () = ()
+  let create_state t ~tid = t.res.(tid)
 
   (* A block survives if any reserved era intersects its lifetime.
      The era table is read once into a flat array, then digested
@@ -72,7 +72,7 @@ module Policy = struct
   let resume = start_op
 
   let end_op h =
-    let row = h.t.res.(h.tid) in
+    let row = h.st in
     for i = 0 to h.hwm do
       if Prim.read row.(i) <> no_era then begin
         Prim.write row.(i) no_era;
@@ -84,31 +84,31 @@ module Policy = struct
   (* get_protected: return a pointer only if it was read while the
      current era was already published in [slot]; otherwise publish
      the new era, fence, and re-read. *)
+  let rec protect epoch cell ~slot p published =
+    let v = Plain_ptr.read p in
+    let era = Epoch.read epoch in
+    if era = published then v
+    else begin
+      Prim.write cell era;
+      Ibr_obs.Probe.reserve ~slot;
+      Prim.fence ();
+      protect epoch cell ~slot p era
+    end
+
   let read h ~slot p =
     if h.hwm < slot then h.hwm <- slot;
-    let cell = h.t.res.(h.tid).(slot) in
-    let rec loop prev_era =
-      let v = Plain_ptr.read p in
-      let era = Epoch.read h.t.epoch in
-      if era = prev_era then v
-      else begin
-        Prim.write cell era;
-        Ibr_obs.Probe.reserve ~slot;
-        Prim.fence ();
-        loop era
-      end
-    in
-    loop (Prim.read cell)
+    let cell = h.st.(slot) in
+    protect h.t.epoch cell ~slot p (Prim.read cell)
 
   let read_root h p = read h ~slot:0 p
 
   let unreserve h ~slot =
-    Prim.write h.t.res.(h.tid).(slot) no_era;
+    Prim.write h.st.(slot) no_era;
     Ibr_obs.Probe.unreserve ~slot
 
   let reassign h ~src ~dst =
     if h.hwm < dst then h.hwm <- dst;
-    let row = h.t.res.(h.tid) in
+    let row = h.st in
     Prim.local 1;
     Prim.write row.(dst) (Prim.read row.(src));
     Ibr_obs.Probe.reserve ~slot:dst

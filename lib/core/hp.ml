@@ -26,19 +26,26 @@ module Policy = struct
   include Default_hooks
   include Plain_ops
 
-  (* A hazard slot holds a raw block reference (not a view): marks
-     need no protection, only the block does.  [res.(tid).(slot)]. *)
-  type 'a res = 'a Block.t option Atomic.t array array
-  type state = unit
+  (* A hazard slot holds the view the protected read returned: the
+     block it targets is what the slot protects (the tag needs no
+     protection), and publishing the view already in hand boxes
+     nothing.  [rows.(tid).(slot)]; a slot holding a [Null] view is
+     empty, and [empty] is the one null view every cleared slot
+     holds. *)
+  type 'a res = { rows : 'a View.t Atomic.t array array; empty : 'a View.t }
+  type 'a state = 'a View.t Atomic.t array   (* this thread's row *)
 
   let epoch = No_epoch
 
   let create_res ~threads (cfg : Tracker_intf.config) =
-    Array.init threads (fun _ ->
-      Array.init cfg.slots (fun _ ->
-        Ibr_runtime.Padded.copy (Atomic.make None)))
+    let empty = View.make None in
+    { rows =
+        Array.init threads (fun _ ->
+          Array.init cfg.slots (fun _ ->
+            Ibr_runtime.Padded.copy (Atomic.make empty)));
+      empty }
 
-  let create_state () = ()
+  let create_state t ~tid = t.res.rows.(tid)
 
   (* Michael's scan: snapshot all hazard slots into an id set, then
      sweep the local retired store against membership.  An opaque
@@ -58,10 +65,11 @@ module Policy = struct
           Prim.charge_scan ();
           incr entries;
           match Atomic.get slot with
-          | None -> ()
-          | Some b -> Hashtbl.replace hazard_scratch (Block.id b) ())
+          | View.Null _ -> ()
+          | View.Ptr { target = b; _ } ->
+            Hashtbl.replace hazard_scratch (Block.id b) ())
           row)
-        t.res;
+        t.res.rows;
       Tracker_common.Sweep_stats.note_snapshot ~entries:!entries
         ~cycles:(!entries * !Prim.costs.Ibr_runtime.Cost.scan_reservation);
       Reclaimer.Predicate (fun b -> Hashtbl.mem hazard_scratch (Block.id b))
@@ -69,7 +77,8 @@ module Policy = struct
   (* Expire every hazard slot in the row.  A released row is exactly
      a fresh row's state: no hazard published until the first
      protected read. *)
-  let clear t ~tid = Array.iter (fun slot -> Prim.write slot None) t.res.(tid)
+  let clear t ~tid =
+    Array.iter (fun slot -> Prim.write slot t.res.empty) t.res.rows.(tid)
 
   let start_op h = h.hwm <- -1
 
@@ -80,42 +89,44 @@ module Policy = struct
 
   (* Clear only the slots this operation actually used. *)
   let end_op h =
-    let row = h.t.res.(h.tid) in
+    let row = h.st in
     for i = 0 to h.hwm do
-      if Prim.read row.(i) <> None then begin
-        Prim.write row.(i) None;
+      match Prim.read row.(i) with
+      | View.Null _ -> ()
+      | View.Ptr _ ->
+        Prim.write row.(i) h.t.res.empty;
         Ibr_obs.Probe.unreserve ~slot:i
-      end
     done;
     h.hwm <- -1
 
+  (* The protect loop: publish what was read, fence, re-read; retry
+     until the cell still holds the published view. *)
+  let rec protect cell ~slot p =
+    let v = Plain_ptr.read p in
+    match v with
+    | View.Null _ -> v   (* null needs no protection *)
+    | View.Ptr _ ->
+      Prim.write cell v;
+      Ibr_obs.Probe.reserve ~slot;
+      Prim.fence ();
+      let v' = Plain_ptr.read p in
+      if v == v' then v else protect cell ~slot p
+
   let read h ~slot p =
     if h.hwm < slot then h.hwm <- slot;
-    let cell = h.t.res.(h.tid).(slot) in
-    let rec loop () =
-      let v = Plain_ptr.read p in
-      (match v with
-       | View.Null _ -> v   (* null needs no protection *)
-       | View.Ptr { target = b; _ } ->
-         Prim.write cell (Some b);
-         Ibr_obs.Probe.reserve ~slot;
-         Prim.fence ();
-         let v' = Plain_ptr.read p in
-         if v == v' then v else loop ())
-    in
-    loop ()
+    protect h.st.(slot) ~slot p
 
   let read_root h p = read h ~slot:0 p
 
   let unreserve h ~slot =
-    Prim.write h.t.res.(h.tid).(slot) None;
+    Prim.write h.st.(slot) h.t.res.empty;
     Ibr_obs.Probe.unreserve ~slot
 
   (* Copy a protection between slots: the target is already protected
      by [src], so no fence or re-validation is needed. *)
   let reassign h ~src ~dst =
     if h.hwm < dst then h.hwm <- dst;
-    let row = h.t.res.(h.tid) in
+    let row = h.st in
     Prim.local 1;
     Prim.write row.(dst) (Prim.read row.(src));
     Ibr_obs.Probe.reserve ~slot:dst

@@ -36,13 +36,13 @@ module Policy (P : POINTER_OPS) = struct
   include Default_hooks
 
   type 'a res = Res.t
-  type state = unit
+  type 'a state = int Atomic.t   (* this thread's upper endpoint *)
   type 'a ptr = 'a P.ptr
 
   (* Fig. 5 lines 30–36: epoch tick on allocation, tag birth epoch. *)
   let epoch = Allocation Charged
   let create_res ~threads _ = Res.create threads
-  let create_state () = ()
+  let create_state t ~tid = Res.upper_cell t.res ~tid
 
   (* Fig. 5 lines 22–29: interval-intersection sweep.  The table is
      digested once into a sorted snapshot; each block then pays
@@ -70,8 +70,7 @@ module Policy (P : POINTER_OPS) = struct
 
   let make_ptr _ ?tag target = P.make_ptr ?tag target
 
-  let read h ~slot:_ p =
-    P.read ~epoch:h.t.epoch ~upper:(Res.upper_cell h.t.res ~tid:h.tid) p
+  let read h ~slot:_ p = P.read ~epoch:h.t.epoch ~upper:h.st p
 
   let read_root h p = read h ~slot:0 p
   let write _ p ?tag target = P.write p ?tag target

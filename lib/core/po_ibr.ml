@@ -32,7 +32,7 @@ module Policy = struct
   include Plain_ops
 
   type 'a res = int Atomic.t array
-  type state = unit
+  type 'a state = int Atomic.t   (* this thread's reservation *)
 
   (* Fig. 4 lines 9–15: epoch tick on allocation, tag the birth
      epoch. *)
@@ -40,7 +40,7 @@ module Policy = struct
   let create_res ~threads _ =
     Array.init threads (fun _ -> Ibr_runtime.Padded.copy (Atomic.make max_int))
 
-  let create_state () = ()
+  let create_state t ~tid = t.res.(tid)
 
   (* Fig. 4 lines 1–8: a block is protected iff some reserved epoch
      lies within its lifetime.  The snapshot is sorted once so each
@@ -60,11 +60,11 @@ module Policy = struct
 
   let start_op h =
     let e = Epoch.read h.t.epoch in
-    Prim.write h.t.res.(h.tid) e;
+    Prim.write h.st e;
     Ibr_obs.Probe.reserve ~slot:0
 
   let end_op h =
-    Prim.write h.t.res.(h.tid) max_int;
+    Prim.write h.st max_int;
     Ibr_obs.Probe.unreserve ~slot:0
 
   (* The retried traversal re-guards from the root. *)
@@ -73,17 +73,15 @@ module Policy = struct
   (* Fig. 4 lines 25–30: reserve the epoch, fence, read the root, and
      verify the epoch is unchanged — the "snapshot" idiom that pins
      the root's contents inside the reserved epoch. *)
-  let read_root h p =
-    let cell = h.t.res.(h.tid) in
-    let rec loop () =
-      let e = Epoch.read h.t.epoch in
-      Prim.write cell e;
-      Prim.fence ();
-      let v = Plain_ptr.read p in
-      let e' = Epoch.read h.t.epoch in
-      if e = e' then v else loop ()
-    in
-    loop ()
+  let rec guard_root epoch cell p =
+    let e = Epoch.read epoch in
+    Prim.write cell e;
+    Prim.fence ();
+    let v = Plain_ptr.read p in
+    let e' = Epoch.read epoch in
+    if e = e' then v else guard_root epoch cell p
+
+  let read_root h p = guard_root h.t.epoch h.st p
 end
 
 include Make (Policy)

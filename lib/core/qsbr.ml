@@ -50,14 +50,14 @@ module Policy (A : ADVANCE) = struct
 
   (* The last epoch each thread has passed a quiescent state in. *)
   type 'a res = int Atomic.t array
-  type state = unit
+  type 'a state = int Atomic.t   (* this thread's quiescence epoch *)
 
   let epoch = Quiescence
 
   (* Initially every thread is quiescent in epoch 1. *)
   let create_res ~threads _ =
     Array.init threads (fun _ -> Ibr_runtime.Padded.copy (Atomic.make 1))
-  let create_state () = ()
+  let create_state t ~tid = t.res.(tid)
 
   (* Advance the global epoch if every thread has quiesced in it. *)
   let try_advance t =
@@ -95,7 +95,7 @@ module Policy (A : ADVANCE) = struct
   (* The quiescent state: no references held from here on. *)
   let end_op h =
     let e = Epoch.read h.t.epoch in
-    Prim.write h.t.res.(h.tid) e;
+    Prim.write h.st e;
     Ibr_obs.Probe.unreserve ~slot:0
 
   (* The caller of force_empty is between operations, i.e.

@@ -77,18 +77,17 @@ module Make_ops (S : BB_STRATEGY) = struct
      it was read while the thread's published upper endpoint already
      covered the pointer's born_before field; otherwise we extend the
      reservation, fence, and re-read. *)
-  let read ~epoch:_ ~upper p =
-    let rec loop published =
-      let v = Prim.read p.cell in
-      let bb = Prim.hot_read p.born_before in
-      if bb <= published then v
-      else begin
-        Prim.write upper bb;
-        Prim.fence ();
-        loop bb
-      end
-    in
-    loop (Atomic.get upper)
+  let rec protect upper p published =
+    let v = Prim.read p.cell in
+    let bb = Prim.hot_read p.born_before in
+    if bb <= published then v
+    else begin
+      Prim.write upper bb;
+      Prim.fence ();
+      protect upper p bb
+    end
+
+  let read ~epoch:_ ~upper p = protect upper p (Atomic.get upper)
 
   (* Fig. 5 lines 11–15: raise born_before, then store. *)
   let write p ?tag target =

@@ -41,23 +41,22 @@ module Ops = struct
       Ibr_runtime.Hooks.step !Prim.costs.Ibr_runtime.Cost.hot_read;
       Block.birth_epoch b
 
-  let read ~epoch:_ ~upper p =
-    let rec loop published =
-      let v = Plain_ptr.read p in
-      let bb = birth_of v in
-      if bb <= published then begin
-        (* Covered when read; verify the birth epoch did not move
-           under us (reuse would have bumped it past our cover). *)
-        let bb' = birth_of v in
-        if bb' = bb then v else loop published
-      end
-      else begin
-        Prim.write upper bb;
-        Prim.fence ();
-        loop bb
-      end
-    in
-    loop (Atomic.get upper)
+  let rec protect upper p published =
+    let v = Plain_ptr.read p in
+    let bb = birth_of v in
+    if bb <= published then begin
+      (* Covered when read; verify the birth epoch did not move
+         under us (reuse would have bumped it past our cover). *)
+      let bb' = birth_of v in
+      if bb' = bb then v else protect upper p published
+    end
+    else begin
+      Prim.write upper bb;
+      Prim.fence ();
+      protect upper p bb
+    end
+
+  let read ~epoch:_ ~upper p = protect upper p (Atomic.get upper)
 
   let write p ?tag target = Plain_ptr.write p ?tag target
   let cas p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target

@@ -42,17 +42,16 @@ module Ops = struct
 
   (* born_before travels atomically with the view, so one read covers
      both; the publish-fence-reread discipline is as in TagIBR. *)
-  let read ~epoch:_ ~upper p =
-    let rec loop published =
-      let pk = Prim.read p in
-      if pk.bb <= published then pk.view
-      else begin
-        Prim.write upper pk.bb;
-        Prim.fence ();
-        loop pk.bb
-      end
-    in
-    loop (Atomic.get upper)
+  let rec protect upper p published =
+    let pk = Prim.read p in
+    if pk.bb <= published then pk.view
+    else begin
+      Prim.write upper pk.bb;
+      Prim.fence ();
+      protect upper p pk.bb
+    end
+
+  let read ~epoch:_ ~upper p = protect upper p (Atomic.get upper)
 
   let write p ?tag target = Prim.write p (pack ?tag target)
 

@@ -16,7 +16,12 @@
    as the very same closures, with no wrapper: the build has no
    flambda, so a wrapper would add an indirect call to every read.
    For the same reason, state that [read] touches on every call (HP's
-   and HE's slot high-water mark) is a direct field of the handle. *)
+   and HE's slot high-water mark) is a direct field of the handle,
+   and the policy's per-handle state holds the thread's own
+   reservation cell or row, looked up once at registration.  A
+   protected read allocates nothing: every policy's retry loop is a
+   top-level recursive function, not a closure built per call
+   (DESIGN.md §1a). *)
 
 type ('a, 'r) t = {
   epoch : Epoch.t;
@@ -32,7 +37,9 @@ type ('a, 'r, 's) handle = {
   tid : int;
   alloc_counter : int ref;    (* allocations since this thread's last tick *)
   mutable hwm : int;          (* highest slot used this op (HP, HE) *)
-  st : 's;                    (* the policy's per-handle state *)
+  st : 's;                    (* the policy's per-handle state: at
+                                 least this thread's reservation cell
+                                 or row *)
   path : 'a Handoff.path;
 }
 
@@ -56,17 +63,20 @@ module type POLICY = sig
   type 'a res
   (** The reservation table every thread publishes into. *)
 
-  type state
-  (** Per-handle state beyond the kernel's. *)
+  type 'a state
+  (** Per-handle state beyond the kernel's, starting with the thread's
+      own slice of the reservation table. *)
 
   type 'a ptr
 
   type 'a kt := ('a, 'a res) t
-  type 'a kh := ('a, 'a res, state) handle
+  type 'a kh := ('a, 'a res, 'a state) handle
 
   val epoch : epoch_use
   val create_res : threads:int -> Tracker_intf.config -> 'a res
-  val create_state : unit -> state
+
+  val create_state : 'a kt -> tid:int -> 'a state
+  (** Built once per handle, at [register] or [attach]. *)
 
   val source : 'a kt -> unit -> 'a Reclaimer.test
   (** Applied once per reclaimer (HP allocates its reused hazard-id
@@ -136,7 +146,7 @@ module Make (P : POLICY) = struct
   let props = P.props
 
   type nonrec 'a t = ('a, 'a P.res) t
-  type nonrec 'a handle = ('a, 'a P.res, P.state) handle
+  type nonrec 'a handle = ('a, 'a P.res, 'a P.state) handle
   type 'a ptr = 'a P.ptr
 
   let epoch_value =
@@ -185,7 +195,8 @@ module Make (P : POLICY) = struct
   let new_handle t tid path =
     Alloc.set_pressure_hook t.alloc ~tid (fun () ->
       Handoff.path_pressure path);
-    { t; tid; alloc_counter = ref 0; hwm = -1; st = P.create_state (); path }
+    { t; tid; alloc_counter = ref 0; hwm = -1; st = P.create_state t ~tid;
+      path }
 
   let register t ~tid = new_handle t tid (path_of t tid)
 

@@ -34,20 +34,19 @@ module Ops = struct
 
   let make_ptr ?tag target = Plain_ptr.make ?tag target
 
-  let read ~epoch ~upper p =
-    let rec loop published =
-      let v = Plain_ptr.read p in
-      let e = Epoch.read epoch in
-      if e = published then v
-      else begin
-        (* Epoch moved: extend the reservation, make it visible, and
-           re-read under its cover. *)
-        Prim.write upper e;
-        Prim.fence ();
-        loop e
-      end
-    in
-    loop (Atomic.get upper)
+  let rec protect epoch upper p published =
+    let v = Plain_ptr.read p in
+    let e = Epoch.read epoch in
+    if e = published then v
+    else begin
+      (* Epoch moved: extend the reservation, make it visible, and
+         re-read under its cover. *)
+      Prim.write upper e;
+      Prim.fence ();
+      protect epoch upper p e
+    end
+
+  let read ~epoch ~upper p = protect epoch upper p (Atomic.get upper)
 
   let write p ?tag target = Plain_ptr.write p ?tag target
   let cas p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
@@ -84,15 +83,12 @@ module Unfenced = Interval_ibr.Make (struct
     }
 
     (* Fig. 6 lines 2-5, verbatim ordering. *)
-    let read ~epoch ~upper p =
-      let rec loop () =
-        let v = Plain_ptr.read p in                         (* line 3 *)
-        let e = Epoch.read epoch in
-        let cur = Atomic.get upper in
-        if e > cur then Prim.write upper e;                 (* line 4 *)
-        let e' = Epoch.read epoch in
-        if max cur e = e' then v                            (* line 5 *)
-        else loop ()
-      in
-      loop ()
+    let rec read ~epoch ~upper p =
+      let v = Plain_ptr.read p in                           (* line 3 *)
+      let e = Epoch.read epoch in
+      let cur = Atomic.get upper in
+      if e > cur then Prim.write upper e;                   (* line 4 *)
+      let e' = Epoch.read epoch in
+      if max cur e = e' then v                              (* line 5 *)
+      else read ~epoch ~upper p
   end)

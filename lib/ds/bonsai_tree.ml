@@ -46,6 +46,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     tree : t;
     th : node T.handle;
     stats : Ds_common.op_stats;
+    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
+    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
+    recover : unit -> unit;
   }
 
   let create ~threads cfg =
@@ -53,14 +56,14 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let tracker = T.create ~threads cfg in
     { tracker; root = T.make_ptr tracker None }
 
-  let register tree ~tid =
-    { tree; th = T.register tree.tracker ~tid;
-      stats = Ds_common.make_op_stats () }
+  let make_handle tree th =
+    { tree; th; stats = Ds_common.make_op_stats ();
+      start_op = (fun () -> T.start_op th);
+      end_op = (fun () -> T.end_op th);
+      recover = (fun () -> T.recover th) }
 
-  let attach tree =
-    match T.attach tree.tracker with
-    | None -> None
-    | Some th -> Some { tree; th; stats = Ds_common.make_op_stats () }
+  let register tree ~tid = make_handle tree (T.register tree.tracker ~tid)
+  let attach tree = Option.map (make_handle tree) (T.attach tree.tracker)
 
   let detach h = T.detach h.th
   let handle_tid h = T.handle_tid h.th
@@ -204,11 +207,8 @@ module Make (T : Tracker_intf.TRACKER) = struct
       end
 
   let wrap h f =
-    Ds_common.with_op ~stats:h.stats
-      ~start_op:(fun () -> T.start_op h.th)
-      ~end_op:(fun () -> T.end_op h.th)
-      ~on_neutralize:(fun () -> T.recover h.th)
-      f
+    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
+      ~on_neutralize:h.recover f
 
   (* Run one copy-and-swing-root update. *)
   let update h rewrite =

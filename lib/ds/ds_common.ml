@@ -79,38 +79,40 @@ let committed f =
    operation refreshes its reservation. *)
 let max_cas_failures = 128
 
+(* The attempt loop of [with_op]: re-enter [f] on [Restart], and
+   after [max_cas_failures] consecutive restarts drop and re-acquire
+   the reservation.  A top-level function rather than a closure, so
+   an operation's bracket allocates nothing of its own (DESIGN.md
+   §1a).  [guarded] opens the restart window for exactly the attempt
+   body; [end_op]/[start_op] bookkeeping between attempts runs
+   masked. *)
+let rec attempt ~stats ~start_op ~end_op ~on_neutralize ~guarded f fails =
+  match if guarded then with_window true f else f () with
+  | result -> result
+  | exception Restart ->
+    stats.restarts <- stats.restarts + 1;
+    let fails = fails + 1 in
+    if fails >= max_cas_failures then begin
+      (* Starvation bound: drop and re-acquire the reservation. *)
+      end_op ();
+      start_op ();
+      stats.reservation_refreshes <- stats.reservation_refreshes + 1;
+      attempt ~stats ~start_op ~end_op ~on_neutralize ~guarded f 0
+    end
+    else attempt ~stats ~start_op ~end_op ~on_neutralize ~guarded f fails
+  | exception Ibr_runtime.Hooks.Neutralized ->
+    (* The restart signal: recovery re-protects (tracker [recover]
+       — NOT a plain [start_op], which would leak the dropped
+       state), then the attempt re-runs from scratch.  The fail
+       budget resets: a neutralization already refreshed the
+       reservation. *)
+    stats.neutralizations <- stats.neutralizations + 1;
+    on_neutralize ();
+    attempt ~stats ~start_op ~end_op ~on_neutralize ~guarded f 0
+
 let with_op ~stats ~start_op ~end_op ~on_neutralize f =
-  let open Ibr_runtime in
   Ibr_obs.Probe.op_begin ();
-  (* Open the restart window for exactly the attempt body; [end_op] /
-     [start_op] bookkeeping between attempts runs masked. *)
-  let guarded_f =
-    if Hooks.active () then fun () -> with_window true f else f
-  in
-  let rec attempt fails =
-    match guarded_f () with
-    | result -> result
-    | exception Restart ->
-      stats.restarts <- stats.restarts + 1;
-      let fails = fails + 1 in
-      if fails >= max_cas_failures then begin
-        (* Starvation bound: drop and re-acquire the reservation. *)
-        end_op ();
-        start_op ();
-        stats.reservation_refreshes <- stats.reservation_refreshes + 1;
-        attempt 0
-      end
-      else attempt fails
-    | exception Hooks.Neutralized ->
-      (* The restart signal: recovery re-protects (tracker [recover]
-         — NOT a plain [start_op], which would leak the dropped
-         state), then the attempt re-runs from scratch.  The fail
-         budget resets: a neutralization already refreshed the
-         reservation. *)
-      stats.neutralizations <- stats.neutralizations + 1;
-      on_neutralize ();
-      attempt 0
-  in
+  let guarded = Ibr_runtime.Hooks.active () in
   (* [op_end] fires before [end_op] on both arms: [end_op] charges
      virtual time, i.e. a preemption point where the horizon can
      unwind the fiber a second time, and the span must already be
@@ -122,7 +124,7 @@ let with_op ~stats ~start_op ~end_op ~on_neutralize f =
   match
     start_op ();
     stats.ops <- stats.ops + 1;
-    attempt 0
+    attempt ~stats ~start_op ~end_op ~on_neutralize ~guarded f 0
   with
   | result ->
     Ibr_obs.Probe.op_end ();

@@ -50,7 +50,11 @@ val with_op :
     drop {e and re-establish} protection), and the attempt retries
     from scratch.  Restartability up to the first linearization point
     is [f]'s obligation; from there on it must mask with
-    {!committed}. *)
+    {!committed}.
+
+    The bracket itself allocates nothing: pass [start_op], [end_op]
+    and [on_neutralize] closures built once per handle, so that [f]
+    is an operation's only allocation here (DESIGN.md §1a). *)
 
 val retire_trace : (string -> int -> int -> unit) ref
 (** Debug hook invoked before every retire a data structure performs,

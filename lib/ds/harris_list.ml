@@ -37,6 +37,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     list : t;
     th : node T.handle;
     stats : Ds_common.op_stats;
+    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
+    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
+    recover : unit -> unit;
   }
 
   let create ~threads cfg =
@@ -44,14 +47,14 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let tracker = T.create ~threads cfg in
     { tracker; head = T.make_ptr tracker None }
 
-  let register list ~tid =
-    { list; th = T.register list.tracker ~tid;
-      stats = Ds_common.make_op_stats () }
+  let make_handle list th =
+    { list; th; stats = Ds_common.make_op_stats ();
+      start_op = (fun () -> T.start_op th);
+      end_op = (fun () -> T.end_op th);
+      recover = (fun () -> T.recover th) }
 
-  let attach list =
-    match T.attach list.tracker with
-    | None -> None
-    | Some th -> Some { list; th; stats = Ds_common.make_op_stats () }
+  let register list ~tid = make_handle list (T.register list.tracker ~tid)
+  let attach list = Option.map (make_handle list) (T.attach list.tracker)
 
   let detach h = T.detach h.th
   let handle_tid h = T.handle_tid h.th
@@ -61,60 +64,71 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let slot_cur = 1
   let slot_next = 2
 
+  (* Where [find] stopped: the cell it would link a new node at, the
+     view read from that cell, and — when the view targets a node —
+     that node's block, payload and next-view.  One value, so a
+     search allocates one block. *)
+  type position =
+    | End of { prev : node T.ptr; curv : node View.t }
+    | At of {
+        prev : node T.ptr;
+        curv : node View.t;
+        bcur : node Block.t;
+        n : node;
+        nextv : node View.t;
+      }
+
   (* Michael's find: position (prev, cur) such that cur is the first
      node with key >= [key]; unlinks marked nodes encountered on the
-     way.  Returns the prev cell, the view of cur stored in it, and,
-     when cur is a real node, its block, payload and next-view. *)
-  let find th head key =
-    let rec walk prev curv =
-      (* A marked box read from [prev] means prev's own node was
-         logically deleted under us: its next pointer is frozen and
-         must never be CASed back to an unmarked value (doing so would
-         resurrect a dead path and permit double unlinks).  Restart
-         from the head, as Michael's algorithm does. *)
-      if View.tag curv = marked then raise Ds_common.Restart;
-      match curv with
-      | View.Null _ -> (prev, curv, None)
-      | View.Ptr { target = bcur; _ } ->
-        let n = Block.get bcur in
-        let nextv = T.read th ~slot:slot_next n.next in
-        if View.tag nextv = marked then begin
-          (* cur is logically deleted: unlink it before moving on.
-             The helping CAS is idempotent, but the unlink-winner owes
-             the retire — mask the pair so a neutralization cannot
-             separate them (an unlinked-never-retired node would leak;
-             no dereference happens inside). *)
-          if
-            Ds_common.committed (fun () ->
-              if T.cas th prev ~expected:curv (View.target nextv) then begin
-                !Ds_common.unlink_trace "helper" (Obj.repr prev)
-                  (Obj.repr curv) (Block.id bcur) (Block.incarnation bcur);
-                !Ds_common.retire_trace "find-helper" (Block.id bcur)
-                  (Block.incarnation bcur);
-                T.retire th bcur;
-                true
-              end
-              else false)
-          then walk prev (T.read th ~slot:slot_cur prev)
-          else raise Ds_common.Restart
-        end
-        else if n.key >= key then (prev, curv, Some (bcur, n, nextv))
-        else begin
-          (* Advance hand over hand: cur's protection becomes prev's,
-             next's becomes cur's. *)
-          T.reassign th ~src:slot_cur ~dst:slot_prev;
-          T.reassign th ~src:slot_next ~dst:slot_cur;
-          walk n.next nextv
-        end
-    in
-    walk head (T.read th ~slot:slot_cur head)
+     way.  A top-level loop, not a closure per search. *)
+  let rec walk th key prev curv =
+    (* A marked box read from [prev] means prev's own node was
+       logically deleted under us: its next pointer is frozen and
+       must never be CASed back to an unmarked value (doing so would
+       resurrect a dead path and permit double unlinks).  Restart
+       from the head, as Michael's algorithm does. *)
+    if View.tag curv = marked then raise Ds_common.Restart;
+    match curv with
+    | View.Null _ -> End { prev; curv }
+    | View.Ptr { target = bcur; _ } ->
+      let n = Block.get bcur in
+      let nextv = T.read th ~slot:slot_next n.next in
+      if View.tag nextv = marked then begin
+        (* cur is logically deleted: unlink it before moving on.
+           The helping CAS is idempotent, but the unlink-winner owes
+           the retire — mask the pair so a neutralization cannot
+           separate them (an unlinked-never-retired node would leak;
+           no dereference happens inside). *)
+        if
+          Ds_common.committed (fun () ->
+            if T.cas th prev ~expected:curv (View.target nextv) then begin
+              !Ds_common.unlink_trace "helper" (Obj.repr prev)
+                (Obj.repr curv) (Block.id bcur) (Block.incarnation bcur);
+              !Ds_common.retire_trace "find-helper" (Block.id bcur)
+                (Block.incarnation bcur);
+              T.retire th bcur;
+              true
+            end
+            else false)
+        then walk th key prev (T.read th ~slot:slot_cur prev)
+        else raise Ds_common.Restart
+      end
+      else if n.key >= key then At { prev; curv; bcur; n; nextv }
+      else begin
+        (* Advance hand over hand: cur's protection becomes prev's,
+           next's becomes cur's. *)
+        T.reassign th ~src:slot_cur ~dst:slot_prev;
+        T.reassign th ~src:slot_next ~dst:slot_cur;
+        walk th key n.next nextv
+      end
+
+  let find th head key = walk th key head (T.read th ~slot:slot_cur head)
 
   module Raw = struct
     let insert tracker th head ~key ~value =
-      let prev, curv, found = find th head key in
-      match found with
-      | Some (_, n, _) when n.key = key -> false
-      | Some _ | None ->
+      match find th head key with
+      | At { n; _ } when n.key = key -> false
+      | End { prev; curv } | At { prev; curv; _ } ->
         (* Mask from the allocation through the linearizing install
            CAS (and the loser's dealloc): a restart signal landing
            inside would either leak the fresh block or re-apply a
@@ -131,9 +145,8 @@ module Make (T : Tracker_intf.TRACKER) = struct
           end)
 
     let remove _tracker th head ~key =
-      let prev, curv, found = find th head key in
-      match found with
-      | Some (bcur, n, nextv) when n.key = key ->
+      match find th head key with
+      | At { prev; curv; bcur; n; nextv } when n.key = key ->
         (* Mask from the linearizing mark CAS through the unlink and
            retire tail: once the mark lands the remove has happened,
            and a restart would remove a second key.  No dereference
@@ -155,21 +168,17 @@ module Make (T : Tracker_intf.TRACKER) = struct
              end);
             true
           end)
-      | Some _ | None -> false
+      | At _ | End _ -> false
 
     let get _tracker th head ~key =
-      let _, _, found = find th head key in
-      match found with
-      | Some (_, n, _) when n.key = key -> Some n.value
-      | Some _ | None -> None
+      match find th head key with
+      | At { n; _ } when n.key = key -> Some n.value
+      | At _ | End _ -> None
   end
 
   let wrap h f =
-    Ds_common.with_op ~stats:h.stats
-      ~start_op:(fun () -> T.start_op h.th)
-      ~end_op:(fun () -> T.end_op h.th)
-      ~on_neutralize:(fun () -> T.recover h.th)
-      f
+    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
+      ~on_neutralize:h.recover f
 
   let insert h ~key ~value =
     wrap h (fun () -> Raw.insert h.list.tracker h.th h.list.head ~key ~value)
@@ -186,29 +195,27 @@ module Make (T : Tracker_intf.TRACKER) = struct
      collecting unmarked keys in [lo, hi] and stopping at the first
      key past [hi].  The whole scan runs inside one operation bracket,
      so the reservation spans the full traversal — the long reader
-     interval the RANGE capability exists to stress. *)
+     interval the RANGE capability exists to stress.  The result is
+     built in order, so the entries are all a scan allocates. *)
+  let[@tail_mod_cons] rec collect th ~lo ~hi v =
+    match v with
+    | View.Null _ -> []
+    | View.Ptr { target = b; _ } ->
+      let n = Block.get b in
+      if n.key > hi then []
+      else begin
+        let nextv = T.read th ~slot:slot_next n.next in
+        let keep = n.key >= lo && View.tag nextv <> marked in
+        let value = n.value in
+        T.reassign th ~src:slot_cur ~dst:slot_prev;
+        T.reassign th ~src:slot_next ~dst:slot_cur;
+        if keep then (n.key, value) :: collect th ~lo ~hi nextv
+        else collect th ~lo ~hi nextv
+      end
+
   let range_scan h ~lo ~hi =
     wrap h (fun () ->
-      let th = h.th in
-      let rec walk acc v =
-        match v with
-        | View.Null _ -> List.rev acc
-        | View.Ptr { target = b; _ } ->
-          let n = Block.get b in
-          if n.key > hi then List.rev acc
-          else begin
-            let nextv = T.read th ~slot:slot_next n.next in
-            let acc =
-              if n.key >= lo && View.tag nextv <> marked then
-                (n.key, n.value) :: acc
-              else acc
-            in
-            T.reassign th ~src:slot_cur ~dst:slot_prev;
-            T.reassign th ~src:slot_next ~dst:slot_cur;
-            walk acc nextv
-          end
-      in
-      walk [] (T.read th ~slot:slot_cur h.list.head))
+      collect h.th ~lo ~hi (T.read h.th ~slot:slot_cur h.list.head))
 
   (* For rigs (robustness demo) that stage a stalled or crashed reader
      by driving the tracker handle around the [with_op] bracket. *)

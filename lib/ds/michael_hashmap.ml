@@ -30,6 +30,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     map : t;
     th : L.node T.handle;
     stats : Ds_common.op_stats;
+    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
+    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
+    recover : unit -> unit;
   }
 
   let create_sized ?(buckets = default_buckets) ~threads cfg =
@@ -45,14 +48,14 @@ module Make (T : Tracker_intf.TRACKER) = struct
 
   let create ~threads cfg = create_sized ~threads cfg
 
-  let register map ~tid =
-    { map; th = T.register map.tracker ~tid;
-      stats = Ds_common.make_op_stats () }
+  let make_handle map th =
+    { map; th; stats = Ds_common.make_op_stats ();
+      start_op = (fun () -> T.start_op th);
+      end_op = (fun () -> T.end_op th);
+      recover = (fun () -> T.recover th) }
 
-  let attach map =
-    match T.attach map.tracker with
-    | None -> None
-    | Some th -> Some { map; th; stats = Ds_common.make_op_stats () }
+  let register map ~tid = make_handle map (T.register map.tracker ~tid)
+  let attach map = Option.map (make_handle map) (T.attach map.tracker)
 
   let detach h = T.detach h.th
   let handle_tid h = T.handle_tid h.th
@@ -66,11 +69,8 @@ module Make (T : Tracker_intf.TRACKER) = struct
   (* The linearization-point masking lives in the bucket operations
      ([Harris_list.Raw]); this wrapper only owes the recovery hook. *)
   let wrap h f =
-    Ds_common.with_op ~stats:h.stats
-      ~start_op:(fun () -> T.start_op h.th)
-      ~end_op:(fun () -> T.end_op h.th)
-      ~on_neutralize:(fun () -> T.recover h.th)
-      f
+    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
+      ~on_neutralize:h.recover f
 
   let insert h ~key ~value =
     let head = h.map.buckets.(bucket_of h.map key) in

@@ -37,6 +37,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     queue : t;
     th : node T.handle;
     stats : Ds_common.op_stats;
+    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
+    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
+    recover : unit -> unit;
   }
 
   (* Hazard-slot roles. *)
@@ -58,24 +61,21 @@ module Make (T : Tracker_intf.TRACKER) = struct
       tail = T.make_ptr tracker (Some dummy);
     }
 
-  let register queue ~tid =
-    { queue; th = T.register queue.tracker ~tid;
-      stats = Ds_common.make_op_stats () }
+  let make_handle queue th =
+    { queue; th; stats = Ds_common.make_op_stats ();
+      start_op = (fun () -> T.start_op th);
+      end_op = (fun () -> T.end_op th);
+      recover = (fun () -> T.recover th) }
 
-  let attach queue =
-    match T.attach queue.tracker with
-    | None -> None
-    | Some th -> Some { queue; th; stats = Ds_common.make_op_stats () }
+  let register queue ~tid = make_handle queue (T.register queue.tracker ~tid)
+  let attach queue = Option.map (make_handle queue) (T.attach queue.tracker)
 
   let detach h = T.detach h.th
   let handle_tid h = T.handle_tid h.th
 
   let wrap h f =
-    Ds_common.with_op ~stats:h.stats
-      ~start_op:(fun () -> T.start_op h.th)
-      ~end_op:(fun () -> T.end_op h.th)
-      ~on_neutralize:(fun () -> T.recover h.th)
-      f
+    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
+      ~on_neutralize:h.recover f
 
   let enqueue h value =
     wrap h (fun () ->

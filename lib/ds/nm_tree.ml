@@ -61,6 +61,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     tree : t;
     th : node T.handle;
     stats : Ds_common.op_stats;
+    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
+    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
+    recover : unit -> unit;
   }
 
   let create ~threads cfg =
@@ -86,14 +89,14 @@ module Make (T : Tracker_intf.TRACKER) = struct
     in
     { tracker; root = r }
 
-  let register tree ~tid =
-    { tree; th = T.register tree.tracker ~tid;
-      stats = Ds_common.make_op_stats () }
+  let make_handle tree th =
+    { tree; th; stats = Ds_common.make_op_stats ();
+      start_op = (fun () -> T.start_op th);
+      end_op = (fun () -> T.end_op th);
+      recover = (fun () -> T.recover th) }
 
-  let attach tree =
-    match T.attach tree.tracker with
-    | None -> None
-    | Some th -> Some { tree; th; stats = Ds_common.make_op_stats () }
+  let register tree ~tid = make_handle tree (T.register tree.tracker ~tid)
+  let attach tree = Option.map (make_handle tree) (T.attach tree.tracker)
 
   let detach h = T.detach h.th
   let handle_tid h = T.handle_tid h.th
@@ -115,7 +118,38 @@ module Make (T : Tracker_intf.TRACKER) = struct
   }
 
   (* Descend from R, maintaining (ancestor, successor-edge) as the
-     deepest *untagged* edge above (parent, leaf). *)
+     deepest *untagged* edge above (parent, leaf).  A top-level loop,
+     so a seek allocates only the record it returns. *)
+  let rec descend th key ~ancestor ~anc_edge ~succ_view ~parent ~leaf_edge
+      ~leaf_view =
+    match leaf_view with
+    | View.Null _ ->
+      (* Dead parent (edges nulled after a splice): retry. *)
+      raise Ds_common.Restart
+    | View.Ptr { target = b; _ } ->
+      (match Block.get b with
+       | Leaf _ ->
+         { sr_ancestor = ancestor; sr_anc_edge = anc_edge;
+           sr_succ_view = succ_view; sr_parent = parent;
+           sr_leaf_edge = leaf_edge; sr_leaf_view = leaf_view;
+           sr_leaf = b }
+       | Internal inode ->
+         let ancestor, anc_edge, succ_view =
+           if View.tag leaf_view land tag_bit = 0 then begin
+             (* Edge into this internal node is untagged: it becomes
+                the new (ancestor, successor). *)
+             T.reassign th ~src:slot_parent ~dst:slot_anc;
+             (parent, leaf_edge, leaf_view)
+           end
+           else (ancestor, anc_edge, succ_view)
+         in
+         T.reassign th ~src:slot_cur ~dst:slot_parent;
+         let leaf_edge' =
+           if key < inode.ikey then inode.left else inode.right in
+         let leaf_view' = T.read th ~slot:slot_cur leaf_edge' in
+         descend th key ~ancestor ~anc_edge ~succ_view ~parent:b
+           ~leaf_edge:leaf_edge' ~leaf_view:leaf_view')
+
   let seek h key =
     let th = h.th in
     let root_node = Block.get h.tree.root in
@@ -124,39 +158,10 @@ module Make (T : Tracker_intf.TRACKER) = struct
       | Internal i -> i.left   (* all keys < inf2 route left at R *)
       | Leaf _ -> assert false
     in
-    let rec descend ~ancestor ~anc_edge ~succ_view ~parent ~leaf_edge
-        ~leaf_view =
-      match leaf_view with
-      | View.Null _ ->
-        (* Dead parent (edges nulled after a splice): retry. *)
-        raise Ds_common.Restart
-      | View.Ptr { target = b; _ } ->
-        (match Block.get b with
-         | Leaf _ ->
-           { sr_ancestor = ancestor; sr_anc_edge = anc_edge;
-             sr_succ_view = succ_view; sr_parent = parent;
-             sr_leaf_edge = leaf_edge; sr_leaf_view = leaf_view;
-             sr_leaf = b }
-         | Internal inode ->
-           let ancestor, anc_edge, succ_view =
-             if View.tag leaf_view land tag_bit = 0 then begin
-               (* Edge into this internal node is untagged: it becomes
-                  the new (ancestor, successor). *)
-               T.reassign th ~src:slot_parent ~dst:slot_anc;
-               (parent, leaf_edge, leaf_view)
-             end
-             else (ancestor, anc_edge, succ_view)
-           in
-           T.reassign th ~src:slot_cur ~dst:slot_parent;
-           let leaf_edge' =
-             if key < inode.ikey then inode.left else inode.right in
-           let leaf_view' = T.read th ~slot:slot_cur leaf_edge' in
-           descend ~ancestor ~anc_edge ~succ_view ~parent:b
-             ~leaf_edge:leaf_edge' ~leaf_view:leaf_view')
-    in
     let first_view = T.read th ~slot:slot_cur root_edge in
-    descend ~ancestor:h.tree.root ~anc_edge:root_edge ~succ_view:first_view
-      ~parent:h.tree.root ~leaf_edge:root_edge ~leaf_view:first_view
+    descend th key ~ancestor:h.tree.root ~anc_edge:root_edge
+      ~succ_view:first_view ~parent:h.tree.root ~leaf_edge:root_edge
+      ~leaf_view:first_view
 
   (* Cleanup (Algorithm 4): tag the sibling edge, splice the sibling
      subtree into the ancestor, retire the removed parent and leaf.
@@ -243,11 +248,8 @@ module Make (T : Tracker_intf.TRACKER) = struct
       else false)
 
   let wrap h f =
-    Ds_common.with_op ~stats:h.stats
-      ~start_op:(fun () -> T.start_op h.th)
-      ~end_op:(fun () -> T.end_op h.th)
-      ~on_neutralize:(fun () -> T.recover h.th)
-      f
+    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
+      ~on_neutralize:h.recover f
 
   let leaf_key sr =
     match Block.get sr.sr_leaf with
@@ -349,42 +351,38 @@ module Make (T : Tracker_intf.TRACKER) = struct
      operation bracket (the reservation spans the whole scan — the
      long reader interval the RANGE capability exists to stress).
 
-     Ceiling(k): route for [k] from R, recording the ikey of the last
-     internal where the search went left — that ikey is the least
-     upper bound of the skipped right subtrees, i.e. the next slot to
-     probe when the landed leaf's key falls short of [k].  The
-     recursion terminates because the recorded bound is strictly
-     greater than [k], and the sentinel frame guarantees a landing
-     leaf (inf1/inf2) for every probe. *)
+     Ceiling(k): route for [k] from R, recording in [bound] the ikey
+     of the last internal where the search went left — that ikey is
+     the least upper bound of the skipped right subtrees, i.e. the
+     next slot to probe when the landed leaf's key falls short of
+     [k].  The recursion terminates because the recorded bound is
+     strictly greater than [k], and the sentinel frame guarantees a
+     landing leaf (inf1/inf2) for every probe.  Both loops are
+     top-level and the result is built in order, so the entries are
+     all a scan allocates (DESIGN.md §1a). *)
+  let rec ceiling th root k b bound =
+    match Block.get b with
+    | Leaf l -> if l.key >= k then l else ceiling th root bound root max_int
+    | Internal i ->
+      let left = k < i.ikey in
+      T.reassign th ~src:slot_cur ~dst:slot_parent;
+      (match T.read th ~slot:slot_cur (if left then i.left else i.right) with
+       | View.Null _ -> raise Ds_common.Restart (* dead node: retry *)
+       | View.Ptr { target = c; _ } ->
+         ceiling th root k c (if left then i.ikey else bound))
+
+  let[@tail_mod_cons] rec collect th root ~hi k =
+    if k > hi then []
+    else
+      let l = ceiling th root k root max_int in
+      if l.key > hi || l.key >= inf1 then []
+      else
+        let entry = (l.key, l.value) in
+        entry :: collect th root ~hi (l.key + 1)
+
   let range_scan h ~lo ~hi =
     if lo >= inf1 then []
-    else
-      wrap h (fun () ->
-        let th = h.th in
-        let rec ceiling k =
-          let rec descend b bound =
-            match Block.get b with
-            | Leaf l -> (l, bound)
-            | Internal i ->
-              let edge, bound =
-                if k < i.ikey then (i.left, i.ikey) else (i.right, bound)
-              in
-              T.reassign th ~src:slot_cur ~dst:slot_parent;
-              (match T.read th ~slot:slot_cur edge with
-               | View.Null _ -> raise Ds_common.Restart (* dead node: retry *)
-               | View.Ptr { target = c; _ } -> descend c bound)
-          in
-          let l, bound = descend h.tree.root max_int in
-          if l.key >= k then l else ceiling bound
-        in
-        let rec collect acc k =
-          if k > hi then List.rev acc
-          else
-            let l = ceiling k in
-            if l.key > hi || l.key >= inf1 then List.rev acc
-            else collect ((l.key, l.value) :: acc) (l.key + 1)
-        in
-        collect [] lo)
+    else wrap h (fun () -> collect h.th h.tree.root ~hi lo)
 
   let retired_count h = T.retired_count h.th
   let force_empty h = T.force_empty h.th

@@ -73,6 +73,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     hm : t;
     th : data T.handle;
     stats : Ds_common.op_stats;
+    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
+    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
+    recover : unit -> unit;
   }
 
   (* Hazard-slot roles.  The table slot is held across the whole
@@ -114,14 +117,14 @@ module Make (T : Tracker_intf.TRACKER) = struct
 
   let create ~threads cfg = create_sized ~threads cfg
 
-  let register hm ~tid =
-    { hm; th = T.register hm.tracker ~tid;
-      stats = Ds_common.make_op_stats () }
+  let make_handle hm th =
+    { hm; th; stats = Ds_common.make_op_stats ();
+      start_op = (fun () -> T.start_op th);
+      end_op = (fun () -> T.end_op th);
+      recover = (fun () -> T.recover th) }
 
-  let attach hm =
-    match T.attach hm.tracker with
-    | None -> None
-    | Some th -> Some { hm; th; stats = Ds_common.make_op_stats () }
+  let register hm ~tid = make_handle hm (T.register hm.tracker ~tid)
+  let attach hm = Option.map (make_handle hm) (T.attach hm.tracker)
 
   let detach h = T.detach h.th
   let handle_tid h = T.handle_tid h.th
@@ -228,11 +231,8 @@ module Make (T : Tracker_intf.TRACKER) = struct
        | Table tr -> f tv tb tr)
 
   let wrap h f =
-    Ds_common.with_op ~stats:h.stats
-      ~start_op:(fun () -> T.start_op h.th)
-      ~end_op:(fun () -> T.end_op h.th)
-      ~on_neutralize:(fun () -> T.recover h.th)
-      f
+    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
+      ~on_neutralize:h.recover f
 
   let so_regular key = rev31 key lor 1
 

@@ -28,6 +28,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
     stack : t;
     th : node T.handle;
     stats : Ds_common.op_stats;
+    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
+    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
+    recover : unit -> unit;
   }
 
   let create ~threads cfg =
@@ -35,24 +38,21 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let tracker = T.create ~threads cfg in
     { tracker; top = T.make_ptr tracker None }
 
-  let register stack ~tid =
-    { stack; th = T.register stack.tracker ~tid;
-      stats = Ds_common.make_op_stats () }
+  let make_handle stack th =
+    { stack; th; stats = Ds_common.make_op_stats ();
+      start_op = (fun () -> T.start_op th);
+      end_op = (fun () -> T.end_op th);
+      recover = (fun () -> T.recover th) }
 
-  let attach stack =
-    match T.attach stack.tracker with
-    | None -> None
-    | Some th -> Some { stack; th; stats = Ds_common.make_op_stats () }
+  let register stack ~tid = make_handle stack (T.register stack.tracker ~tid)
+  let attach stack = Option.map (make_handle stack) (T.attach stack.tracker)
 
   let detach h = T.detach h.th
   let handle_tid h = T.handle_tid h.th
 
   let wrap h f =
-    Ds_common.with_op ~stats:h.stats
-      ~start_op:(fun () -> T.start_op h.th)
-      ~end_op:(fun () -> T.end_op h.th)
-      ~on_neutralize:(fun () -> T.recover h.th)
-      f
+    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
+      ~on_neutralize:h.recover f
 
   let push h value =
     wrap h (fun () ->

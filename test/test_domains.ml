@@ -5,10 +5,10 @@
 
 open Ibr_core
 
-let run_domains (e : Registry.entry) ds_name () =
+let run_domains ?mix (e : Registry.entry) ds_name () =
   Fault.set_mode Fault.Raise;
   let spec =
-    { (Ibr_harness.Workload.spec_for ds_name) with key_range = 512 } in
+    { (Ibr_harness.Workload.spec_for ?mix ds_name) with key_range = 512 } in
   let cfg =
     Ibr_harness.Runner_domains.default_config ~threads:4 ~duration_s:0.15
       ~spec () in
@@ -42,6 +42,28 @@ let cases =
            Registry.he; Registry.po_ibr; Registry.tag_ibr;
            Registry.tag_ibr_wcas; Registry.two_ge_ibr ])
     [ "list"; "hashmap"; "nmtree"; "bonsai" ]
+
+(* Range scans on real domains (mix E: 90% scans racing 5% inserts and
+   5% removes), under every scheme whose protected reads retry: the
+   pointer schemes and the interval family.  The scans hold one
+   reservation across a whole traversal while writers retire the
+   nodes behind them.  Only the pairings the registry accepts. *)
+let scan_cases =
+  List.concat_map
+    (fun ds ->
+       let maker = Ibr_ds.Ds_registry.find_exn ds in
+       List.filter_map
+         (fun (e : Registry.entry) ->
+            if not (Ibr_ds.Ds_registry.compatible maker e.tracker) then None
+            else
+              Some
+                (Alcotest.test_case
+                   (Printf.sprintf "domains scans %s/%s" ds e.name)
+                   `Slow
+                   (run_domains ~mix:Ibr_harness.Workload.profile_e e ds)))
+         [ Registry.hp; Registry.he; Registry.po_ibr; Registry.tag_ibr;
+           Registry.tag_ibr_wcas; Registry.tag_ibr_tpa; Registry.two_ge_ibr ])
+    [ "list"; "nmtree"; "bonsai" ]
 
 (* The allocator's statistics are per-thread shards summed on read.
    Two domains share one allocator in reuse mode.  Each allocates and
@@ -108,3 +130,4 @@ let suite =
   Alcotest.test_case "sharded allocator stats exact after join" `Quick
     test_alloc_shards_exact
   :: cases
+  @ scan_cases

@@ -4,6 +4,9 @@ let () =
   Alcotest.run "ibr"
     [
       ("rng", Test_rng.suite);
+      (* Early on purpose: it measures the native path, with no
+         handler installed and cost attribution off. *)
+      ("alloc-budget", Test_alloc_budget.suite);
       ("sched", Test_sched.suite);
       ("block-alloc", Test_block_alloc.suite);
       ("epoch-view", Test_epoch_view.suite);
