@@ -20,17 +20,41 @@ let tweak ~threads ~retire ~empty_freq ~epoch_freq ~background_reclaim
       (match epoch_freq with Some k -> k * threads | None -> cfg.epoch_freq);
     background_reclaim = cfg.background_reclaim || background_reclaim }
 
+(* What closed-loop and service runs share: the spec from --mix and
+   --key-range, the refusal of an incompatible pairing, and appending
+   a CSV row (the header only when the file is new). *)
+let spec_of ~mix ~key_range rideable =
+  let base = Ibr_harness.Workload.spec_for ~mix:(Cli.parse_mix mix) rideable in
+  match key_range with
+  | Some r -> { base with key_range = r }
+  | None -> base
+
+let or_incompatible ~tracker ~rideable = function
+  | Some r -> r
+  | None ->
+    Fmt.epr "error: tracker %s is not compatible with rideable %s@." tracker
+      rideable;
+    exit 1
+
+let append_csv ~header ~row = function
+  | None -> ()
+  | Some path ->
+    let existed = Sys.file_exists path in
+    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+    if not existed then begin
+      output_string oc header;
+      output_char oc '\n'
+    end;
+    output_string oc row;
+    output_char oc '\n';
+    close_out oc;
+    Fmt.pr "appended to %s@." path
+
 let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
     ~key_range ~background_reclaim ~output ~verbose =
   let { Cli.rideable; tracker; threads; interval; mix; retire; faults } =
     base in
-  let mix = Cli.parse_mix mix in
-  let spec =
-    let base = Ibr_harness.Workload.spec_for ~mix rideable in
-    match key_range with
-    | Some r -> { base with key_range = r }
-    | None -> base
-  in
+  let spec = spec_of ~mix ~key_range rideable in
   let tweak =
     tweak ~threads ~retire ~empty_freq ~epoch_freq ~background_reclaim in
   (* -i is microseconds on domains: 1 virtual cycle ~ 1 us, so the same
@@ -42,33 +66,19 @@ let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
     | "domains" -> Campaign.Domains
     | s -> failwith (Printf.sprintf "unknown backend %S (sim|domains)" s)
   in
-  match
-    Campaign.run
-      (Campaign.point ~spec ~cores ~seed ~faults:(Cli.parse_faults faults)
-         ~backend:machine ~tweak ~threads ~horizon:interval tracker rideable)
-  with
-  | None ->
-    Fmt.epr "error: tracker %s is not compatible with rideable %s@." tracker
-      rideable;
-    exit 1
-  | Some r ->
-    if verbose then
-      Fmt.pr "cores=%d seed=%d backend=%s costs=%a@." cores seed backend
-        Ibr_runtime.Cost.pp !Ibr_core.Prim.costs;
-    Fmt.pr "%a@." Ibr_harness.Stats.pp r;
-    (match output with
-     | None -> ()
-     | Some path ->
-       let existed = Sys.file_exists path in
-       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-       if not existed then begin
-         output_string oc (Ibr_harness.Stats.csv_header ());
-         output_char oc '\n'
-       end;
-       output_string oc (Ibr_harness.Stats.to_csv_row r);
-       output_char oc '\n';
-       close_out oc;
-       Fmt.pr "appended to %s@." path)
+  let r =
+    or_incompatible ~tracker ~rideable
+      (Campaign.run
+         (Campaign.point ~spec ~cores ~seed ~faults:(Cli.parse_faults faults)
+            ~backend:machine ~tweak ~threads ~horizon:interval tracker
+            rideable))
+  in
+  if verbose then
+    Fmt.pr "cores=%d seed=%d backend=%s costs=%a@." cores seed backend
+      Ibr_runtime.Cost.pp !Ibr_core.Prim.costs;
+  Fmt.pr "%a@." Ibr_harness.Stats.pp r;
+  append_csv output ~header:(Ibr_harness.Stats.csv_header ())
+    ~row:(Ibr_harness.Stats.to_csv_row r)
 
 (* ---- open-loop service simulation (--service) ---- *)
 
@@ -76,13 +86,7 @@ let run_service ~rideable ~tracker ~threads ~interval ~mix ~cores ~seed
     ~backend ~tweak ~fleet ~period ~arrival ~zipf ~watchdog ~slo_p50 ~slo_p99
     ~slo_p999 ~slo_peak ~key_range ~output ~verbose =
   let module Service = Ibr_harness.Service in
-  let spec =
-    let mix = Cli.parse_mix mix in
-    let base = Ibr_harness.Workload.spec_for ~mix rideable in
-    match key_range with
-    | Some r -> { base with key_range = r }
-    | None -> base
-  in
+  let spec = spec_of ~mix ~key_range rideable in
   let arrival =
     match Service.arrival_of_string arrival with
     | Some a -> a
@@ -107,44 +111,28 @@ let run_service ~rideable ~tracker ~threads ~interval ~mix ~cores ~seed
       ~slo ~spec ()
   in
   let profile = { profile with tracker_cfg = tweak profile.tracker_cfg } in
-  let result =
-    match backend with
-    | "sim" -> Service.run_named ~tracker_name:tracker ~ds_name:rideable profile
-    | "domains" ->
-      (* The fleet workers become real domains; -i (the horizon) is a
-         wall-clock duration in microseconds under 1 cycle ~ 1 us. *)
-      let exec =
-        Ibr_harness.Run_engine.domains_exec ~threads:fleet
-          ~duration_s:(float_of_int interval /. 1e6) ~seed
-          ~faults:Ibr_harness.Runner_intf.No_faults ()
-      in
-      Service.run_named_exec ~exec ~tracker_name:tracker ~ds_name:rideable
-        profile
-    | s -> failwith (Printf.sprintf "unknown backend %S (sim|domains)" s)
+  let r =
+    or_incompatible ~tracker ~rideable
+      (match backend with
+       | "sim" ->
+         Service.run_named ~tracker_name:tracker ~ds_name:rideable profile
+       | "domains" ->
+         (* The fleet workers become real domains; -i (the horizon) is
+            a wall-clock duration in microseconds under 1 cycle ~ 1 us. *)
+         let exec =
+           Ibr_harness.Run_engine.domains_exec ~threads:fleet
+             ~duration_s:(float_of_int interval /. 1e6) ~seed
+             ~faults:Ibr_harness.Runner_intf.No_faults ()
+         in
+         Service.run_named_exec ~exec ~tracker_name:tracker
+           ~ds_name:rideable profile
+       | s -> failwith (Printf.sprintf "unknown backend %S (sim|domains)" s))
   in
-  match result with
-  | None ->
-    Fmt.epr "error: tracker %s is not compatible with rideable %s@." tracker
-      rideable;
-    exit 1
-  | Some r ->
-    Fmt.pr "%a@." Service.pp r;
-    if verbose then Fmt.pr "verdicts: %s@." (Service.verdicts_csv r);
-    (match output with
-     | None -> ()
-     | Some path ->
-       let existed = Sys.file_exists path in
-       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-       if not existed then begin
-         output_string oc Service.csv_header;
-         output_char oc '\n'
-       end;
-       output_string oc (Service.to_csv_row r);
-       output_char oc '\n';
-       close_out oc;
-       Fmt.pr "appended to %s@." path);
-    (* CI gates on the SLO verdict. *)
-    if not r.Service.slo_pass then exit 1
+  Fmt.pr "%a@." Service.pp r;
+  if verbose then Fmt.pr "verdicts: %s@." (Service.verdicts_csv r);
+  append_csv output ~header:Service.csv_header ~row:(Service.to_csv_row r);
+  (* CI gates on the SLO verdict. *)
+  if not r.Service.slo_pass then exit 1
 
 (* ---- model checking (--check / --check-replay) ---- *)
 

@@ -144,6 +144,7 @@ let crashed_churn ?capacity ?(watchdog = false) tracker_name =
      L.set_capacity t (Some ((L.allocator_stats t).live + slack))
    | None -> ());
   let sched = Sched.create (Sched.test_config ~cores:8 ~seed:3 ()) in
+  let exec = Ibr_harness.Run_engine.sim_exec ~sched ~horizon:600_000 in
   let ops = Array.make threads 0 in
   let work h rng tid n =
     for _ = 1 to n do
@@ -183,13 +184,13 @@ let crashed_churn ?capacity ?(watchdog = false) tracker_name =
          plus a magazine depot flush, charged to the freeing thread
          (DESIGN.md §7c, §9b). *)
       Some
-        (Ibr_harness.Watchdog.spawn ~sched ~period:500 ~grace:3 ~threads
+        (Ibr_harness.Watchdog.spawn ~exec ~period:500 ~grace:3 ~threads
            ~progress:(fun tid -> ops.(tid))
            ~footprint:(fun () -> (L.allocator_stats t).live)
            ~eject:(fun tid -> L.eject t ~tid)
            ())
   in
-  Sched.run ~horizon:600_000 sched;
+  exec.launch ();
   let st = L.allocator_stats t in
   (st, Option.fold ~none:0 ~some:Ibr_harness.Watchdog.ejections dog)
 

@@ -78,6 +78,25 @@ module Make (T : Tracker_intf.TRACKER) = struct
         nextv : node View.t;
       }
 
+  (* cur ([curv], block [bcur]) is logically deleted — its next
+     pointer [nextv] is marked — so unlink it from [prev] before
+     moving on; [false] when [prev] no longer holds [curv].  The
+     helping CAS is idempotent, but the unlink-winner owes the retire
+     — mask the pair so a neutralization cannot separate them (an
+     unlinked-never-retired node would leak; no dereference happens
+     inside). *)
+  let unlink th prev curv bcur nextv =
+    Ds_common.committed (fun () ->
+      if T.cas th prev ~expected:curv (View.target nextv) then begin
+        !Ds_common.unlink_trace "helper" (Obj.repr prev) (Obj.repr curv)
+          (Block.id bcur) (Block.incarnation bcur);
+        !Ds_common.retire_trace "find-helper" (Block.id bcur)
+          (Block.incarnation bcur);
+        T.retire th bcur;
+        true
+      end
+      else false)
+
   (* Michael's find: position (prev, cur) such that cur is the first
      node with key >= [key]; unlinks marked nodes encountered on the
      way.  A top-level loop, not a closure per search. *)
@@ -94,23 +113,8 @@ module Make (T : Tracker_intf.TRACKER) = struct
       let n = Block.get bcur in
       let nextv = T.read th ~slot:slot_next n.next in
       if View.tag nextv = marked then begin
-        (* cur is logically deleted: unlink it before moving on.
-           The helping CAS is idempotent, but the unlink-winner owes
-           the retire — mask the pair so a neutralization cannot
-           separate them (an unlinked-never-retired node would leak;
-           no dereference happens inside). *)
-        if
-          Ds_common.committed (fun () ->
-            if T.cas th prev ~expected:curv (View.target nextv) then begin
-              !Ds_common.unlink_trace "helper" (Obj.repr prev)
-                (Obj.repr curv) (Block.id bcur) (Block.incarnation bcur);
-              !Ds_common.retire_trace "find-helper" (Block.id bcur)
-                (Block.incarnation bcur);
-              T.retire th bcur;
-              true
-            end
-            else false)
-        then walk th key prev (T.read th ~slot:slot_cur prev)
+        if unlink th prev curv bcur nextv then
+          walk th key prev (T.read th ~slot:slot_cur prev)
         else raise Ds_common.Restart
       end
       else if n.key >= key then At { prev; curv; bcur; n; nextv }
@@ -192,30 +196,42 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let contains h ~key = get h ~key <> None
 
   (* Bounded ordered scan: one hand-over-hand traversal from the head,
-     collecting unmarked keys in [lo, hi] and stopping at the first
-     key past [hi].  The whole scan runs inside one operation bracket,
-     so the reservation spans the full traversal — the long reader
-     interval the RANGE capability exists to stress.  The result is
+     collecting keys in [lo, hi] and stopping at the first key past
+     [hi].  The whole scan runs inside one operation bracket, so the
+     reservation spans the full traversal — the long reader interval
+     the RANGE capability exists to stress.  Like [walk], it never
+     follows a marked pointer: a deleted node's next is frozen, and
+     its target may have been unlinked, retired and freed since —
+     re-reading the frozen cell cannot tell — so the scan unlinks the
+     deleted node and goes on from [prev] instead.  The result is
      built in order, so the entries are all a scan allocates. *)
-  let[@tail_mod_cons] rec collect th ~lo ~hi v =
-    match v with
+  let[@tail_mod_cons] rec collect th ~lo ~hi prev curv =
+    if View.tag curv = marked then raise Ds_common.Restart;
+    match curv with
     | View.Null _ -> []
     | View.Ptr { target = b; _ } ->
       let n = Block.get b in
       if n.key > hi then []
       else begin
         let nextv = T.read th ~slot:slot_next n.next in
-        let keep = n.key >= lo && View.tag nextv <> marked in
-        let value = n.value in
-        T.reassign th ~src:slot_cur ~dst:slot_prev;
-        T.reassign th ~src:slot_next ~dst:slot_cur;
-        if keep then (n.key, value) :: collect th ~lo ~hi nextv
-        else collect th ~lo ~hi nextv
+        if View.tag nextv = marked then begin
+          if unlink th prev curv b nextv then
+            collect th ~lo ~hi prev (T.read th ~slot:slot_cur prev)
+          else raise Ds_common.Restart
+        end
+        else begin
+          let value = n.value in
+          T.reassign th ~src:slot_cur ~dst:slot_prev;
+          T.reassign th ~src:slot_next ~dst:slot_cur;
+          if n.key >= lo then (n.key, value) :: collect th ~lo ~hi n.next nextv
+          else collect th ~lo ~hi n.next nextv
+        end
       end
 
   let range_scan h ~lo ~hi =
     wrap h (fun () ->
-      collect h.th ~lo ~hi (T.read h.th ~slot:slot_cur h.list.head))
+      let head = h.list.head in
+      collect h.th ~lo ~hi head (T.read h.th ~slot:slot_cur head))
 
   (* For rigs (robustness demo) that stage a stalled or crashed reader
      by driving the tracker handle around the [with_op] bracket. *)

@@ -39,12 +39,12 @@ let parse_retire_backend s =
                Ibr_core.Reclaimer.all_backends)))
 
 let parse_faults s =
-  match Runner_sim.faults_of_string s with
+  match Runner_intf.faults_of_string s with
   | Some f -> f
   | None ->
     failwith
       (Printf.sprintf "unknown fault profile %S (%s)" s
-         (String.concat "|" (List.map fst Runner_sim.fault_profiles)))
+         (String.concat "|" (List.map fst Runner_intf.fault_profiles)))
 
 (* The meta key table: key, human label, setter.  Integer-valued keys
    funnel through [int_of_meta] so a bad value names the key. *)

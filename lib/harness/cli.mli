@@ -24,7 +24,7 @@ val parse_retire_backend : string -> Ibr_core.Reclaimer.backend
 (** Raises [Failure] listing the registered backends on unknown
     input. *)
 
-val parse_faults : string -> Runner_sim.faults
+val parse_faults : string -> Runner_intf.faults
 (** Raises [Failure] listing the fault profiles on unknown input. *)
 
 val meta_keys : (string * string * (base -> string -> base)) list

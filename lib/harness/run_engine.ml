@@ -1,12 +1,17 @@
-(* The one run loop both backends share (DESIGN.md §11).
+(* The one run loop, shared by both backends and both kinds of run
+   (DESIGN.md §11).
 
-   [run] owns every piece of scaffolding the two runners used to
-   duplicate — create/prefill, capacity sizing from the post-prefill
-   working set, the handoff pre-drain, the metrics baseline, the
-   background-reclaimer service thread, the watchdog, shutdown
-   quiescence, stats assembly — and drives it through a
-   {!Runner_intf.exec}: the record of what a backend can do.  The two
-   constructors here build that record.
+   [drive] writes each step once — the capability gates, create and
+   prefill, capacity sizing from the post-prefill working set, the
+   background-reclaimer service thread, the watchdog, the handoff
+   pre-drain, the metrics baseline, launch, shutdown quiescence and
+   the instance gauges — and runs it through a {!Runner_intf.exec}:
+   the record of what a backend can do.  The two constructors here
+   build that record.  A [driver] supplies what differs between the
+   closed loop ([run] below) and the open-loop service ([Service]):
+   the prefill handle, the worker bodies, and the census view the
+   watchdog reads.  Both drivers' workers go through one [dispatch]
+   over [Workload.op].
 
    [sim_exec] wraps a discrete-event {!Sched.t}.  Its closures are
    chosen so the engine replays the old [Runner_sim.run] {e exactly}:
@@ -204,9 +209,6 @@ let domains_exec ~threads ~duration_s ~seed ~faults () : Runner_intf.exec =
 
 (* -- the shared run loop -- *)
 
-(* One worker's completed and aborted operations. *)
-type counts = { mutable ops : int; mutable aborted : int }
-
 (* Fail fast when the mix draws on a capability the rideable does not
    export, naming the rideables that could run it instead. *)
 let check_caps ~ds_name (module S : Ds_intf.RIDEABLE) (mix : Workload.mix) =
@@ -235,94 +237,84 @@ let check_caps ~ds_name (module S : Ds_intf.RIDEABLE) (mix : Workload.mix) =
          (Workload.mix_name mix) capable)
   end
 
-let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
-    (module S : Ds_intf.RIDEABLE) (cfg : config) =
+(* The capability records are resolved once, when the dispatch is
+   built; [check_caps] guarantees every op the mix can draw has its
+   record.  Building the dispatch once keeps the per-operation call
+   free of closures and boxes. *)
+let dispatch (type h) (module S : Ds_intf.RIDEABLE with type handle = h)
+    (spec : Workload.spec) =
+  let mops = S.map and qops = S.queue and rops = S.range and bops = S.bulk in
+  fun h (op : Workload.op) key ->
+    match
+      match op with
+      | Insert -> ignore ((Option.get mops).Ds_intf.insert h ~key ~value:key)
+      | Remove -> ignore ((Option.get mops).Ds_intf.remove h ~key)
+      | Get -> ignore ((Option.get mops).Ds_intf.get h ~key)
+      | Scan ->
+        ignore
+          ((Option.get rops).Ds_intf.range h ~lo:key
+             ~hi:(Workload.scan_hi spec key))
+      | Enqueue -> (Option.get qops).Ds_intf.enqueue h key
+      | Dequeue -> ignore ((Option.get qops).Ds_intf.dequeue h)
+      | Migrate -> ignore ((Option.get bops).Ds_intf.migrate h)
+    with
+    | () -> true
+    | exception
+        ( Ibr_core.Alloc.Exhausted
+        | Ibr_core.Fault.Memory_fault (Ibr_core.Fault.Alloc_exhausted, _) ) ->
+      (* Heap full after the backpressure ladder: the op aborted (its
+         reservations were released on unwind); the worker keeps
+         going, since later sweeps may free room. *)
+      false
+
+let rec park (exec : Runner_intf.exec) =
+  exec.wait 4096;
+  if exec.worker_running () then park exec
+
+type 'h driver = {
+  prefill : ('h -> unit) -> unit;
+  spawn_workers : ('h -> Workload.op -> int -> bool) -> unit;
+  active : int -> bool;
+  progress : int -> int;
+}
+
+type outcome = {
+  makespan : int;
+  alloc : Ibr_core.Alloc.stats;
+  watchdog : Watchdog.t option;
+  baseline : Ibr_obs.Metrics.baseline;
+}
+
+let drive (type t h) ~(exec : Runner_intf.exec) ~ds_name
+    (module S : Ds_intf.RIDEABLE with type t = t and type handle = h)
+    (cfg : config) ~watchdog (driver : t -> h driver) =
   Runner_intf.require exec cfg.faults;
   Runner_intf.require_probes exec;
   check_caps ~ds_name (module S) cfg.spec.mix;
-  (* Resolve the capability records once; the fail-fast above
-     guarantees every op the mix can draw has its record. *)
-  let mops = S.map and qops = S.queue and rops = S.range and bops = S.bulk in
   let t = S.create ~threads:cfg.threads cfg.tracker_cfg in
-  (* Prefill from a registration outside the measured run: through the
-     map when there is one (byte-identical to the historical prefill),
-     else by enqueueing the selected keys. *)
-  let h0 = S.register t ~tid:0 in
-  let prefill_rng = Rng.create (cfg.seed lxor 0x5eed) in
-  let prefill_insert =
-    match mops with
-    | Some m -> fun ~key ~value -> m.Ds_intf.insert h0 ~key ~value
-    | None ->
-      (match qops with
-       | Some q ->
-         fun ~key ~value:_ ->
-           q.Ds_intf.enqueue h0 key;
-           true
-       | None -> fun ~key:_ ~value:_ -> false)
-  in
-  Workload.prefill ~rng:prefill_rng ~spec:cfg.spec ~insert:prefill_insert;
+  let d = driver t in
+  (* Prefill outside the measured run, through the driver's handle:
+     through the map when there is one (byte-identical to the
+     historical prefill), else by enqueueing the selected keys. *)
+  d.prefill (fun h0 ->
+    let insert =
+      match S.map, S.queue with
+      | Some m, _ -> fun ~key ~value -> m.Ds_intf.insert h0 ~key ~value
+      | None, Some q ->
+        fun ~key ~value:_ ->
+          q.Ds_intf.enqueue h0 key;
+          true
+      | None, None -> fun ~key:_ ~value:_ -> false
+    in
+    Workload.prefill ~rng:(Rng.create (cfg.seed lxor 0x5eed)) ~spec:cfg.spec
+      ~insert);
   (* The capacity can only be sized now: the working set exists. *)
   (match cfg.faults with
    | Crash_capped { slack_per_thread; _ } ->
      let st = S.allocator_stats t in
      S.set_capacity t (Some (st.live + (cfg.threads * slack_per_thread)))
    | _ -> ());
-  (* Measured phase.  Each worker writes its counters and its sampler
-     on every operation, so each sits on cache lines of its own. *)
-  let counts =
-    Array.init cfg.threads (fun _ -> Padded.copy { ops = 0; aborted = 0 })
-  in
-  let samplers =
-    Array.init cfg.threads (fun _ -> Padded.copy (Stats.make_sampler ()))
-  in
-  for _ = 0 to cfg.threads - 1 do
-    exec.spawn (fun ~tid ->
-      let h = S.register t ~tid in
-      let rng = Rng.stream ~seed:cfg.seed ~index:tid in
-      (* Stall_watchdog's victim parks here between operations —
-         holding no reservation, so ejecting it is sound by
-         construction (the profile tests detection, not rescue). *)
-      let rec park () =
-        exec.wait 4096;
-        if exec.worker_running () then park ()
-      in
-      (* Runs until the scheduler unwinds it at the horizon (sim) or
-         [worker_tick] reports the wall deadline (domains). *)
-      let c = counts.(tid) and sampler = samplers.(tid) in
-      let rec loop () =
-        Stats.sample sampler (S.retired_count h);
-        let key = Workload.pick_key rng cfg.spec in
-        (try
-           (match Workload.pick_op rng cfg.spec.mix with
-            | Workload.Insert ->
-              ignore ((Option.get mops).Ds_intf.insert h ~key ~value:key)
-            | Workload.Remove ->
-              ignore ((Option.get mops).Ds_intf.remove h ~key)
-            | Workload.Get -> ignore ((Option.get mops).Ds_intf.get h ~key)
-            | Workload.Scan ->
-              ignore
-                ((Option.get rops).Ds_intf.range h ~lo:key
-                   ~hi:(Workload.scan_hi cfg.spec key))
-            | Workload.Enqueue -> (Option.get qops).Ds_intf.enqueue h key
-            | Workload.Dequeue ->
-              ignore ((Option.get qops).Ds_intf.dequeue h)
-            | Workload.Migrate ->
-              ignore ((Option.get bops).Ds_intf.migrate h));
-           c.ops <- c.ops + 1
-         with
-         | Ibr_core.Alloc.Exhausted
-         | Ibr_core.Fault.Memory_fault (Ibr_core.Fault.Alloc_exhausted, _)
-           ->
-           (* Heap full after the backpressure ladder: the op
-              aborted (its reservations were released on unwind);
-              keep going — later sweeps may free room. *)
-           c.aborted <- c.aborted + 1);
-        match cfg.faults with
-        | Stall_watchdog _ when tid = 0 -> park ()
-        | _ -> if exec.worker_tick ~tid then loop ()
-      in
-      loop ())
-  done;
+  d.spawn_workers (dispatch (module S) cfg.spec);
   (* The background reclaimer (tracker cfg [background_reclaim]) rides
      as one more service thread: it drains the handoff queues and runs
      the sweep cadence on its own time budget, off the mutators'
@@ -341,30 +333,24 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
        in
        loop ())
    | None -> ());
-  (* The watchdog rides as one more service thread.  Progress =
-     attempts, not completions, so a live thread stuck aborting
-     against a full heap is not mistaken for a dead one. *)
+  (* The watchdog rides as one more service thread, reading the
+     driver's census view. *)
   let watchdog =
-    let spawn_dog ~period ~grace ~remedy =
-      Watchdog.spawn_exec ~exec ~period ~grace ~threads:cfg.threads
-        ~remedy
-        ~progress:(fun tid -> counts.(tid).ops + counts.(tid).aborted)
-        ~footprint:(fun () -> (S.allocator_stats t).live)
-        ~eject:(fun tid -> S.eject t ~tid)
-        ()
-    in
-    match cfg.faults with
-    | Crash_watchdog { period; grace; _ } | Stall_watchdog { period; grace }
-      ->
-      Some (spawn_dog ~period ~grace ~remedy:Watchdog.Eject)
-    | Stall_neutralize { period; grace; _ } ->
-      Some
-        (spawn_dog ~period ~grace
-           ~remedy:
-             (Watchdog.Neutralize
-                (fun tid ->
-                  exec.neutralize ~eject:(fun () -> S.eject t ~tid) ~tid)))
-    | _ -> None
+    Option.map
+      (fun (period, grace, neutralize) ->
+         let remedy =
+           if neutralize then
+             Watchdog.Neutralize
+               (fun tid ->
+                  exec.neutralize ~eject:(fun () -> S.eject t ~tid) ~tid)
+           else Watchdog.Eject
+         in
+         Watchdog.spawn ~exec ~period ~grace ~threads:cfg.threads ~remedy
+           ~active:d.active ~progress:d.progress
+           ~footprint:(fun () -> (S.allocator_stats t).live)
+           ~eject:(fun tid -> S.eject t ~tid)
+           ())
+      watchdog
   in
   (* Prefill replacements may have queued retirements; drain them now
      so the measured phase starts with empty queues and the shutdown
@@ -384,14 +370,80 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
   (match service with
    | Some svc -> svc.Ibr_core.Handoff.shutdown_flush ()
    | None -> ());
-  let total_ops = Array.fold_left (fun n c -> n + c.ops) 0 counts in
-  let merged = Stats.merge_samplers (Array.to_list samplers) in
-  let makespan = exec.makespan () in
-  (* Publish the instance-scoped gauges, then snapshot. *)
-  Ibr_core.Alloc.publish_stats (S.allocator_stats t);
+  (* Publish the instance-scoped gauges. *)
+  let alloc = S.allocator_stats t in
+  Ibr_core.Alloc.publish_stats alloc;
   Ibr_core.Epoch.publish (S.epoch_value t);
   exec.publish_crashes ();
-  (match watchdog with Some w -> Watchdog.publish w | None -> ());
+  Option.iter Watchdog.publish watchdog;
+  { makespan = exec.makespan (); alloc; watchdog; baseline }
+
+(* -- the closed-loop driver -- *)
+
+(* One worker's completed and aborted operations. *)
+type counts = { mutable ops : int; mutable aborted : int }
+
+let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
+    (module S : Ds_intf.RIDEABLE) (cfg : config) =
+  (* Each worker writes its counters and its sampler on every
+     operation, so each sits on cache lines of its own. *)
+  let counts =
+    Array.init cfg.threads (fun _ -> Padded.copy { ops = 0; aborted = 0 })
+  in
+  let samplers =
+    Array.init cfg.threads (fun _ -> Padded.copy (Stats.make_sampler ()))
+  in
+  let closed_loop t =
+    {
+      (* Slot 0 prefills; the measured phase begins at the workers'
+         registrations. *)
+      prefill = (fun fill -> fill (S.register t ~tid:0));
+      spawn_workers =
+        (fun perform ->
+           for _ = 0 to cfg.threads - 1 do
+             exec.spawn (fun ~tid ->
+               let h = S.register t ~tid in
+               let rng = Rng.stream ~seed:cfg.seed ~index:tid in
+               let c = counts.(tid) and sampler = samplers.(tid) in
+               (* Runs until the scheduler unwinds it at the horizon
+                  (sim) or [worker_tick] reports the wall deadline
+                  (domains). *)
+               let rec loop () =
+                 Stats.sample sampler (S.retired_count h);
+                 let key = Workload.pick_key rng cfg.spec in
+                 let op = Workload.pick_op rng cfg.spec.mix in
+                 if perform h op key then c.ops <- c.ops + 1
+                 else c.aborted <- c.aborted + 1;
+                 match cfg.faults with
+                 | Stall_watchdog _ when tid = 0 ->
+                   (* The victim parks between operations, holding no
+                      reservation, so ejecting it is sound by
+                      construction (the profile tests detection, not
+                      rescue). *)
+                   park exec
+                 | _ -> if exec.worker_tick ~tid then loop ()
+               in
+               loop ())
+           done);
+      active = (fun _ -> true);
+      (* Progress = attempts, not completions, so a live thread stuck
+         aborting against a full heap is not mistaken for a dead one. *)
+      progress = (fun tid -> counts.(tid).ops + counts.(tid).aborted);
+    }
+  in
+  let watchdog =
+    match cfg.faults with
+    | Crash_watchdog { period; grace; _ } | Stall_watchdog { period; grace }
+      ->
+      Some (period, grace, false)
+    | Stall_neutralize { period; grace; _ } -> Some (period, grace, true)
+    | _ -> None
+  in
+  let o =
+    drive ~exec ~ds_name (module S) cfg ~watchdog closed_loop
+  in
+  let total_ops = Array.fold_left (fun n c -> n + c.ops) 0 counts in
+  let merged = Stats.merge_samplers (Array.to_list samplers) in
   {
     Stats.tracker = tracker_name;
     ds = ds_name;
@@ -399,19 +451,22 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     mix = Workload.mix_name cfg.spec.mix;
     backend = exec.backend;
     ops = total_ops;
-    makespan;
-    throughput = Stats.throughput ~ops:total_ops ~makespan;
+    makespan = o.makespan;
+    throughput = Stats.throughput ~ops:total_ops ~makespan:o.makespan;
     avg_unreclaimed = Stats.mean merged;
     peak_unreclaimed = merged.peak;
     samples = merged.n;
-    metrics = Ibr_obs.Metrics.collect baseline;
+    metrics = Ibr_obs.Metrics.collect o.baseline;
   }
 
-(* Convenience: resolve names through the registries and run. *)
-let run_named ~exec ~tracker_name ~ds_name cfg =
+let resolve ~tracker_name ~ds_name =
   let tracker = (Ibr_core.Registry.find_exn tracker_name).tracker in
-  let maker = Ds_registry.find_exn ds_name in
-  let (module S : Ds_intf.RIDEABLE) = maker.instantiate tracker in
+  let m = (Ds_registry.find_exn ds_name).instantiate tracker in
+  let (module S : Ds_intf.RIDEABLE) = m in
   let (module T : Ibr_core.Tracker_intf.TRACKER) = tracker in
-  if not (S.compatible T.props) then None
-  else Some (run ~exec ~tracker_name:T.name ~ds_name (module S) cfg)
+  if S.compatible T.props then Some (T.name, m) else None
+
+let run_named ~exec ~tracker_name ~ds_name cfg =
+  Option.map
+    (fun (tracker_name, m) -> run ~exec ~tracker_name ~ds_name m cfg)
+    (resolve ~tracker_name ~ds_name)

@@ -16,8 +16,6 @@
    time raise [Runner_intf.Unsupported] instead of the old silent
    zeroed-gauge behavior. *)
 
-open Ibr_ds
-
 type config = {
   threads : int;               (* domains *)
   duration_s : float;
@@ -44,10 +42,6 @@ let engine_config (cfg : config) = {
   spec = cfg.spec;
   faults = cfg.faults;
 }
-
-let run ~tracker_name ~ds_name (module S : Ds_intf.RIDEABLE) (cfg : config) =
-  Run_engine.run ~exec:(exec_of_config cfg) ~tracker_name ~ds_name
-    (module S) (engine_config cfg)
 
 let run_named ~tracker_name ~ds_name cfg =
   Run_engine.run_named ~exec:(exec_of_config cfg) ~tracker_name ~ds_name

@@ -24,9 +24,5 @@ val default_config :
   ?threads:int -> ?duration_s:float -> ?seed:int ->
   ?faults:Runner_intf.faults -> spec:Workload.spec -> unit -> config
 
-val run :
-  tracker_name:string -> ds_name:string -> (module Ibr_ds.Ds_intf.RIDEABLE) ->
-  config -> Stats.t
-
 val run_named :
   tracker_name:string -> ds_name:string -> config -> Stats.t option

@@ -62,31 +62,51 @@ let () =
 let unsupported ~backend ~capability =
   raise (Unsupported { backend; capability })
 
-(* -- fault profiles (moved here from Runner_sim: both backends can
-   now run the subset their capabilities cover) -- *)
+(* -- fault profiles: both backends run the subset their capabilities
+   cover -- *)
 
 type faults =
   | No_faults
   | Stall_storm of { stall_prob : float; stall_len : int }
+      (** Amplified involuntary stalls (oversubscription regime). *)
   | Crash of { crash_prob : float; max_crashes : int }
+      (** Probabilistic crash faults; a crashed thread's reservations
+          stay pinned forever ({!Ibr_runtime.Sched.crash}). *)
   | Crash_capped of {
       crash_prob : float;
       max_crashes : int;
       slack_per_thread : int;
     }
+      (** Crash faults plus a heap capacity of post-prefill live
+          blocks + [threads * slack_per_thread]; exhausted operations
+          abort gracefully and are counted, not completed. *)
   | Crash_watchdog of {
       crash_prob : float;
       max_crashes : int;
       period : int;
       grace : int;
     }
+      (** Crash faults plus the ejection watchdog with the given check
+          period (virtual cycles) and grace (checks with no progress
+          before ejection). *)
   | Stall_watchdog of { period : int; grace : int }
+      (** Watchdog detection without crash injection: the engine parks
+          worker 0 between operations (holding no reservation, so its
+          ejection is sound by construction) and the watchdog must
+          notice and eject it.  Runs on both backends. *)
   | Stall_neutralize of {
       stall_prob : float;
       stall_len : int;
       period : int;
       grace : int;
     }
+      (** Stall-storm injection with a {e neutralizing} watchdog
+          (DEBRA+, DESIGN.md §12): a worker frozen for
+          [period * grace] receives a restart signal instead of being
+          ejected — it drops and re-establishes protection and keeps
+          working.  Stall injection stays on, because neutralizing a
+          live thread is sound where ejecting one is not.  Runs on
+          both backends. *)
 
 (* Named presets for the CLI / campaign.  Crash profiles zero
    [stall_prob]: a crash is the fault under study, and (for the

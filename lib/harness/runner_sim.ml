@@ -19,33 +19,6 @@
    the pre-extraction runner bit for bit. *)
 
 open Ibr_runtime
-open Ibr_ds
-
-type faults = Runner_intf.faults =
-  | No_faults
-  | Stall_storm of { stall_prob : float; stall_len : int }
-  | Crash of { crash_prob : float; max_crashes : int }
-  | Crash_capped of {
-      crash_prob : float;
-      max_crashes : int;
-      slack_per_thread : int;
-    }
-  | Crash_watchdog of {
-      crash_prob : float;
-      max_crashes : int;
-      period : int;
-      grace : int;
-    }
-  | Stall_watchdog of { period : int; grace : int }
-  | Stall_neutralize of {
-      stall_prob : float;
-      stall_len : int;
-      period : int;
-      grace : int;
-    }
-
-let fault_profiles = Runner_intf.fault_profiles
-let faults_of_string = Runner_intf.faults_of_string
 
 type config = {
   threads : int;
@@ -54,11 +27,11 @@ type config = {
   seed : int;
   tracker_cfg : Ibr_core.Tracker_intf.config;
   spec : Workload.spec;
-  faults : faults;
+  faults : Runner_intf.faults;
 }
 
 let default_config ?(threads = 8) ?(horizon = 200_000) ?(seed = 0xbeef)
-    ?(cores = 72) ?(faults = No_faults) ~spec () =
+    ?(cores = 72) ?(faults = Runner_intf.No_faults) ~spec () =
   {
     threads;
     horizon;
@@ -98,13 +71,12 @@ let engine_config cfg = {
   faults = cfg.faults;
 }
 
-let run ~tracker_name ~ds_name (module S : Ds_intf.RIDEABLE) (cfg : config) =
-  let sched = Sched.create (sched_config cfg) in
-  let exec = Run_engine.sim_exec ~sched ~horizon:cfg.horizon in
-  Run_engine.run ~exec ~tracker_name ~ds_name (module S) (engine_config cfg)
+(* One machine per run, built from the profile's scheduler knobs. *)
+let exec_of_config cfg =
+  Run_engine.sim_exec ~sched:(Sched.create (sched_config cfg))
+    ~horizon:cfg.horizon
 
 (* Convenience: resolve names through the registries and run. *)
 let run_named ~tracker_name ~ds_name cfg =
-  let sched = Sched.create (sched_config cfg) in
-  let exec = Run_engine.sim_exec ~sched ~horizon:cfg.horizon in
-  Run_engine.run_named ~exec ~tracker_name ~ds_name (engine_config cfg)
+  Run_engine.run_named ~exec:(exec_of_config cfg) ~tracker_name ~ds_name
+    (engine_config cfg)

@@ -8,61 +8,11 @@
     beyond the core count queue for cores, reproducing the paper's
     oversubscription regime.
 
-    A {!faults} profile layers crash faults, an allocator capacity
-    sized from the post-prefill working set, and the ejection
+    A {!Runner_intf.faults} profile layers crash faults, an allocator
+    capacity sized from the post-prefill working set, and the ejection
     {!Watchdog} on top (DESIGN.md §7).  The run loop itself is the
     backend-shared {!Run_engine}; this module owns the scheduler knobs
     each profile implies and the machine construction. *)
-
-type faults = Runner_intf.faults =
-  | No_faults
-  | Stall_storm of { stall_prob : float; stall_len : int }
-      (** Amplified involuntary stalls (oversubscription regime). *)
-  | Crash of { crash_prob : float; max_crashes : int }
-      (** Probabilistic crash faults; a crashed thread's reservations
-          stay pinned forever ({!Ibr_runtime.Sched.crash}). *)
-  | Crash_capped of {
-      crash_prob : float;
-      max_crashes : int;
-      slack_per_thread : int;
-    }
-      (** Crash faults plus a heap capacity of post-prefill live
-          blocks + [threads * slack_per_thread]; exhausted operations
-          abort gracefully and are counted, not completed. *)
-  | Crash_watchdog of {
-      crash_prob : float;
-      max_crashes : int;
-      period : int;
-      grace : int;
-    }
-      (** Crash faults plus the ejection watchdog with the given check
-          period (virtual cycles) and grace (checks with no progress
-          before ejection). *)
-  | Stall_watchdog of { period : int; grace : int }
-      (** Watchdog detection without crash injection: the engine parks
-          worker 0 between operations (holding no reservation, so its
-          ejection is sound by construction) and the watchdog must
-          notice and eject it.  Runs on both backends. *)
-  | Stall_neutralize of {
-      stall_prob : float;
-      stall_len : int;
-      period : int;
-      grace : int;
-    }
-      (** Stall-storm injection with a {e neutralizing} watchdog
-          (DEBRA+, DESIGN.md §12): a worker frozen for
-          [period * grace] receives a restart signal instead of being
-          ejected — it drops and re-establishes protection and keeps
-          working.  Stall injection stays on, because neutralizing a
-          live thread is sound where ejecting one is not.  Runs on
-          both backends. *)
-
-val fault_profiles : (string * faults) list
-(** Named presets: ["none"], ["stall-storm"], ["crash"],
-    ["crash+capped"], ["crash+watchdog"], ["stall+watchdog"],
-    ["stall+neutralize"] (= {!Runner_intf.fault_profiles}). *)
-
-val faults_of_string : string -> faults option
 
 type config = {
   threads : int;
@@ -71,20 +21,16 @@ type config = {
   seed : int;
   tracker_cfg : Ibr_core.Tracker_intf.config;
   spec : Workload.spec;
-  faults : faults;
+  faults : Runner_intf.faults;
 }
 
 val default_config :
   ?threads:int -> ?horizon:int -> ?seed:int -> ?cores:int ->
-  ?faults:faults -> spec:Workload.spec -> unit -> config
+  ?faults:Runner_intf.faults -> spec:Workload.spec -> unit -> config
 
 val sched_config : config -> Ibr_runtime.Sched.config
 (** The scheduler knobs the fault profile implies (crash profiles zero
     [stall_prob], etc.). *)
-
-val run :
-  tracker_name:string -> ds_name:string -> (module Ibr_ds.Ds_intf.RIDEABLE) ->
-  config -> Stats.t
 
 val run_named :
   tracker_name:string -> ds_name:string -> config -> Stats.t option

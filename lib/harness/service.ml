@@ -26,7 +26,11 @@
    worker loops attach -> serve a bounded session -> detach -> stay
    away, retrying with backoff when the census is full (fleet >
    workers keeps slots contended, so slot reuse — the dangerous part
-   of the protocol — happens constantly, not incidentally). *)
+   of the protocol — happens constantly, not incidentally).
+
+   The run loop is [Run_engine.drive], shared with the closed loop:
+   this module supplies the open-loop driver and digests what its
+   workers recorded. *)
 
 open Ibr_runtime
 open Ibr_ds
@@ -238,50 +242,21 @@ let percentile sorted p =
 let check ~metric ~target ~actual =
   { metric; target; actual; ok = target = max_int || actual <= target }
 
-(* The run loop over a backend [exec] (same discipline as
-   [Run_engine]): on the simulator — the [run] entry point below —
-   [exec]'s closures make this identical, step for step and PRNG draw
-   for PRNG draw, to the pre-extraction fiber runner, keeping service
-   rows byte-reproducible.  On domains the arrival schedule is the
-   same precomputed array, timestamps are microseconds of monotonic
-   wall clock, and the deadline is observed through
-   [exec.worker_running] (always true on the sim, where the horizon
-   unwinds fibers instead). *)
-let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
+(* The open-loop driver of [Run_engine.drive]: [fleet] workers churn
+   through [workers] census slots, claiming arrivals; the latencies
+   they record are digested into the SLO verdicts after the run.  On
+   domains the arrival schedule is the same precomputed array,
+   timestamps are microseconds of monotonic wall clock, and the
+   deadline is observed through [exec.worker_running] (always true on
+   the sim, where the horizon unwinds fibers instead). *)
+let serve ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     (module S : Ds_intf.RIDEABLE) (p : profile) =
   Runner_intf.require_capability exec "service";
-  Runner_intf.require_probes exec;
-  Run_engine.check_caps ~ds_name (module S) p.spec.mix;
-  if p.workers < 1 then invalid_arg "Service.run: workers must be >= 1";
-  if p.fleet < 1 then invalid_arg "Service.run: fleet must be >= 1";
-  if p.period < 1 then invalid_arg "Service.run: period must be >= 1";
+  if p.workers < 1 then invalid_arg "Service: workers must be >= 1";
+  if p.fleet < 1 then invalid_arg "Service: fleet must be >= 1";
+  if p.period < 1 then invalid_arg "Service: period must be >= 1";
   if p.session_ops < 1 then
-    invalid_arg "Service.run: session_ops must be >= 1";
-  (* Capability records, resolved once (the fail-fast above covers
-     every op the mix can draw). *)
-  let mops = S.map and qops = S.queue and rops = S.range and bops = S.bulk in
-  let t = S.create ~threads:p.workers p.tracker_cfg in
-  (* Prefill through an attached handle, detached before the run: the
-     measured phase starts with a fully free census and a populated
-     structure, and every service run exercises detach at least once
-     even if churn parameters are degenerate. *)
-  (match S.attach t with
-   | None -> assert false   (* fresh census is never full *)
-   | Some h0 ->
-     let prefill_rng = Rng.create (p.seed lxor 0x5eed) in
-     let prefill_insert =
-       match mops with
-       | Some m -> fun ~key ~value -> m.Ds_intf.insert h0 ~key ~value
-       | None ->
-         (match qops with
-          | Some q ->
-            fun ~key ~value:_ ->
-              q.Ds_intf.enqueue h0 key;
-              true
-          | None -> fun ~key:_ ~value:_ -> false)
-     in
-     Workload.prefill ~rng:prefill_rng ~spec:p.spec ~insert:prefill_insert;
-     S.detach h0);
+    invalid_arg "Service: session_ops must be >= 1";
   let arrivals, arrivals_capped = gen_arrivals p in
   let n_arr = Array.length arrivals in
   (* -1 = never served, -2 = aborted; single writer per index (the
@@ -303,46 +278,26 @@ let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
      check, inside the grace budget). *)
   let slot_active = Array.make p.workers false in
   let slot_attempts = Array.make p.workers 0 in
-  let serve h slot i rng =
-    slot_attempts.(slot) <- slot_attempts.(slot) + 1;
-    let ta = arrivals.(i) in
-    let now = exec.now () in
-    if ta > now then exec.wait (ta - now);
-    let key = Workload.zipf_pick zipf rng in
-    try
-      (match Workload.pick_op rng p.spec.mix with
-       | Workload.Insert ->
-         ignore ((Option.get mops).Ds_intf.insert h ~key ~value:key)
-       | Workload.Remove ->
-         ignore ((Option.get mops).Ds_intf.remove h ~key)
-       | Workload.Get -> ignore ((Option.get mops).Ds_intf.get h ~key)
-       | Workload.Scan ->
-         ignore
-           ((Option.get rops).Ds_intf.range h ~lo:key
-              ~hi:(Workload.scan_hi p.spec key))
-       | Workload.Enqueue -> (Option.get qops).Ds_intf.enqueue h key
-       | Workload.Dequeue -> ignore ((Option.get qops).Ds_intf.dequeue h)
-       | Workload.Migrate -> ignore ((Option.get bops).Ds_intf.migrate h));
-      lat.(i) <- exec.now () - ta
-    with
-    | Ibr_core.Alloc.Exhausted
-    | Ibr_core.Fault.Memory_fault (Ibr_core.Fault.Alloc_exhausted, _) ->
-      lat.(i) <- -2
-  in
-  for w = 0 to p.fleet - 1 do
-    exec.spawn (fun ~tid:_ ->
+  let open_loop t =
+    let request perform h slot i rng =
+      slot_attempts.(slot) <- slot_attempts.(slot) + 1;
+      let ta = arrivals.(i) in
+      let now = exec.now () in
+      if ta > now then exec.wait (ta - now);
+      let key = Workload.zipf_pick zipf rng in
+      let op = Workload.pick_op rng p.spec.mix in
+      lat.(i) <- (if perform h op key then exec.now () - ta else -2)
+    in
+    let worker perform w =
       let rng = Rng.stream ~seed:p.seed ~index:(0x1000 + w) in
       (* Stagger the fleet so sessions do not churn in lockstep. *)
       exec.wait (1 + (w * 131));
-      let rec park () =
-        exec.wait 4096;
-        if exec.worker_running () then park ()
-      and join () =
+      let rec join () =
         match S.attach t with
         | None ->
-          (* Census full: another worker holds every slot.  Back
-             off and retry — this is the expected steady state
-             when fleet > workers. *)
+          (* Census full: another worker holds every slot.  Back off
+             and retry — this is the expected steady state when
+             fleet > workers. *)
           Atomic.incr attach_full;
           exec.wait 512;
           if exec.worker_running () then join ()
@@ -364,13 +319,13 @@ let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
         else begin
           let i = Ibr_core.Prim.faa next 1 in
           if i >= n_arr then begin
-            (* Demand exhausted: leave properly and idle out the
-               rest of the horizon. *)
+            (* Demand exhausted: leave properly and idle out the rest
+               of the horizon. *)
             leave h slot;
-            park ()
+            Run_engine.park exec
           end
           else begin
-            serve h slot i rng;
+            request perform h slot i rng;
             (* Wall deadline (domains only; always running on the
                sim): finish the request, then leave cleanly so the
                detach protocol runs even on a timed exit. *)
@@ -379,49 +334,42 @@ let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
           end
         end
       in
-      join ())
-  done;
-  (* Background reclaimer service thread, as in [Run_engine]. *)
-  let reclaim = S.reclaim_service t in
-  (match reclaim with
-   | Some svc ->
-     exec.spawn_aux (fun () ->
-       let rec loop () =
-         if exec.aux_running () then begin
-           if svc.Ibr_core.Handoff.drain () = 0 then exec.wait 128;
-           loop ()
-         end
-       in
-       loop ())
-   | None -> ());
-  let watchdog =
-    match p.watchdog with
-    | Some (period, grace) ->
-      let remedy =
-        if p.neutralize then
-          Watchdog.Neutralize
-            (fun tid ->
-              exec.neutralize ~eject:(fun () -> S.eject t ~tid) ~tid)
-        else Watchdog.Eject
-      in
-      Some
-        (Watchdog.spawn_exec ~exec ~period ~grace ~threads:p.workers
-           ~remedy
-           ~active:(fun slot -> slot_active.(slot))
-           ~progress:(fun slot -> slot_attempts.(slot))
-           ~footprint:(fun () -> (S.allocator_stats t).live)
-           ~eject:(fun tid -> S.eject t ~tid)
-           ())
-    | None -> None
+      join ()
+    in
+    {
+      (* Prefill through an attached handle, detached before the run:
+         the measured phase starts with a fully free census and a
+         populated structure, and every service run exercises detach
+         at least once even if churn parameters are degenerate. *)
+      Run_engine.prefill =
+        (fun fill ->
+           let h0 = Option.get (S.attach t) in
+           fill h0;
+           S.detach h0);
+      spawn_workers =
+        (fun perform ->
+           for w = 0 to p.fleet - 1 do
+             exec.spawn (fun ~tid:_ -> worker perform w)
+           done);
+      active = (fun slot -> slot_active.(slot));
+      progress = (fun slot -> slot_attempts.(slot));
+    }
+  in
+  let cfg =
+    { Run_engine.threads = p.workers; seed = p.seed;
+      tracker_cfg = p.tracker_cfg; spec = p.spec;
+      faults = Runner_intf.No_faults }
+  in
+  let o =
+    Run_engine.drive ~exec ~ds_name (module S) cfg
+      ~watchdog:
+        (Option.map (fun (period, grace) -> (period, grace, p.neutralize))
+           p.watchdog)
+      open_loop
   in
   let lat_h, m_arr, m_comp, m_ab, m_att, m_det, m_p999 =
     Lazy.force service_metrics
   in
-  let baseline = Ibr_obs.Metrics.begin_run () in
-  exec.launch ();
-  (match reclaim with
-   | Some svc -> svc.Ibr_core.Handoff.shutdown_flush ()
-   | None -> ());
   (* Digest latencies: completed requests only. *)
   let completed = ref 0 and aborted = ref 0 in
   Array.iter
@@ -445,25 +393,19 @@ let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
   let p999 = percentile sorted 0.999 in
   let max_latency =
     if !completed = 0 then 0 else sorted.(!completed - 1) in
-  let st = S.allocator_stats t in
-  let makespan = exec.makespan () in
   m_arr := n_arr;
   m_comp := !completed;
   m_ab := !aborted;
   m_att := Atomic.get attaches;
   m_det := Atomic.get detaches;
   m_p999 := p999;
-  Ibr_core.Alloc.publish_stats st;
-  Ibr_core.Epoch.publish (S.epoch_value t);
-  exec.publish_crashes ();
-  (match watchdog with Some w -> Watchdog.publish w | None -> ());
   let verdicts =
     [
       check ~metric:"p50" ~target:p.slo.p50 ~actual:p50;
       check ~metric:"p99" ~target:p.slo.p99 ~actual:p99;
       check ~metric:"p999" ~target:p.slo.p999 ~actual:p999;
       check ~metric:"peak_footprint" ~target:p.slo.peak_footprint
-        ~actual:st.peak_footprint;
+        ~actual:o.alloc.peak_footprint;
     ]
   in
   {
@@ -481,41 +423,30 @@ let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     detaches = Atomic.get detaches;
     attach_full = Atomic.get attach_full;
     ejections =
-      (match watchdog with Some w -> Watchdog.ejections w | None -> 0);
+      (match o.watchdog with Some w -> Watchdog.ejections w | None -> 0);
     neutralizations =
-      (match watchdog with Some w -> Watchdog.neutralizations w | None -> 0);
+      (match o.watchdog with Some w -> Watchdog.neutralizations w | None -> 0);
     recovered =
-      (match watchdog with Some w -> Watchdog.recovered w | None -> 0);
+      (match o.watchdog with Some w -> Watchdog.recovered w | None -> 0);
     p50;
     p90;
     p99;
     p999;
     max_latency;
-    peak_footprint = st.peak_footprint;
-    makespan;
-    throughput = Stats.throughput ~ops:!completed ~makespan;
+    peak_footprint = o.alloc.peak_footprint;
+    makespan = o.makespan;
+    throughput = Stats.throughput ~ops:!completed ~makespan:o.makespan;
     verdicts;
     slo_pass = List.for_all (fun v -> v.ok) verdicts;
-    metrics = Ibr_obs.Metrics.collect baseline;
+    metrics = Ibr_obs.Metrics.collect o.baseline;
   }
 
-(* Simulator entry point (the historical API): build the machine from
-   the profile and run through its exec. *)
-let run ~tracker_name ~ds_name (module S : Ds_intf.RIDEABLE) (p : profile) =
-  let sched =
-    Sched.create { Sched.default_config with cores = p.cores; seed = p.seed }
-  in
-  let exec = Run_engine.sim_exec ~sched ~horizon:p.horizon in
-  run_exec ~exec ~tracker_name ~ds_name (module S) p
-
 let run_named_exec ~exec ~tracker_name ~ds_name p =
-  let tracker = (Ibr_core.Registry.find_exn tracker_name).tracker in
-  let maker = Ds_registry.find_exn ds_name in
-  let (module S : Ds_intf.RIDEABLE) = maker.instantiate tracker in
-  let (module T : Ibr_core.Tracker_intf.TRACKER) = tracker in
-  if not (S.compatible T.props) then None
-  else Some (run_exec ~exec ~tracker_name:T.name ~ds_name (module S) p)
+  Option.map
+    (fun (tracker_name, m) -> serve ~exec ~tracker_name ~ds_name m p)
+    (Run_engine.resolve ~tracker_name ~ds_name)
 
+(* The simulator: one machine per run, built from the profile. *)
 let run_named ~tracker_name ~ds_name p =
   let sched =
     Sched.create { Sched.default_config with cores = p.cores; seed = p.seed }

@@ -24,13 +24,13 @@
      another [grace] checks the signal is delivered again.
 
    The monitoring state and per-check scan ([check_round]) are backend
-   independent; two drivers exist.  [spawn] rides the simulated
-   machine as one more fiber ([Hooks.step period] per round).
-   [spawn_exec] runs the same scan on any {!Runner_intf.exec} — on
-   domains that is a real monitor domain sleeping [period]
-   microseconds of monotonic wall clock per round, reading the
-   workers' progress counters racily (stale reads only delay an
-   ejection by a round, which the grace budget absorbs).
+   independent; [spawn] runs the scan as one more service thread of
+   any {!Runner_intf.exec}.  On the sim that is a fiber stepping
+   [period] virtual cycles per round; on domains it is a real monitor
+   domain sleeping [period] microseconds of monotonic wall clock per
+   round, reading the workers' progress counters racily (stale reads
+   only delay an ejection by a round, which the grace budget
+   absorbs).
 
    The progress heuristic is exactly that — a heuristic.  Ejecting a
    thread that is merely slow (deep oversubscription, a long injected
@@ -45,8 +45,6 @@
    anyway), which is why the stall+neutralize profile may keep stall
    injection on.  See the soundness caveat on
    {!Ibr_core.Tracker_intf}. *)
-
-open Ibr_runtime
 
 type remedy =
   | Eject
@@ -206,23 +204,7 @@ let check_round w =
     end
   done
 
-let spawn ~sched ~period ~grace ~threads ?(remedy = Eject)
-    ?(active = fun _ -> true) ~progress ~footprint ~eject () =
-  let w =
-    make ~period ~grace ~threads ~remedy ~active ~progress ~footprint
-      ~eject
-  in
-  ignore
-    (Sched.spawn sched (fun _wtid ->
-       let rec loop () =
-         Hooks.step period;
-         check_round w;
-         loop ()
-       in
-       loop ()));
-  w
-
-let spawn_exec ~(exec : Runner_intf.exec) ~period ~grace ~threads
+let spawn ~(exec : Runner_intf.exec) ~period ~grace ~threads
     ?(remedy = Eject) ?(active = fun _ -> true) ~progress ~footprint
     ~eject () =
   Runner_intf.require_capability exec "watchdog";

@@ -6,10 +6,10 @@
     through the tracker's [eject] hook so a crash-faulted thread stops
     pinning retired memory forever; {!Neutralize} instead delivers a
     restart signal that the victim acts on itself — it unwinds its
-    current attempt, recovers its protection, and keeps working.  Two
-    drivers share the scan: {!spawn} rides the simulated machine as a
-    fiber; {!spawn_exec} runs on any {!Runner_intf.exec} — a real
-    monitor domain with wall-clock periods on the domains backend.
+    current attempt, recovers its protection, and keeps working.
+    {!spawn} runs the monitor on any {!Runner_intf.exec}: a fiber on
+    the simulator, a real monitor domain with wall-clock periods on
+    the domains backend.
 
     {b Soundness caveat (ejection only):} no-progress is a heuristic
     for death.  Ejecting a live thread readmits use-after-free;
@@ -33,34 +33,6 @@ type remedy =
           grace window if it stays frozen. *)
 
 val spawn :
-  sched:Ibr_runtime.Sched.t ->
-  period:int ->
-  grace:int ->
-  threads:int ->
-  ?remedy:remedy ->
-  ?active:(int -> bool) ->
-  progress:(int -> int) ->
-  footprint:(unit -> int) ->
-  eject:(int -> unit) ->
-  unit -> t
-(** [spawn ~sched ~period ~grace ~threads ~progress ~footprint ~eject ()]
-    registers the monitor thread on [sched] (must precede
-    {!Ibr_runtime.Sched.run}).  Every [period] virtual cycles it polls
-    [progress tid] (a monotone per-worker operation counter) for each
-    of the [threads] workers; a worker that completed at least one
-    operation and then stalls at the same count for [grace]
-    consecutive checks receives the [remedy] (default {!Eject}).
-    [footprint] (live+retired blocks) is sampled around each remedy to
-    estimate the memory recovered.
-
-    [active] (default: always true) reports whether a census slot
-    currently has an occupant (dynamic churn, DESIGN.md §10): an
-    inactive slot is not monitored and its arming/staleness/ejection
-    state is reset, so a joiner that reuses the slot is watched from
-    scratch instead of being ejected against the leaver's counter.
-    @raise Invalid_argument if [period < 1] or [grace < 1]. *)
-
-val spawn_exec :
   exec:Runner_intf.exec ->
   period:int ->
   grace:int ->
@@ -71,11 +43,25 @@ val spawn_exec :
   footprint:(unit -> int) ->
   eject:(int -> unit) ->
   unit -> t
-(** {!spawn} over a backend {!Runner_intf.exec} (must precede its
-    [launch]): the same scan every [period] backend time units —
-    virtual cycles on the sim, microseconds of monotonic wall clock on
-    domains, where progress counters are read racily (a stale read
-    delays an ejection by one round, absorbed by the grace budget).
+(** [spawn ~exec ~period ~grace ~threads ~progress ~footprint ~eject ()]
+    registers the monitor as a service thread of [exec] (must precede
+    its [launch]).  Every [period] backend time units — virtual cycles
+    on the sim, microseconds of monotonic wall clock on domains — it
+    polls [progress tid] (a monotone per-worker operation counter) for
+    each of the [threads] workers; a worker that completed at least
+    one operation and then stalls at the same count for [grace]
+    consecutive checks receives the [remedy] (default {!Eject}).
+    [footprint] (live+retired blocks) is sampled around each remedy to
+    estimate the memory recovered.  On domains the counters are read
+    racily: a stale read delays a remedy by one round, which the grace
+    budget absorbs.
+
+    [active] (default: always true) reports whether a census slot
+    currently has an occupant (dynamic churn, DESIGN.md §10): an
+    inactive slot is not monitored and its arming/staleness/ejection
+    state is reset, so a joiner that reuses the slot is watched from
+    scratch instead of being ejected against the leaver's counter.
+    @raise Invalid_argument if [period < 1] or [grace < 1].
     @raise Runner_intf.Unsupported if the backend lacks the
     ["watchdog"] capability (or ["neutralize"], for a {!Neutralize}
     remedy). *)

@@ -115,7 +115,7 @@ let map_case (maker : Ds_registry.maker) ~get_cap ~churn_cap
     (tracker : Registry.entry) () =
   assert_native ();
   let (module R) = maker.instantiate tracker.tracker in
-  let h, m, _, keys, draws = prefilled (module R) maker.ds_name in
+  let h, m, spec, keys, draws = prefilled (module R) maker.ds_name in
   let what op =
     Printf.sprintf "%s %s under %s" maker.ds_name op tracker.name in
   within (what "get (held key)") ~cap:get_cap
@@ -124,6 +124,13 @@ let map_case (maker : Ds_registry.maker) ~get_cap ~churn_cap
   within (what "get (drawn key)") ~cap:get_cap
     (words_per_call (fun i ->
        ignore (Sys.opaque_identity (m.get h ~key:draws.(i)))));
+  (* The same gets through the run loop's dispatch, built once per run
+     as the engine builds it: the dispatch itself adds nothing. *)
+  let perform = Ibr_harness.Run_engine.dispatch (module R) spec in
+  within (what "get through the engine's dispatch") ~cap:get_cap
+    (words_per_call (fun i ->
+       if not (perform h Ibr_harness.Workload.Get keys.(i)) then
+         Alcotest.fail "a get aborted"));
   (* Each call is two operations: remove a held key, put it back. *)
   let pair =
     words_per_call (fun i ->

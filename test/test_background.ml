@@ -103,14 +103,14 @@ let sim_run ~tracker ~faults ~seed =
 let test_sim_quiescence () =
   List.iter
     (fun tracker ->
-       quiescent (sim_run ~tracker ~faults:Runner_sim.No_faults ~seed:0xb6))
+       quiescent (sim_run ~tracker ~faults:Runner_intf.No_faults ~seed:0xb6))
     [ "EBR"; "HP"; "2GEIBR" ]
 
 (* A crash can abandon a fiber inside the drain lock; the post-run
    [shutdown_flush] seizes it, so quiescence must hold regardless of
    where the crash landed. *)
 let test_sim_quiescence_under_crash () =
-  let faults = Runner_sim.Crash { crash_prob = 0.25; max_crashes = 1 } in
+  let faults = Runner_intf.Crash { crash_prob = 0.25; max_crashes = 1 } in
   let r, _ =
     Ibr_core.Fault.with_counting (fun () ->
       sim_run ~tracker:"EBR" ~faults ~seed:0xc0)

@@ -18,7 +18,7 @@ let run_domains ?mix (e : Registry.entry) ds_name () =
   match
     Ibr_harness.Runner_domains.run_named ~tracker_name:e.name ~ds_name cfg
   with
-  | None -> ()
+  | None -> Alcotest.failf "%s cannot run on %s" e.name ds_name
   | Some r ->
     Alcotest.(check int) "no faults" 0 (Ibr_harness.Stats.metric r "faults");
     Alcotest.(check bool) "ops happened" true (r.ops > 0);
@@ -26,29 +26,9 @@ let run_domains ?mix (e : Registry.entry) ds_name () =
       (Ibr_harness.Stats.metric r "freed"
        <= Ibr_harness.Stats.metric r "allocated")
 
-(* Every rideable crossed with a tracker lineup that covers each
-   reservation style: epoch (EBR, Fraser-EBR, QSBR), pointer (HP, HE)
-   and interval (POIBR, TagIBR, TagIBR-WCAS, 2GEIBR).  Pairings the
-   registry rejects as incompatible are skipped inside [run_domains]. *)
-let cases =
-  List.concat_map
-    (fun ds ->
-       List.map
-         (fun (e : Registry.entry) ->
-            Alcotest.test_case
-              (Printf.sprintf "domains %s/%s" ds e.name)
-              `Slow (run_domains e ds))
-         [ Registry.ebr; Registry.fraser_ebr; Registry.qsbr; Registry.hp;
-           Registry.he; Registry.po_ibr; Registry.tag_ibr;
-           Registry.tag_ibr_wcas; Registry.two_ge_ibr ])
-    [ "list"; "hashmap"; "nmtree"; "bonsai" ]
-
-(* Range scans on real domains (mix E: 90% scans racing 5% inserts and
-   5% removes), under every scheme whose protected reads retry: the
-   pointer schemes and the interval family.  The scans hold one
-   reservation across a whole traversal while writers retire the
-   nodes behind them.  Only the pairings the registry accepts. *)
-let scan_cases =
+(* [rideables] x [trackers], keeping only the pairings the registry
+   accepts, so every case runs something. *)
+let compatible_cases ?mix ~prefix trackers rideables =
   List.concat_map
     (fun ds ->
        let maker = Ibr_ds.Ds_registry.find_exn ds in
@@ -58,11 +38,30 @@ let scan_cases =
             else
               Some
                 (Alcotest.test_case
-                   (Printf.sprintf "domains scans %s/%s" ds e.name)
-                   `Slow
-                   (run_domains ~mix:Ibr_harness.Workload.profile_e e ds)))
-         [ Registry.hp; Registry.he; Registry.po_ibr; Registry.tag_ibr;
-           Registry.tag_ibr_wcas; Registry.tag_ibr_tpa; Registry.two_ge_ibr ])
+                   (Printf.sprintf "%s %s/%s" prefix ds e.name)
+                   `Slow (run_domains ?mix e ds)))
+         trackers)
+    rideables
+
+(* Every rideable crossed with a tracker lineup that covers each
+   reservation style: epoch (EBR, Fraser-EBR, QSBR), pointer (HP, HE)
+   and interval (POIBR, TagIBR, TagIBR-WCAS, 2GEIBR). *)
+let cases =
+  compatible_cases ~prefix:"domains"
+    [ Registry.ebr; Registry.fraser_ebr; Registry.qsbr; Registry.hp;
+      Registry.he; Registry.po_ibr; Registry.tag_ibr;
+      Registry.tag_ibr_wcas; Registry.two_ge_ibr ]
+    [ "list"; "hashmap"; "nmtree"; "bonsai" ]
+
+(* Range scans on real domains (mix E: 90% scans racing 5% inserts and
+   5% removes), under every scheme whose protected reads retry: the
+   pointer schemes and the interval family.  The scans hold one
+   reservation across a whole traversal while writers retire the
+   nodes behind them. *)
+let scan_cases =
+  compatible_cases ~mix:Ibr_harness.Workload.profile_e ~prefix:"domains scans"
+    [ Registry.hp; Registry.he; Registry.po_ibr; Registry.tag_ibr;
+      Registry.tag_ibr_wcas; Registry.tag_ibr_tpa; Registry.two_ge_ibr ]
     [ "list"; "nmtree"; "bonsai" ]
 
 (* The allocator's statistics are per-thread shards summed on read.

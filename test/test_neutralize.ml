@@ -69,8 +69,8 @@ let test_committed_masks_delivery () =
 
 (* ---- watchdog healing state machine ---- *)
 
-let neutralize_dog ~sched ~signals ~progress ~active =
-  Watchdog.spawn ~sched ~period:10 ~grace:2 ~threads:1
+let neutralize_dog ~exec ~signals ~progress ~active =
+  Watchdog.spawn ~exec ~period:10 ~grace:2 ~threads:1
     ~remedy:(Watchdog.Neutralize (fun tid -> signals := tid :: !signals))
     ~active:(fun _ -> !active)
     ~progress:(fun _ -> !progress)
@@ -80,8 +80,9 @@ let neutralize_dog ~sched ~signals ~progress ~active =
 
 let test_watchdog_heals_and_counts_recovery () =
   let sched = Sched.create (Sched.test_config ~cores:2 ()) in
+  let exec = Run_engine.sim_exec ~sched ~horizon:300 in
   let progress = ref 0 and active = ref true and signals = ref [] in
-  let w = neutralize_dog ~sched ~signals ~progress ~active in
+  let w = neutralize_dog ~exec ~signals ~progress ~active in
   ignore
     (Sched.spawn sched (fun _ ->
        progress := 1;                                (* arm *)
@@ -95,7 +96,7 @@ let test_watchdog_heals_and_counts_recovery () =
          Hooks.step 5
        done;
        active := false));
-  Sched.run ~horizon:300 sched;
+  exec.launch ();
   (* The exact delivery count depends on dispatch granularity (a
      victim frozen across several scans may be re-signalled); what is
      contractual: signals flowed, each was counted, and the single
@@ -113,13 +114,14 @@ let test_watchdog_heals_and_counts_recovery () =
 
 let test_watchdog_redelivers_after_grace () =
   let sched = Sched.create (Sched.test_config ~cores:2 ()) in
+  let exec = Run_engine.sim_exec ~sched ~horizon:120 in
   let progress = ref 0 and active = ref true and signals = ref [] in
-  let w = neutralize_dog ~sched ~signals ~progress ~active in
+  let w = neutralize_dog ~exec ~signals ~progress ~active in
   ignore
     (Sched.spawn sched (fun _ ->
        progress := 1;
        Hooks.step 300 (* frozen for the whole run *)));
-  Sched.run ~horizon:120 sched;
+  exec.launch ();
   Alcotest.(check bool)
     (Printf.sprintf "frozen victim is re-signalled (%d deliveries)"
        (Watchdog.neutralizations w))
@@ -137,10 +139,11 @@ let test_watchdog_redelivers_after_grace () =
    wrote a slot off forever on first ejection). *)
 let test_watchdog_rearms_ejected_slot () =
   let sched = Sched.create (Sched.test_config ~cores:2 ()) in
+  let exec = Run_engine.sim_exec ~sched ~horizon:300 in
   let progress = ref 0 in
   let ejected_tids = ref [] in
   let w =
-    Watchdog.spawn ~sched ~period:10 ~grace:2 ~threads:1
+    Watchdog.spawn ~exec ~period:10 ~grace:2 ~threads:1
       ~progress:(fun _ -> !progress)
       ~footprint:(fun () -> 0)
       ~eject:(fun tid -> ejected_tids := tid :: !ejected_tids)
@@ -153,7 +156,7 @@ let test_watchdog_rearms_ejected_slot () =
        while !ejected_tids = [] do Hooks.step 5 done;
        progress := 2;    (* ...then the "dead" thread was merely slow *)
        Hooks.step 200    (* frozen again → must be re-ejectable *)));
-  Sched.run ~horizon:300 sched;
+  exec.launch ();
   Alcotest.(check int) "slow thread ejected, re-armed, ejected again" 2
     (Watchdog.ejections w);
   Alcotest.(check int) "both ejections reached the tracker hook" 2
@@ -318,7 +321,7 @@ let test_handoff_balanced_after_neutralization () =
 let small_spec = { (Workload.spec_for "hashmap") with key_range = 256 }
 
 let stall_neutralize =
-  match Runner_sim.faults_of_string "stall+neutralize" with
+  match Runner_intf.faults_of_string "stall+neutralize" with
   | Some f -> f
   | None -> Alcotest.fail "stall+neutralize profile missing"
 
@@ -348,7 +351,7 @@ let test_stall_neutralize_signals_flow () =
      restart signal, and EBR — no recovery protocol of its own beyond
      [with_op]'s generic drop-and-reprotect — survives fault-free. *)
   let hot =
-    Runner_sim.Stall_neutralize
+    Runner_intf.Stall_neutralize
       { stall_prob = 0.5; stall_len = 480_000; period = 5_000; grace = 2 }
   in
   let cfg =

@@ -170,7 +170,7 @@ let crash_run ~tracker ~faults ~seed ~horizon =
    on every run. *)
 let qcheck_capped_crash_separates =
   let faults =
-    Runner_sim.Crash_capped
+    Runner_intf.Crash_capped
       { crash_prob = 0.5; max_crashes = 1; slack_per_thread = 24 }
   in
   QCheck.Test.make ~name:"crash+capped: HP survives where EBR exhausts"
@@ -189,7 +189,7 @@ let qcheck_capped_crash_separates =
            || Stats.metric ebr "oom_events" > 0))
 
 let test_crash_pins_ebr_not_hp () =
-  let faults = Runner_sim.Crash { crash_prob = 0.5; max_crashes = 1 } in
+  let faults = Runner_intf.Crash { crash_prob = 0.5; max_crashes = 1 } in
   let ebr = crash_run ~tracker:"EBR" ~faults ~seed:0xc4a5 ~horizon:60_000 in
   let hp = crash_run ~tracker:"HP" ~faults ~seed:0xc4a5 ~horizon:60_000 in
   Alcotest.(check int) "EBR run crashed a thread" 1

@@ -163,6 +163,37 @@ let test_bonsai_safe (e : Registry.entry) () =
     run_adversarial_bonsai e.tracker ~seed
   done
 
+(* Range scans on the list racing removes: a scan that meets a
+   deleted node must not follow its frozen next pointer, whose target
+   may have been unlinked, retired and freed since the scan protected
+   it.  Eight keys, 16 threads on 2 cores and a sweep on every
+   retirement put deleted nodes in front of scans; a scan that
+   followed the frozen pointer faulted under HP at seeds 4, 6, 7 and
+   8. *)
+let test_list_scans_safe (e : Registry.entry) () =
+  Fault.set_mode Fault.Raise;
+  let threads = 16 in
+  let spec =
+    { (Ibr_harness.Workload.spec_for ~mix:Ibr_harness.Workload.profile_e
+         "list")
+      with key_range = 8 }
+  in
+  for seed = 1 to 10 do
+    let c =
+      Ibr_harness.Runner_sim.default_config ~threads ~horizon:300_000
+        ~cores:2 ~seed ~spec ()
+    in
+    let tracker_cfg =
+      { c.tracker_cfg with epoch_freq = threads; empty_freq = 1 } in
+    match
+      Ibr_harness.Runner_sim.run_named ~tracker_name:e.name ~ds_name:"list"
+        { c with tracker_cfg }
+    with
+    | Some r ->
+      Alcotest.(check bool) (Printf.sprintf "seed %d ran" seed) true (r.ops > 0)
+    | None -> Alcotest.fail "the registry refuses this pairing"
+  done
+
 let mutable_ok (e : Registry.entry) =
   let (module T : Tracker_intf.TRACKER) = e.tracker in
   T.props.mutable_pointers
@@ -194,6 +225,14 @@ let suite =
            Some
              (Alcotest.test_case ("bonsai safety: " ^ e.name) `Slow
                 (test_bonsai_safe e))
+         else None)
+      Registry.all
+  @ List.filter_map
+      (fun (e : Registry.entry) ->
+         if mutable_ok e then
+           Some
+             (Alcotest.test_case ("list scan safety: " ^ e.name) `Slow
+                (test_list_scans_safe e))
          else None)
       Registry.all
   @ List.filter_map

@@ -333,9 +333,10 @@ let test_flush_magazines () =
 let watchdog_run ~active ~horizon body =
   let open Ibr_runtime in
   let sched = Sched.create (Sched.test_config ~cores:2 ()) in
+  let exec = Run_engine.sim_exec ~sched ~horizon in
   let progress = ref 1 in   (* armed, then permanently stalled *)
   let w =
-    Watchdog.spawn ~sched ~period:10 ~grace:2 ~threads:1
+    Watchdog.spawn ~exec ~period:10 ~grace:2 ~threads:1
       ~active:(fun _ -> active ())
       ~progress:(fun _ -> !progress)
       ~footprint:(fun () -> 0)
@@ -343,7 +344,7 @@ let watchdog_run ~active ~horizon body =
       ()
   in
   ignore (Sched.spawn sched (fun _ -> body ()));
-  Sched.run ~horizon sched;
+  exec.launch ();
   w
 
 let test_watchdog_ejects_active_staller () =
@@ -455,8 +456,12 @@ let test_zipf_skew () =
   Alcotest.(check bool) "uniform head is unexceptional" true
     (uc.(0) < 3 * (4_000 / 64))
 
-let test_service_deterministic () =
+let test_service_deterministic ~background_reclaim () =
   let p = small_profile () in
+  let p =
+    { p with
+      Service.tracker_cfg = { p.Service.tracker_cfg with background_reclaim } }
+  in
   let r1 = Service.run_named ~tracker_name:"TagIBR" ~ds_name:"hashmap" p in
   let r2 = Service.run_named ~tracker_name:"TagIBR" ~ds_name:"hashmap" p in
   match r1, r2 with
@@ -464,7 +469,16 @@ let test_service_deterministic () =
     Alcotest.(check string) "bit-identical CSV rows"
       (Service.to_csv_row r1) (Service.to_csv_row r2);
     Alcotest.(check string) "identical SLO verdicts"
-      (Service.verdicts_csv r1) (Service.verdicts_csv r2)
+      (Service.verdicts_csv r1) (Service.verdicts_csv r2);
+    (* The reclaimer thread rides the open loop too: every block a
+       churning worker handed off was drained by the end of the run. *)
+    if background_reclaim then begin
+      let m = Ibr_obs.Metrics.get r1.Service.metrics in
+      Alcotest.(check bool) "blocks were handed off" true
+        (m "handoff_pushed" > 0);
+      Alcotest.(check int) "handoff_pushed = handoff_drained"
+        (m "handoff_pushed") (m "handoff_drained")
+    end
   | _ -> Alcotest.fail "service run refused a compatible pairing"
 
 let smoke_schemes =
@@ -549,7 +563,9 @@ let suite =
       Alcotest.test_case "rate modulation" `Quick test_rate_modulation;
       Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
       Alcotest.test_case "service run is bit-reproducible" `Quick
-        test_service_deterministic;
+        (test_service_deterministic ~background_reclaim:false);
+      Alcotest.test_case "bit-reproducible with the reclaimer thread" `Quick
+        (test_service_deterministic ~background_reclaim:true);
     ]
   @ List.map
       (fun tracker ->
