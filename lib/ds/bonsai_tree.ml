@@ -20,6 +20,7 @@
    cannot cover with a fixed slot budget. *)
 
 open Ibr_core
+open Ds_common
 
 let delta = 3    (* imbalance trigger *)
 let ratio = 2    (* single vs. double rotation *)
@@ -42,31 +43,15 @@ module Make (T : Tracker_intf.TRACKER) = struct
     root : node T.ptr;         (* the only mutable pointer *)
   }
 
-  type handle = {
-    tree : t;
-    th : node T.handle;
-    stats : Ds_common.op_stats;
-    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
-    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
-    recover : unit -> unit;
-  }
+  include Lifecycle (T) (struct
+      type nonrec node = node and t = t
+      let name = name and slots_needed = slots_needed
+      let tracker t = t.tracker
+    end)
 
   let create ~threads cfg =
-    Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
-    let tracker = T.create ~threads cfg in
+    let tracker = create_tracker ~threads cfg in
     { tracker; root = T.make_ptr tracker None }
-
-  let make_handle tree th =
-    { tree; th; stats = Ds_common.make_op_stats ();
-      start_op = (fun () -> T.start_op th);
-      end_op = (fun () -> T.end_op th);
-      recover = (fun () -> T.recover th) }
-
-  let register tree ~tid = make_handle tree (T.register tree.tracker ~tid)
-  let attach tree = Option.map (make_handle tree) (T.attach tree.tracker)
-
-  let detach h = T.detach h.th
-  let handle_tid h = T.handle_tid h.th
 
   (* Per-operation rewrite context: which blocks were allocated by
      this attempt, which existing blocks it supersedes, and which of
@@ -83,8 +68,8 @@ module Make (T : Tracker_intf.TRACKER) = struct
 
   (* Read-only walks match the child's view directly; the copy-on-write
      rewrite works on options, which it also builds new nodes from. *)
-  let child_view h edge = T.read h.th ~slot:0 edge
-  let child h edge = View.target (child_view h edge)
+  let child_view th edge = T.read th ~slot:0 edge
+  let child h edge = View.target (child_view h.th edge)
 
   (* Consume [b] during a rotation: a node of ours is discarded, an
      original is superseded. *)
@@ -97,8 +82,8 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let b =
       T.alloc h.th
         { key; value; size;
-          left = T.make_ptr h.tree.tracker left;
-          right = T.make_ptr h.tree.tracker right }
+          left = T.make_ptr h.ds.tracker left;
+          right = T.make_ptr h.ds.tracker right }
     in
     ctx.created <- b :: ctx.created;
     b
@@ -206,14 +191,10 @@ module Make (T : Tracker_intf.TRACKER) = struct
                   ~value:n.value ~right:r')
       end
 
-  let wrap h f =
-    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
-      ~on_neutralize:h.recover f
-
   (* Run one copy-and-swing-root update. *)
   let update h rewrite =
     let ctx = { created = []; replaced = []; discarded = [] } in
-    let rootv = T.read_root h.th h.tree.root in
+    let rootv = T.read_root h.th h.ds.root in
     match rewrite ctx (View.target rootv) with
     | exception Unchanged -> false
     | exception Fault.Neutralized ->
@@ -221,7 +202,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
          masked; instead free the speculative (still-private) nodes
          before the attempt unwinds.  Masked, so a second signal
          cannot land mid-cleanup; touches only blocks we own. *)
-      Ds_common.committed (fun () ->
+      committed (fun () ->
         List.iter (fun b -> T.dealloc h.th b) ctx.created);
       raise Fault.Neutralized
     | new_root ->
@@ -229,15 +210,15 @@ module Make (T : Tracker_intf.TRACKER) = struct
          restart after the CAS would re-apply the update, and a signal
          between the CAS and the retires would leak the superseded
          version.  No dereference happens inside. *)
-      Ds_common.committed (fun () ->
-        if T.cas h.th h.tree.root ~expected:rootv new_root then begin
+      committed (fun () ->
+        if T.cas h.th h.ds.root ~expected:rootv new_root then begin
           List.iter (fun b -> T.retire h.th b) ctx.replaced;
           List.iter (fun b -> T.dealloc h.th b) ctx.discarded;
           true
         end
         else begin
           List.iter (fun b -> T.dealloc h.th b) ctx.created;
-          raise Ds_common.Restart
+          raise Restart
         end)
 
   let insert h ~key ~value =
@@ -255,10 +236,10 @@ module Make (T : Tracker_intf.TRACKER) = struct
         | View.Ptr { target = b; _ } ->
           let n = Block.get b in
           if key = n.key then Some n.value
-          else if key < n.key then go (child_view h n.left)
-          else go (child_view h n.right)
+          else if key < n.key then go (child_view h.th n.left)
+          else go (child_view h.th n.right)
       in
-      go (T.read_root h.th h.tree.root))
+      go (T.read_root h.th h.ds.root))
 
   let contains h ~key = get h ~key <> None
 
@@ -274,47 +255,32 @@ module Make (T : Tracker_intf.TRACKER) = struct
         | View.Ptr { target = b; _ } ->
           let n = Block.get b in
           let acc =
-            if n.key < hi then go acc (child_view h n.right) else acc in
+            if n.key < hi then go acc (child_view h.th n.right) else acc in
           let acc =
             if lo <= n.key && n.key <= hi then (n.key, n.value) :: acc
             else acc
           in
-          if n.key > lo then go acc (child_view h n.left) else acc
+          if n.key > lo then go acc (child_view h.th n.left) else acc
       in
-      go [] (T.read_root h.th h.tree.root))
-
-  let retired_count h = T.retired_count h.th
-  let force_empty h = T.force_empty h.th
-  let allocator_stats t = Alloc.stats (T.allocator t.tracker)
-  let reclaim_service t = T.reclaim_service t.tracker
-  let epoch_value t = T.epoch_value t.tracker
-  let set_capacity t cap = Alloc.set_capacity (T.allocator t.tracker) cap
-  let eject t ~tid = T.eject t.tracker ~tid
-
-  let with_temp_handle t f =
-    let h = register t ~tid:0 in
-    T.start_op h.th;
-    let r = f h in
-    T.end_op h.th;
-    r
+      go [] (T.read_root h.th h.ds.root))
 
   let to_sorted_list t =
-    with_temp_handle t (fun h ->
+    sequential t.tracker (fun th ->
       (* Right-to-left in-order with an accumulator yields ascending
          key order directly. *)
       let rec go acc = function
         | View.Null _ -> acc
         | View.Ptr { target = b; _ } ->
           let n = Block.get b in
-          let acc = go acc (child_view h n.right) in
-          go ((n.key, n.value) :: acc) (child_view h n.left)
+          let acc = go acc (child_view th n.right) in
+          go ((n.key, n.value) :: acc) (child_view th n.left)
       in
-      go [] (T.read_root h.th t.root))
+      go [] (T.read_root th t.root))
 
   (* BST order, size bookkeeping, weight balance, and liveness of the
      whole reachable version. *)
   let check_invariants t =
-    with_temp_handle t (fun h ->
+    sequential t.tracker (fun th ->
       let rec go ~lo ~hi = function
         | View.Null _ -> 0
         | View.Ptr { target = b; _ } ->
@@ -323,15 +289,15 @@ module Make (T : Tracker_intf.TRACKER) = struct
           let n = Block.get b in
           if not (lo < n.key && n.key < hi) then
             failwith "bonsai invariant: keys out of order";
-          let ls = go ~lo ~hi:n.key (child_view h n.left) in
-          let rs = go ~lo:n.key ~hi (child_view h n.right) in
+          let ls = go ~lo ~hi:n.key (child_view th n.left) in
+          let rs = go ~lo:n.key ~hi (child_view th n.right) in
           if n.size <> ls + rs + 1 then
             failwith "bonsai invariant: size field wrong";
           if ls + rs > 1 && (ls > delta * rs || rs > delta * ls) then
             failwith "bonsai invariant: weight balance violated";
           n.size
       in
-      ignore (go ~lo:min_int ~hi:max_int (T.read_root h.th t.root)))
+      ignore (go ~lo:min_int ~hi:max_int (T.read_root th t.root)))
 
   let map =
     Some { Ds_intf.insert; remove; get; contains; to_sorted_list }

@@ -1,4 +1,5 @@
-(* The operation wrapper shared by all structures.
+(* What every rideable shares: the operation wrapper, and the
+   lifecycle between a structure and its tracker ([Lifecycle] below).
 
    A data-structure method raises [Restart] when a CAS loses a race
    and the traversal must begin again.  The wrapper counts restarts
@@ -23,31 +24,9 @@
    window with [committed], so the signal stays pending and lands at
    the next attempt boundary instead of double-applying the op. *)
 
+open Ibr_core
+
 exception Restart
-
-type op_stats = {
-  mutable ops : int;
-  mutable restarts : int;
-  mutable reservation_refreshes : int;
-  mutable neutralizations : int;
-}
-
-let make_op_stats () =
-  { ops = 0; restarts = 0; reservation_refreshes = 0; neutralizations = 0 }
-
-(* The reservation-slot budget: a scheme with per-pointer reservations
-   (HP, HE) gives each thread [cfg.slots] slots, and a structure
-   protects up to [slots_needed] pointers at once.  Too few would index
-   past the thread's slot row mid-operation, so refuse at creation. *)
-let check_slots ~rideable ~slots_needed
-    (module T : Ibr_core.Tracker_intf.TRACKER)
-    (cfg : Ibr_core.Tracker_intf.config) =
-  if T.props.bounded_slots && cfg.slots < slots_needed then
-    invalid_arg
-      (Printf.sprintf
-         "%s under %s needs %d reservation slots per thread, but the \
-          config has slots = %d"
-         rideable T.name slots_needed cfg.slots)
 
 (* [Fun.protect] without its closure: restoring the window cannot
    raise. *)
@@ -86,31 +65,28 @@ let max_cas_failures = 128
    §1a).  [guarded] opens the restart window for exactly the attempt
    body; [end_op]/[start_op] bookkeeping between attempts runs
    masked. *)
-let rec attempt ~stats ~start_op ~end_op ~on_neutralize ~guarded f fails =
+let rec attempt ~start_op ~end_op ~on_neutralize ~guarded f fails =
   match if guarded then with_window true f else f () with
   | result -> result
   | exception Restart ->
-    stats.restarts <- stats.restarts + 1;
     let fails = fails + 1 in
     if fails >= max_cas_failures then begin
       (* Starvation bound: drop and re-acquire the reservation. *)
       end_op ();
       start_op ();
-      stats.reservation_refreshes <- stats.reservation_refreshes + 1;
-      attempt ~stats ~start_op ~end_op ~on_neutralize ~guarded f 0
+      attempt ~start_op ~end_op ~on_neutralize ~guarded f 0
     end
-    else attempt ~stats ~start_op ~end_op ~on_neutralize ~guarded f fails
+    else attempt ~start_op ~end_op ~on_neutralize ~guarded f fails
   | exception Ibr_runtime.Hooks.Neutralized ->
     (* The restart signal: recovery re-protects (tracker [recover]
        — NOT a plain [start_op], which would leak the dropped
        state), then the attempt re-runs from scratch.  The fail
        budget resets: a neutralization already refreshed the
        reservation. *)
-    stats.neutralizations <- stats.neutralizations + 1;
     on_neutralize ();
-    attempt ~stats ~start_op ~end_op ~on_neutralize ~guarded f 0
+    attempt ~start_op ~end_op ~on_neutralize ~guarded f 0
 
-let with_op ~stats ~start_op ~end_op ~on_neutralize f =
+let with_op ~start_op ~end_op ~on_neutralize f =
   Ibr_obs.Probe.op_begin ();
   let guarded = Ibr_runtime.Hooks.active () in
   (* [op_end] fires before [end_op] on both arms: [end_op] charges
@@ -123,8 +99,7 @@ let with_op ~stats ~start_op ~end_op ~on_neutralize f =
      and validator tolerate. *)
   match
     start_op ();
-    stats.ops <- stats.ops + 1;
-    attempt ~stats ~start_op ~end_op ~on_neutralize ~guarded f 0
+    attempt ~start_op ~end_op ~on_neutralize ~guarded f 0
   with
   | result ->
     Ibr_obs.Probe.op_end ();
@@ -135,11 +110,78 @@ let with_op ~stats ~start_op ~end_op ~on_neutralize f =
     end_op ();
     raise e
 
-(* Debug hook: invoked before every retire a data structure performs,
-   with (site, block id, incarnation).  Used by fault-diagnosis tests;
-   a no-op in production. *)
-let retire_trace : (string -> int -> int -> unit) ref = ref (fun _ _ _ -> ())
+(* A rideable's handle: its structure, its tracker handle, and the
+   operation bracket's three tracker calls as closures built once per
+   handle (DESIGN.md §1a).  The record and [wrap] are top-level, not
+   [Lifecycle]'s: a function that a functor application exports is
+   always called through its closure, while a call of [wrap] inlines
+   into a direct call of [with_op] wherever the compiler reads this
+   module's .cmx (DESIGN.md §13e). *)
+type ('s, 'th) handle = {
+  ds : 's;
+  th : 'th;
+  start_op : unit -> unit;
+  end_op : unit -> unit;
+  recover : unit -> unit;
+}
 
-(* Companion debug hook passing the raw prev cell and expected box. *)
-let unlink_trace : (string -> Obj.t -> Obj.t -> int -> int -> unit) ref =
-  ref (fun _ _ _ _ _ -> ())
+let wrap h f =
+  with_op ~start_op:h.start_op ~end_op:h.end_op ~on_neutralize:h.recover f
+
+(* Everything between a structure and its tracker that is not the
+   structure's own nodes and operations (DESIGN.md §13e). *)
+module Lifecycle
+    (T : Tracker_intf.TRACKER)
+    (S : sig
+       type node
+       type t
+       val name : string
+       val slots_needed : int
+       val tracker : t -> node T.t
+     end) =
+struct
+  type nonrec handle = (S.t, S.node T.handle) handle
+
+  (* The reservation-slot budget: a scheme with per-pointer
+     reservations (HP, HE) gives each thread [cfg.slots] slots, and the
+     structure protects up to [slots_needed] pointers at once.  Too few
+     would index past the thread's slot row mid-operation, so refuse at
+     creation. *)
+  let create_tracker ~threads (cfg : Tracker_intf.config) =
+    if T.props.bounded_slots && cfg.slots < S.slots_needed then
+      invalid_arg
+        (Printf.sprintf
+           "%s under %s needs %d reservation slots per thread, but the \
+            config has slots = %d"
+           S.name T.name S.slots_needed cfg.slots);
+    T.create ~threads cfg
+
+  let make_handle ds th =
+    { ds; th;
+      start_op = (fun () -> T.start_op th);
+      end_op = (fun () -> T.end_op th);
+      recover = (fun () -> T.recover th) }
+
+  let register ds ~tid = make_handle ds (T.register (S.tracker ds) ~tid)
+  let attach ds = Option.map (make_handle ds) (T.attach (S.tracker ds))
+  let detach h = T.detach h.th
+  let handle_tid h = T.handle_tid h.th
+
+  let retired_count h = T.retired_count h.th
+  let force_empty h = T.force_empty h.th
+  let allocator_stats t = Alloc.stats (T.allocator (S.tracker t))
+  let reclaim_service t = T.reclaim_service (S.tracker t)
+  let epoch_value t = T.epoch_value (S.tracker t)
+  let set_capacity t cap = Alloc.set_capacity (T.allocator (S.tracker t)) cap
+  let eject t ~tid = T.eject (S.tracker t) ~tid
+
+  (* A dump or invariant check of a quiescent structure: slot 0's
+     handle, inside one operation bracket.  An exception from [f]
+     skips [end_op]; the structure is broken by then anyway. *)
+  let sequential tracker f =
+    let th = T.register tracker ~tid:0 in
+    T.start_op th;
+    let r = f th in
+    T.end_op th;
+    r
+end

@@ -127,10 +127,8 @@ module type RIDEABLE = sig
   val bulk : (t, handle) bulk_ops option
 end
 
-module type MAKER = functor (T : Tracker_intf.TRACKER) -> RIDEABLE
-
-(* Capability flags derived from the module's exports; the registry's
-   declared flags are qcheck'd against this. *)
+(* Capability flags derived from the module's exports; the registry
+   derives each maker's flags with it. *)
 let caps_of (module S : RIDEABLE) =
   {
     map = Option.is_some S.map;

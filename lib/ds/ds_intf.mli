@@ -130,11 +130,9 @@ module type RIDEABLE = sig
   val bulk : (t, handle) bulk_ops option
 end
 
-module type MAKER = functor (T : Tracker_intf.TRACKER) -> RIDEABLE
-
 val caps_of : (module RIDEABLE) -> caps
-(** Capability flags derived from the module's exports; the registry's
-    declared flags are qcheck'd against this. *)
+(** Capability flags derived from the module's exports; the registry
+    derives each maker's flags with it. *)
 
 val subsumes : caps -> caps -> bool
 (** [subsumes have need]: every capability [need] asks for, [have]

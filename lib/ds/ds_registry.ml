@@ -2,7 +2,7 @@
    analogue of the artifact's rideable menu.  A [maker] closes over a
    functor application and advertises the rideable's capability set,
    so the harness can pick operations (and reject mixes) by capability
-   without instantiating anything. *)
+   without instantiating anything itself. *)
 
 open Ibr_core
 
@@ -12,62 +12,40 @@ type maker = {
   instantiate : Tracker_intf.packed -> (module Ds_intf.RIDEABLE);
 }
 
-let list_maker = {
-  ds_name = "list";
-  caps = { Ds_intf.no_caps with map = true; range = true };
-  instantiate =
-    (fun (module T : Tracker_intf.TRACKER) ->
-       (module Harris_list.Make (T) : Ds_intf.RIDEABLE));
-}
+(* A rideable's capabilities do not depend on the scheme, so read them
+   off the module instantiated over No MM. *)
+let maker ds_name instantiate =
+  { ds_name;
+    caps = Ds_intf.caps_of (instantiate (module No_mm : Tracker_intf.TRACKER));
+    instantiate }
 
-let hashmap_maker = {
-  ds_name = "hashmap";
-  caps = { Ds_intf.no_caps with map = true };
-  instantiate =
-    (fun (module T : Tracker_intf.TRACKER) ->
-       (module Michael_hashmap.Make (T) : Ds_intf.RIDEABLE));
-}
+let list_maker =
+  maker "list" (fun (module T : Tracker_intf.TRACKER) ->
+    (module Harris_list.Make (T) : Ds_intf.RIDEABLE))
 
-let rhashmap_maker = {
-  ds_name = "rhashmap";
-  caps = { Ds_intf.no_caps with map = true; bulk = true };
-  instantiate =
-    (fun (module T : Tracker_intf.TRACKER) ->
-       (module Resizable_hashmap.Make (T) : Ds_intf.RIDEABLE));
-}
+let hashmap_maker =
+  maker "hashmap" (fun (module T : Tracker_intf.TRACKER) ->
+    (module Michael_hashmap.Make (T) : Ds_intf.RIDEABLE))
 
-let nm_tree_maker = {
-  ds_name = "nmtree";
-  caps = { Ds_intf.no_caps with map = true; range = true };
-  instantiate =
-    (fun (module T : Tracker_intf.TRACKER) ->
-       (module Nm_tree.Make (T) : Ds_intf.RIDEABLE));
-}
+let rhashmap_maker =
+  maker "rhashmap" (fun (module T : Tracker_intf.TRACKER) ->
+    (module Resizable_hashmap.Make (T) : Ds_intf.RIDEABLE))
 
-let bonsai_maker = {
-  ds_name = "bonsai";
-  caps = { Ds_intf.no_caps with map = true; range = true };
-  instantiate =
-    (fun (module T : Tracker_intf.TRACKER) ->
-       (module Bonsai_tree.Make (T) : Ds_intf.RIDEABLE));
-}
+let nm_tree_maker =
+  maker "nmtree" (fun (module T : Tracker_intf.TRACKER) ->
+    (module Nm_tree.Make (T) : Ds_intf.RIDEABLE))
 
-let stack_maker = {
-  ds_name = "stack";
-  caps = { Ds_intf.no_caps with queue = true };
-  instantiate =
-    (fun (module T : Tracker_intf.TRACKER) ->
-       (module Treiber_stack.Make (T) : Ds_intf.RIDEABLE));
-}
+let bonsai_maker =
+  maker "bonsai" (fun (module T : Tracker_intf.TRACKER) ->
+    (module Bonsai_tree.Make (T) : Ds_intf.RIDEABLE))
 
-let msqueue_maker = {
-  ds_name = "msqueue";
-  caps = { Ds_intf.no_caps with queue = true };
-  instantiate =
-    (fun (module T : Tracker_intf.TRACKER) ->
-       (module Ms_queue.Make (T) : Ds_intf.RIDEABLE));
-}
+let stack_maker =
+  maker "stack" (fun (module T : Tracker_intf.TRACKER) ->
+    (module Treiber_stack.Make (T) : Ds_intf.RIDEABLE))
 
+let msqueue_maker =
+  maker "msqueue" (fun (module T : Tracker_intf.TRACKER) ->
+    (module Ms_queue.Make (T) : Ds_intf.RIDEABLE))
 (* The paper's four rideables in Fig. 8 order, then the riders added
    for workload diversity. *)
 let all =

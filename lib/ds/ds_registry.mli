@@ -9,9 +9,8 @@ open Ibr_core
 type maker = {
   ds_name : string;
   caps : Ds_intf.caps;
-  (** What the instantiated module exports ([Some] capability
-      records); kept consistent with the modules by a registry qcheck
-      test. *)
+  (** What the module exports ([Some] capability records), read off
+      its instantiation over No MM with {!Ds_intf.caps_of}. *)
   instantiate : Tracker_intf.packed -> (module Ds_intf.RIDEABLE);
 }
 

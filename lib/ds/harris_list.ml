@@ -14,6 +14,7 @@
    hash map can reuse them per bucket. *)
 
 open Ibr_core
+open Ds_common
 
 let marked = 1
 
@@ -33,31 +34,15 @@ module Make (T : Tracker_intf.TRACKER) = struct
     head : node T.ptr;
   }
 
-  type handle = {
-    list : t;
-    th : node T.handle;
-    stats : Ds_common.op_stats;
-    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
-    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
-    recover : unit -> unit;
-  }
+  include Lifecycle (T) (struct
+      type nonrec node = node and t = t
+      let name = name and slots_needed = slots_needed
+      let tracker t = t.tracker
+    end)
 
   let create ~threads cfg =
-    Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
-    let tracker = T.create ~threads cfg in
+    let tracker = create_tracker ~threads cfg in
     { tracker; head = T.make_ptr tracker None }
-
-  let make_handle list th =
-    { list; th; stats = Ds_common.make_op_stats ();
-      start_op = (fun () -> T.start_op th);
-      end_op = (fun () -> T.end_op th);
-      recover = (fun () -> T.recover th) }
-
-  let register list ~tid = make_handle list (T.register list.tracker ~tid)
-  let attach list = Option.map (make_handle list) (T.attach list.tracker)
-
-  let detach h = T.detach h.th
-  let handle_tid h = T.handle_tid h.th
 
   (* Hazard-slot roles during traversal. *)
   let slot_prev = 0   (* node containing the [prev] cell *)
@@ -86,12 +71,8 @@ module Make (T : Tracker_intf.TRACKER) = struct
      unlinked-never-retired node would leak; no dereference happens
      inside). *)
   let unlink th prev curv bcur nextv =
-    Ds_common.committed (fun () ->
+    committed (fun () ->
       if T.cas th prev ~expected:curv (View.target nextv) then begin
-        !Ds_common.unlink_trace "helper" (Obj.repr prev) (Obj.repr curv)
-          (Block.id bcur) (Block.incarnation bcur);
-        !Ds_common.retire_trace "find-helper" (Block.id bcur)
-          (Block.incarnation bcur);
         T.retire th bcur;
         true
       end
@@ -106,7 +87,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
        must never be CASed back to an unmarked value (doing so would
        resurrect a dead path and permit double unlinks).  Restart
        from the head, as Michael's algorithm does. *)
-    if View.tag curv = marked then raise Ds_common.Restart;
+    if View.tag curv = marked then raise Restart;
     match curv with
     | View.Null _ -> End { prev; curv }
     | View.Ptr { target = bcur; _ } ->
@@ -115,7 +96,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
       if View.tag nextv = marked then begin
         if unlink th prev curv bcur nextv then
           walk th key prev (T.read th ~slot:slot_cur prev)
-        else raise Ds_common.Restart
+        else raise Restart
       end
       else if n.key >= key then At { prev; curv; bcur; n; nextv }
       else begin
@@ -137,7 +118,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
            CAS (and the loser's dealloc): a restart signal landing
            inside would either leak the fresh block or re-apply a
            successful insert.  No dereference happens inside. *)
-        Ds_common.committed (fun () ->
+        committed (fun () ->
           let b =
             T.alloc th
               { key; value; next = T.make_ptr tracker (View.target curv) }
@@ -145,7 +126,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
           if T.cas th prev ~expected:curv (Some b) then true
           else begin
             T.dealloc th b;
-            raise Ds_common.Restart
+            raise Restart
           end)
 
     let remove _tracker th head ~key =
@@ -156,20 +137,17 @@ module Make (T : Tracker_intf.TRACKER) = struct
            and a restart would remove a second key.  No dereference
            happens inside (the tail touches only pointer cells and
            blocks this thread owns-to-retire). *)
-        Ds_common.committed (fun () ->
+        committed (fun () ->
           (* Logical deletion: set the mark on cur's next pointer. *)
           if
             not
               (T.cas th n.next ~expected:nextv ~tag:marked
                  (View.target nextv))
-          then raise Ds_common.Restart
+          then raise Restart
           else begin
             (* Physical unlink; if it fails a later traversal helps. *)
-            (if T.cas th prev ~expected:curv (View.target nextv) then begin
-               !Ds_common.retire_trace "list-unlink" (Block.id bcur)
-                 (Block.incarnation bcur);
-               T.retire th bcur
-             end);
+            (if T.cas th prev ~expected:curv (View.target nextv) then
+               T.retire th bcur);
             true
           end)
       | At _ | End _ -> false
@@ -180,18 +158,13 @@ module Make (T : Tracker_intf.TRACKER) = struct
       | At _ | End _ -> None
   end
 
-  let wrap h f =
-    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
-      ~on_neutralize:h.recover f
-
   let insert h ~key ~value =
-    wrap h (fun () -> Raw.insert h.list.tracker h.th h.list.head ~key ~value)
+    wrap h (fun () -> Raw.insert h.ds.tracker h.th h.ds.head ~key ~value)
 
   let remove h ~key =
-    wrap h (fun () -> Raw.remove h.list.tracker h.th h.list.head ~key)
+    wrap h (fun () -> Raw.remove h.ds.tracker h.th h.ds.head ~key)
 
-  let get h ~key =
-    wrap h (fun () -> Raw.get h.list.tracker h.th h.list.head ~key)
+  let get h ~key = wrap h (fun () -> Raw.get h.ds.tracker h.th h.ds.head ~key)
 
   let contains h ~key = get h ~key <> None
 
@@ -206,7 +179,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
      deleted node and goes on from [prev] instead.  The result is
      built in order, so the entries are all a scan allocates. *)
   let[@tail_mod_cons] rec collect th ~lo ~hi prev curv =
-    if View.tag curv = marked then raise Ds_common.Restart;
+    if View.tag curv = marked then raise Restart;
     match curv with
     | View.Null _ -> []
     | View.Ptr { target = b; _ } ->
@@ -217,7 +190,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
         if View.tag nextv = marked then begin
           if unlink th prev curv b nextv then
             collect th ~lo ~hi prev (T.read th ~slot:slot_cur prev)
-          else raise Ds_common.Restart
+          else raise Restart
         end
         else begin
           let value = n.value in
@@ -230,7 +203,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
 
   let range_scan h ~lo ~hi =
     wrap h (fun () ->
-      let head = h.list.head in
+      let head = h.ds.head in
       collect h.th ~lo ~hi head (T.read h.th ~slot:slot_cur head))
 
   (* For rigs (robustness demo) that stage a stalled or crashed reader
@@ -238,51 +211,38 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let tracker_handle h = h.th
   let head t = t.head
 
-  let retired_count h = T.retired_count h.th
-  let force_empty h = T.force_empty h.th
-  let allocator_stats t = Alloc.stats (T.allocator t.tracker)
-  let reclaim_service t = T.reclaim_service t.tracker
-  let epoch_value t = T.epoch_value t.tracker
-  let set_capacity t cap = Alloc.set_capacity (T.allocator t.tracker) cap
-  let eject t ~tid = T.eject t.tracker ~tid
-
   (* Sequential-context walk over a single chain; shared with the
      hash map's per-bucket dumps. *)
   let dump_chain tracker head =
-    let th = T.register tracker ~tid:0 in
-    T.start_op th;
-    let rec walk acc v =
-      match v with
-      | View.Null _ -> List.rev acc
-      | View.Ptr { target = b; _ } ->
-        let n = Block.get b in
-        let nextv = T.read th ~slot:slot_next n.next in
-        let acc =
-          if View.tag nextv = marked then acc
-          else (n.key, n.value) :: acc
-        in
-        walk acc nextv
-    in
-    let result = walk [] (T.read th ~slot:slot_cur head) in
-    T.end_op th;
-    result
+    sequential tracker (fun th ->
+      let rec walk acc v =
+        match v with
+        | View.Null _ -> List.rev acc
+        | View.Ptr { target = b; _ } ->
+          let n = Block.get b in
+          let nextv = T.read th ~slot:slot_next n.next in
+          let acc =
+            if View.tag nextv = marked then acc
+            else (n.key, n.value) :: acc
+          in
+          walk acc nextv
+      in
+      walk [] (T.read th ~slot:slot_cur head))
 
   let check_chain tracker head =
-    let th = T.register tracker ~tid:0 in
-    T.start_op th;
-    let rec walk last v =
-      match v with
-      | View.Null _ -> ()
-      | View.Ptr { target = b; _ } ->
-        if Block.is_reclaimed b then
-          failwith "harris-list invariant: reachable reclaimed block";
-        let n = Block.get b in
-        if n.key <= last then
-          failwith "harris-list invariant: keys not strictly increasing";
-        walk n.key (T.read th ~slot:slot_next n.next)
-    in
-    walk min_int (T.read th ~slot:slot_cur head);
-    T.end_op th
+    sequential tracker (fun th ->
+      let rec walk last v =
+        match v with
+        | View.Null _ -> ()
+        | View.Ptr { target = b; _ } ->
+          if Block.is_reclaimed b then
+            failwith "harris-list invariant: reachable reclaimed block";
+          let n = Block.get b in
+          if n.key <= last then
+            failwith "harris-list invariant: keys not strictly increasing";
+          walk n.key (T.read th ~slot:slot_next n.next)
+      in
+      walk min_int (T.read th ~slot:slot_cur head))
 
   let to_sorted_list t = dump_chain t.tracker t.head
   let check_invariants t = check_chain t.tracker t.head

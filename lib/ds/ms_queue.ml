@@ -16,6 +16,7 @@
    [queue_dequeue_churn] model-check scenario certifies. *)
 
 open Ibr_core
+open Ds_common
 
 module Make (T : Tracker_intf.TRACKER) = struct
   let name = "michael-scott-queue"
@@ -33,14 +34,11 @@ module Make (T : Tracker_intf.TRACKER) = struct
     tail : node T.ptr;    (* last or second-to-last node *)
   }
 
-  type handle = {
-    queue : t;
-    th : node T.handle;
-    stats : Ds_common.op_stats;
-    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
-    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
-    recover : unit -> unit;
-  }
+  include Lifecycle (T) (struct
+      type nonrec node = node and t = t
+      let name = name and slots_needed = slots_needed
+      let tracker t = t.tracker
+    end)
 
   (* Hazard-slot roles. *)
   let slot_node = 0     (* the head/tail node an attempt anchors on *)
@@ -48,8 +46,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let slot_tail = 2     (* tail snapshot during a dequeue's help *)
 
   let create ~threads cfg =
-    Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
-    let tracker = T.create ~threads cfg in
+    let tracker = create_tracker ~threads cfg in
     (* The initial dummy needs an allocating handle; tid 0 is
        re-registered by the first worker, which is fine (same pattern
        as the NM tree's sentinel setup). *)
@@ -61,26 +58,10 @@ module Make (T : Tracker_intf.TRACKER) = struct
       tail = T.make_ptr tracker (Some dummy);
     }
 
-  let make_handle queue th =
-    { queue; th; stats = Ds_common.make_op_stats ();
-      start_op = (fun () -> T.start_op th);
-      end_op = (fun () -> T.end_op th);
-      recover = (fun () -> T.recover th) }
-
-  let register queue ~tid = make_handle queue (T.register queue.tracker ~tid)
-  let attach queue = Option.map (make_handle queue) (T.attach queue.tracker)
-
-  let detach h = T.detach h.th
-  let handle_tid h = T.handle_tid h.th
-
-  let wrap h f =
-    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
-      ~on_neutralize:h.recover f
-
   let enqueue h value =
     wrap h (fun () ->
       let rec attempt () =
-        let tailv = T.read h.th ~slot:slot_node h.queue.tail in
+        let tailv = T.read h.th ~slot:slot_node h.ds.tail in
         match tailv with
         | View.Null _ -> assert false    (* tail never goes null *)
         | View.Ptr { target = tb; _ } ->
@@ -89,7 +70,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
           (match nextv with
            | View.Ptr { target = nb; _ } ->
              (* Tail lagging: help it forward, then retry. *)
-             ignore (T.cas h.th h.queue.tail ~expected:tailv (Some nb));
+             ignore (T.cas h.th h.ds.tail ~expected:tailv (Some nb));
              attempt ()
            | View.Null _ ->
              (* Mask allocation through the linearizing link CAS (and
@@ -98,14 +79,13 @@ module Make (T : Tracker_intf.TRACKER) = struct
                 best-effort tail swing rides inside too — it touches
                 only pointer cells, no dereference. *)
              let ok =
-               Ds_common.committed (fun () ->
+               committed (fun () ->
                  let b =
                    T.alloc h.th
-                     { value; next = T.make_ptr h.queue.tracker None }
+                     { value; next = T.make_ptr h.ds.tracker None }
                  in
                  if T.cas h.th tn.next ~expected:nextv (Some b) then begin
-                   ignore
-                     (T.cas h.th h.queue.tail ~expected:tailv (Some b));
+                   ignore (T.cas h.th h.ds.tail ~expected:tailv (Some b));
                    true
                  end
                  else begin
@@ -120,14 +100,14 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let dequeue h =
     wrap h (fun () ->
       let rec attempt () =
-        let headv = T.read h.th ~slot:slot_node h.queue.head in
+        let headv = T.read h.th ~slot:slot_node h.ds.head in
         match headv with
         | View.Null _ -> assert false    (* head never goes null *)
         | View.Ptr { target = hb; _ } ->
           let hn = Block.get hb in
           let nextv = T.read h.th ~slot:slot_next hn.next in
           let head_still_at hb =
-            match T.read h.th ~slot:slot_tail h.queue.head with
+            match T.read h.th ~slot:slot_tail h.ds.head with
             | View.Ptr { target = hb'; _ } -> hb' == hb
             | View.Null _ -> false
           in
@@ -145,10 +125,10 @@ module Make (T : Tracker_intf.TRACKER) = struct
              (* Help tail past the old dummy BEFORE swinging head:
                 once head moves, the dummy is retired, and a lagging
                 tail would hand the next enqueuer a freed node. *)
-             let tailv = T.read h.th ~slot:slot_tail h.queue.tail in
+             let tailv = T.read h.th ~slot:slot_tail h.ds.tail in
              (match tailv with
               | View.Ptr { target = tb; _ } when tb == hb ->
-                ignore (T.cas h.th h.queue.tail ~expected:tailv (Some nb))
+                ignore (T.cas h.th h.ds.tail ~expected:tailv (Some nb))
               | _ -> ());
              (* The element rides in the new dummy; read it while
                 slot_next protects [nb] (the field is immutable). *)
@@ -158,10 +138,9 @@ module Make (T : Tracker_intf.TRACKER) = struct
                 second element, and a signal between CAS and retire
                 would leak the dummy.  No dereference inside. *)
              if
-               Ds_common.committed (fun () ->
+               committed (fun () ->
                  if
-                   T.cas h.th h.queue.head ~expected:headv
-                     (View.target nextv)
+                   T.cas h.th h.ds.head ~expected:headv (View.target nextv)
                  then begin
                    T.retire h.th hb;
                    true
@@ -175,7 +154,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
   let peek h =
     wrap h (fun () ->
       let rec attempt () =
-        let headv = T.read h.th ~slot:slot_node h.queue.head in
+        let headv = T.read h.th ~slot:slot_node h.ds.head in
         match headv with
         | View.Null _ -> assert false
         | View.Ptr { target = hb; _ } ->
@@ -184,7 +163,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
           (* Same head re-validation as dequeue before touching the
              successor. *)
           let fresh =
-            match T.read h.th ~slot:slot_tail h.queue.head with
+            match T.read h.th ~slot:slot_tail h.ds.head with
             | View.Ptr { target = hb'; _ } -> hb' == hb
             | View.Null _ -> false
           in
@@ -197,64 +176,49 @@ module Make (T : Tracker_intf.TRACKER) = struct
 
   let is_empty h = peek h = None
 
-  let retired_count h = T.retired_count h.th
-  let force_empty h = T.force_empty h.th
-  let allocator_stats t = Alloc.stats (T.allocator t.tracker)
-  let reclaim_service t = T.reclaim_service t.tracker
-  let epoch_value t = T.epoch_value t.tracker
-  let set_capacity t cap = Alloc.set_capacity (T.allocator t.tracker) cap
-  let eject t ~tid = T.eject t.tracker ~tid
-
   (* Sequential-context dump, front (next-out) first: the dummy's
      value is dead, everything after it is live. *)
   let to_list t =
-    let th = T.register t.tracker ~tid:0 in
-    T.start_op th;
-    let rec go acc v =
-      match v with
-      | View.Null _ -> List.rev acc
-      | View.Ptr { target = b; _ } ->
-        let n = Block.get b in
-        go (n.value :: acc) (T.read th ~slot:slot_next n.next)
-    in
-    let r =
+    sequential t.tracker (fun th ->
+      let rec go acc v =
+        match v with
+        | View.Null _ -> List.rev acc
+        | View.Ptr { target = b; _ } ->
+          let n = Block.get b in
+          go (n.value :: acc) (T.read th ~slot:slot_next n.next)
+      in
       match T.read th ~slot:slot_node t.head with
       | View.Null _ -> []
       | View.Ptr { target = dummy; _ } ->
-        go [] (T.read th ~slot:slot_next (Block.get dummy).next)
-    in
-    T.end_op th;
-    r
+        go [] (T.read th ~slot:slot_next (Block.get dummy).next))
 
   (* Quiescent structural check: the chain from [head] is acyclic
      (bounded by the live count), touches no reclaimed block, and
      [tail] points at a node still on the chain. *)
   let check_invariants t =
-    let th = T.register t.tracker ~tid:0 in
-    T.start_op th;
-    let limit = (Alloc.stats (T.allocator t.tracker)).live + 1 in
-    let tailv = T.read th ~slot:slot_tail t.tail in
-    let rec go n ~seen_tail b =
-      if n > limit then
-        failwith "ms-queue invariant: chain longer than live count";
-      if Block.is_reclaimed b then
-        failwith "ms-queue invariant: reachable reclaimed block";
-      let seen_tail =
-        seen_tail
-        || (match tailv with
-            | View.Ptr { target = tb; _ } -> tb == b
-            | View.Null _ -> false)
+    sequential t.tracker (fun th ->
+      let limit = (allocator_stats t).live + 1 in
+      let tailv = T.read th ~slot:slot_tail t.tail in
+      let rec go n ~seen_tail b =
+        if n > limit then
+          failwith "ms-queue invariant: chain longer than live count";
+        if Block.is_reclaimed b then
+          failwith "ms-queue invariant: reachable reclaimed block";
+        let seen_tail =
+          seen_tail
+          || (match tailv with
+              | View.Ptr { target = tb; _ } -> tb == b
+              | View.Null _ -> false)
+        in
+        match T.read th ~slot:slot_next (Block.get b).next with
+        | View.Ptr { target = nxt; _ } -> go (n + 1) ~seen_tail nxt
+        | View.Null _ ->
+          if not seen_tail then
+            failwith "ms-queue invariant: tail not reachable from head"
       in
-      match T.read th ~slot:slot_next (Block.get b).next with
-      | View.Ptr { target = nxt; _ } -> go (n + 1) ~seen_tail nxt
-      | View.Null _ ->
-        if not seen_tail then
-          failwith "ms-queue invariant: tail not reachable from head"
-    in
-    (match T.read th ~slot:slot_node t.head with
-     | View.Null _ -> failwith "ms-queue invariant: null head"
-     | View.Ptr { target = dummy; _ } -> go 0 ~seen_tail:false dummy);
-    T.end_op th
+      match T.read th ~slot:slot_node t.head with
+      | View.Null _ -> failwith "ms-queue invariant: null head"
+      | View.Ptr { target = dummy; _ } -> go 0 ~seen_tail:false dummy)
 
   let map = None
 

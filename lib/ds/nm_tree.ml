@@ -33,6 +33,7 @@
    paper's artifact likewise declines to reclaim chains). *)
 
 open Ibr_core
+open Ds_common
 
 let flag_bit = 1
 let tag_bit = 2
@@ -57,18 +58,14 @@ module Make (T : Tracker_intf.TRACKER) = struct
     root : node Block.t;        (* R; never retired *)
   }
 
-  type handle = {
-    tree : t;
-    th : node T.handle;
-    stats : Ds_common.op_stats;
-    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
-    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
-    recover : unit -> unit;
-  }
+  include Lifecycle (T) (struct
+      type nonrec node = node and t = t
+      let name = name and slots_needed = slots_needed
+      let tracker t = t.tracker
+    end)
 
   let create ~threads cfg =
-    Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
-    let tracker = T.create ~threads cfg in
+    let tracker = create_tracker ~threads cfg in
     let h0 = T.register tracker ~tid:0 in
     let leaf k = T.alloc h0 (Leaf { key = k; value = 0 }) in
     let s =
@@ -88,18 +85,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
          })
     in
     { tracker; root = r }
-
-  let make_handle tree th =
-    { tree; th; stats = Ds_common.make_op_stats ();
-      start_op = (fun () -> T.start_op th);
-      end_op = (fun () -> T.end_op th);
-      recover = (fun () -> T.recover th) }
-
-  let register tree ~tid = make_handle tree (T.register tree.tracker ~tid)
-  let attach tree = Option.map (make_handle tree) (T.attach tree.tracker)
-
-  let detach h = T.detach h.th
-  let handle_tid h = T.handle_tid h.th
 
   (* Hazard-slot roles. *)
   let slot_anc = 0
@@ -125,7 +110,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
     match leaf_view with
     | View.Null _ ->
       (* Dead parent (edges nulled after a splice): retry. *)
-      raise Ds_common.Restart
+      raise Restart
     | View.Ptr { target = b; _ } ->
       (match Block.get b with
        | Leaf _ ->
@@ -152,15 +137,15 @@ module Make (T : Tracker_intf.TRACKER) = struct
 
   let seek h key =
     let th = h.th in
-    let root_node = Block.get h.tree.root in
+    let root_node = Block.get h.ds.root in
     let root_edge =
       match root_node with
       | Internal i -> i.left   (* all keys < inf2 route left at R *)
       | Leaf _ -> assert false
     in
     let first_view = T.read th ~slot:slot_cur root_edge in
-    descend th key ~ancestor:h.tree.root ~anc_edge:root_edge
-      ~succ_view:first_view ~parent:h.tree.root ~leaf_edge:root_edge
+    descend th key ~ancestor:h.ds.root ~anc_edge:root_edge
+      ~succ_view:first_view ~parent:h.ds.root ~leaf_edge:root_edge
       ~leaf_view:first_view
 
   (* Cleanup (Algorithm 4): tag the sibling edge, splice the sibling
@@ -171,7 +156,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
     let pnode =
       match Block.get sr.sr_parent with
       | Internal i -> i
-      | Leaf _ -> raise Ds_common.Restart
+      | Leaf _ -> raise Restart
     in
     (* Identify the flagged edge: normally the key's side, but when
        helping a delete of the *other* child it is the other side. *)
@@ -180,23 +165,23 @@ module Make (T : Tracker_intf.TRACKER) = struct
       else (pnode.right, pnode.left)
     in
     let pv = T.read th ~slot:slot_scratch primary in
-    if View.is_null pv then raise Ds_common.Restart;
+    if View.is_null pv then raise Restart;
     let child_edge, cv, sibling_edge =
       if View.tag pv land flag_bit <> 0 then (primary, pv, secondary)
       else begin
         let sv0 = T.read th ~slot:slot_scratch secondary in
-        if View.is_null sv0 then raise Ds_common.Restart
+        if View.is_null sv0 then raise Restart
         else if View.tag sv0 land flag_bit <> 0 then (secondary, sv0, primary)
         else
           (* No flag in sight: the removal we meant to help already
              finished (or never started here) — re-seek. *)
-          raise Ds_common.Restart
+          raise Restart
       end
     in
     (* Freeze the sibling edge (preserving any pending FLAG on it). *)
     let rec tag_sibling () =
       let sv = T.read th ~slot:slot_scratch sibling_edge in
-      if View.is_null sv then raise Ds_common.Restart
+      if View.is_null sv then raise Restart
       else if View.tag sv land tag_bit <> 0 then sv
       else if
         T.cas th sibling_edge ~expected:sv
@@ -205,7 +190,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
       else tag_sibling ()
     in
     let sv = tag_sibling () in
-    if View.is_null sv then raise Ds_common.Restart;
+    if View.is_null sv then raise Restart;
     (* Splice: ancestor's edge moves from the successor to the sibling
        subtree; a pending FLAG on the sibling edge survives the move. *)
     let promoted_tag = View.tag sv land flag_bit in
@@ -213,7 +198,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
        tail: a restart signal between them would leave the dead parent
        with live frozen edges and nothing retired.  No dereference
        happens inside (only pointer cells and physical compares). *)
-    Ds_common.committed (fun () ->
+    committed (fun () ->
       if
         T.cas th sr.sr_anc_edge ~expected:sr.sr_succ_view ~tag:promoted_tag
           (View.target sv)
@@ -247,14 +232,10 @@ module Make (T : Tracker_intf.TRACKER) = struct
       end
       else false)
 
-  let wrap h f =
-    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
-      ~on_neutralize:h.recover f
-
   let leaf_key sr =
     match Block.get sr.sr_leaf with
     | Leaf l -> l.key
-    | Internal _ -> raise Ds_common.Restart
+    | Internal _ -> raise Restart
 
   let insert h ~key ~value =
     if key >= inf1 then invalid_arg "Nm_tree.insert: key too large";
@@ -265,14 +246,14 @@ module Make (T : Tracker_intf.TRACKER) = struct
       else if View.tag sr.sr_leaf_view <> 0 then begin
         (* Edge under deletion: help, then retry. *)
         ignore (cleanup h key sr);
-        raise Ds_common.Restart
+        raise Restart
       end
       else
         (* Mask allocation through the linearizing install CAS (and
            the loser's deallocs): a restart signal inside would leak
            the fresh blocks or re-apply a landed insert.  No
            dereference happens inside ([lk] was read above). *)
-        Ds_common.committed (fun () ->
+        committed (fun () ->
           let new_leaf = T.alloc h.th (Leaf { key; value }) in
           let left, right =
             if key < lk then (new_leaf, sr.sr_leaf)
@@ -282,8 +263,8 @@ module Make (T : Tracker_intf.TRACKER) = struct
             T.alloc h.th
               (Internal {
                  ikey = max key lk;
-                 left = T.make_ptr h.tree.tracker (Some left);
-                 right = T.make_ptr h.tree.tracker (Some right);
+                 left = T.make_ptr h.ds.tracker (Some left);
+                 right = T.make_ptr h.ds.tracker (Some right);
                })
           in
           if T.cas h.th sr.sr_leaf_edge ~expected:sr.sr_leaf_view
@@ -292,7 +273,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
           else begin
             T.dealloc h.th new_internal;
             T.dealloc h.th new_leaf;
-            raise Ds_common.Restart
+            raise Restart
           end))
 
   let remove h ~key =
@@ -309,7 +290,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
              If it is a concurrent delete of the same key, the re-seek
              will no longer find the key and we return false. *)
           ignore (cleanup h key sr);
-          raise Ds_common.Restart
+          raise Restart
         end
         else if
           (* Injection is the delete's linearization point: mask it
@@ -317,7 +298,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
              between the CAS and the assignment would make the retry
              treat our own flag as a foreign delete and answer
              [false] for a removal that happened. *)
-          Ds_common.committed (fun () ->
+          committed (fun () ->
             if
               T.cas h.th sr.sr_leaf_edge ~expected:sr.sr_leaf_view
                 ~tag:flag_bit (Some sr.sr_leaf)
@@ -327,14 +308,14 @@ module Make (T : Tracker_intf.TRACKER) = struct
             end
             else false)
         then begin
-          if cleanup h key sr then true else raise Ds_common.Restart
+          if cleanup h key sr then true else raise Restart
         end
-        else raise Ds_common.Restart
+        else raise Restart
       | Some our_leaf ->
         (* We own the flag; finish the cleanup unless someone did. *)
         if sr.sr_leaf != our_leaf then true
         else if cleanup h key sr then true
-        else raise Ds_common.Restart)
+        else raise Restart)
 
   let get h ~key =
     if key >= inf1 then None
@@ -367,7 +348,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
       let left = k < i.ikey in
       T.reassign th ~src:slot_cur ~dst:slot_parent;
       (match T.read th ~slot:slot_cur (if left then i.left else i.right) with
-       | View.Null _ -> raise Ds_common.Restart (* dead node: retry *)
+       | View.Null _ -> raise Restart (* dead node: retry *)
        | View.Ptr { target = c; _ } ->
          ceiling th root k c (if left then i.ikey else bound))
 
@@ -382,34 +363,23 @@ module Make (T : Tracker_intf.TRACKER) = struct
 
   let range_scan h ~lo ~hi =
     if lo >= inf1 then []
-    else wrap h (fun () -> collect h.th h.tree.root ~hi lo)
-
-  let retired_count h = T.retired_count h.th
-  let force_empty h = T.force_empty h.th
-  let allocator_stats t = Alloc.stats (T.allocator t.tracker)
-  let reclaim_service t = T.reclaim_service t.tracker
-  let epoch_value t = T.epoch_value t.tracker
-  let set_capacity t cap = Alloc.set_capacity (T.allocator t.tracker) cap
-  let eject t ~tid = T.eject t.tracker ~tid
+    else wrap h (fun () -> collect h.th h.ds.root ~hi lo)
 
   (* Sequential-context traversal (quiescent tree). *)
   let fold_leaves t f init =
-    let th = T.register t.tracker ~tid:0 in
-    T.start_op th;
-    let rec go acc b =
-      match Block.get b with
-      | Leaf l -> if l.key < inf1 then f acc l.key l.value else acc
-      | Internal i ->
-        let child acc edge =
-          match T.read th ~slot:slot_cur edge with
-          | View.Null _ -> acc
-          | View.Ptr { target; _ } -> go acc target
-        in
-        child (child acc i.left) i.right
-    in
-    let result = go init t.root in
-    T.end_op th;
-    result
+    sequential t.tracker (fun th ->
+      let rec go acc b =
+        match Block.get b with
+        | Leaf l -> if l.key < inf1 then f acc l.key l.value else acc
+        | Internal i ->
+          let child acc edge =
+            match T.read th ~slot:slot_cur edge with
+            | View.Null _ -> acc
+            | View.Ptr { target; _ } -> go acc target
+          in
+          child (child acc i.left) i.right
+      in
+      go init t.root)
 
   let to_sorted_list t =
     fold_leaves t (fun acc k v -> (k, v) :: acc) []
@@ -424,49 +394,47 @@ module Make (T : Tracker_intf.TRACKER) = struct
      - no duplicate real keys;
      - every real key is actually reachable by routing search. *)
   let check_invariants t =
-    let th = T.register t.tracker ~tid:0 in
-    T.start_op th;
-    let keys = ref [] in
-    let rec go ~lo ~hi b =
-      if Block.is_reclaimed b then
-        failwith "nm-tree invariant: reachable reclaimed block";
-      match Block.get b with
-      | Leaf l ->
-        if not (lo <= l.key && l.key <= hi) then
-          failwith "nm-tree invariant: leaf key out of range";
-        if l.key < inf1 then keys := l.key :: !keys
-      | Internal i ->
-        if not (lo <= i.ikey && i.ikey <= hi) then
-          failwith "nm-tree invariant: internal key out of range";
-        let child edge = match T.read th ~slot:slot_cur edge with
-          | View.Null _ -> failwith "nm-tree invariant: reachable dead edge"
-          | View.Ptr { target; _ } -> target
-        in
-        go ~lo ~hi:i.ikey (child i.left);
-        go ~lo:i.ikey ~hi (child i.right)
-    in
-    go ~lo:min_int ~hi:max_int t.root;
-    let sorted = List.sort compare !keys in
-    let rec dup = function
-      | a :: (b :: _ as rest) -> a = b || dup rest
-      | [_] | [] -> false
-    in
-    if dup sorted then failwith "nm-tree invariant: duplicate key";
-    (* Routing search must find every key the traversal saw. *)
-    let rec search b key =
-      match Block.get b with
-      | Leaf l -> l.key = key
-      | Internal i ->
-        let edge = if key < i.ikey then i.left else i.right in
-        (match T.read th ~slot:slot_cur edge with
-         | View.Null _ -> false
-         | View.Ptr { target = c; _ } -> search c key)
-    in
-    List.iter (fun k ->
-      if not (search t.root k) then
-        failwith "nm-tree invariant: key unreachable by routing search")
-      sorted;
-    T.end_op th
+    sequential t.tracker (fun th ->
+      let keys = ref [] in
+      let rec go ~lo ~hi b =
+        if Block.is_reclaimed b then
+          failwith "nm-tree invariant: reachable reclaimed block";
+        match Block.get b with
+        | Leaf l ->
+          if not (lo <= l.key && l.key <= hi) then
+            failwith "nm-tree invariant: leaf key out of range";
+          if l.key < inf1 then keys := l.key :: !keys
+        | Internal i ->
+          if not (lo <= i.ikey && i.ikey <= hi) then
+            failwith "nm-tree invariant: internal key out of range";
+          let child edge = match T.read th ~slot:slot_cur edge with
+            | View.Null _ -> failwith "nm-tree invariant: reachable dead edge"
+            | View.Ptr { target; _ } -> target
+          in
+          go ~lo ~hi:i.ikey (child i.left);
+          go ~lo:i.ikey ~hi (child i.right)
+      in
+      go ~lo:min_int ~hi:max_int t.root;
+      let sorted = List.sort compare !keys in
+      let rec dup = function
+        | a :: (b :: _ as rest) -> a = b || dup rest
+        | [_] | [] -> false
+      in
+      if dup sorted then failwith "nm-tree invariant: duplicate key";
+      (* Routing search must find every key the traversal saw. *)
+      let rec search b key =
+        match Block.get b with
+        | Leaf l -> l.key = key
+        | Internal i ->
+          let edge = if key < i.ikey then i.left else i.right in
+          (match T.read th ~slot:slot_cur edge with
+           | View.Null _ -> false
+           | View.Ptr { target = c; _ } -> search c key)
+      in
+      List.iter (fun k ->
+        if not (search t.root k) then
+          failwith "nm-tree invariant: key unreachable by routing search")
+        sorted)
 
   let map =
     Some { Ds_intf.insert; remove; get; contains; to_sorted_list }

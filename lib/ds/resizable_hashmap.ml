@@ -23,6 +23,7 @@
    Harris–Michael, identical to {!Harris_list}. *)
 
 open Ibr_core
+open Ds_common
 
 let marked = 1
 
@@ -69,14 +70,11 @@ module Make (T : Tracker_intf.TRACKER) = struct
     max_lg : int;
   }
 
-  type handle = {
-    hm : t;
-    th : data T.handle;
-    stats : Ds_common.op_stats;
-    start_op : unit -> unit;  (* the operation bracket's tracker calls, *)
-    end_op : unit -> unit;    (* built once per handle (DESIGN.md §1a) *)
-    recover : unit -> unit;
-  }
+  include Lifecycle (T) (struct
+      type nonrec node = data and t = t
+      let name = name and slots_needed = slots_needed
+      let tracker t = t.tracker
+    end)
 
   (* Hazard-slot roles.  The table slot is held across the whole
      operation; the other three are the Harris–Michael walk. *)
@@ -93,8 +91,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
     =
     if lg < 1 || lg > max_lg then
       invalid_arg "Resizable_hashmap.create: need 1 <= lg <= max_lg";
-    Ds_common.check_slots ~rideable:name ~slots_needed (module T) cfg;
-    let tracker = T.create ~threads cfg in
+    let tracker = create_tracker ~threads cfg in
     let h0 = T.register tracker ~tid:0 in
     (* Bucket 0's dummy anchors the whole list; every other bucket
        initializes lazily by splitting off its parent. *)
@@ -117,18 +114,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
 
   let create ~threads cfg = create_sized ~threads cfg
 
-  let make_handle hm th =
-    { hm; th; stats = Ds_common.make_op_stats ();
-      start_op = (fun () -> T.start_op th);
-      end_op = (fun () -> T.end_op th);
-      recover = (fun () -> T.recover th) }
-
-  let register hm ~tid = make_handle hm (T.register hm.tracker ~tid)
-  let attach hm = Option.map (make_handle hm) (T.attach hm.tracker)
-
-  let detach h = T.detach h.th
-  let handle_tid h = T.handle_tid h.th
-
   let node_of b =
     match Block.get b with
     | Node n -> n
@@ -139,7 +124,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
      is >= the target; unlink marked nodes on the way. *)
   let find th start so_key =
     let rec walk prev curv =
-      if View.tag curv = marked then raise Ds_common.Restart;
+      if View.tag curv = marked then raise Restart;
       match curv with
       | View.Null _ -> (prev, curv, None)
       | View.Ptr { target = bcur; _ } ->
@@ -150,14 +135,14 @@ module Make (T : Tracker_intf.TRACKER) = struct
              unlink-winner owes the retire (masked as one unit, no
              dereference inside). *)
           if
-            Ds_common.committed (fun () ->
+            committed (fun () ->
               if T.cas th prev ~expected:curv (View.target nextv) then begin
                 T.retire th bcur;
                 true
               end
               else false)
           then walk prev (T.read th ~slot:slot_cur prev)
-          else raise Ds_common.Restart
+          else raise Restart
         end
         else if n.so_key >= so_key then (prev, curv, Some (bcur, n, nextv))
         else begin
@@ -178,11 +163,11 @@ module Make (T : Tracker_intf.TRACKER) = struct
       | Some (b, n, _) when n.so_key = so -> b
       | Some _ | None ->
         (match
-           Ds_common.committed (fun () ->
+           committed (fun () ->
              let b =
                T.alloc h.th
                  (Node { so_key = so; key = idx; value = 0;
-                         next = T.make_ptr h.hm.tracker (View.target curv) })
+                         next = T.make_ptr h.ds.tracker (View.target curv) })
              in
              if T.cas h.th prev ~expected:curv (Some b) then Some b
              else begin
@@ -222,17 +207,13 @@ module Make (T : Tracker_intf.TRACKER) = struct
   (* Protect the current table for the whole operation and hand its
      payload to [f]. *)
   let with_table h f =
-    let tv = T.read h.th ~slot:slot_table h.hm.table in
+    let tv = T.read h.th ~slot:slot_table h.ds.table in
     match tv with
     | View.Null _ -> assert false      (* the table pointer is never null *)
     | View.Ptr { target = tb; _ } ->
       (match Block.get tb with
        | Node _ -> assert false
        | Table tr -> f tv tb tr)
-
-  let wrap h f =
-    Ds_common.with_op ~stats:h.stats ~start_op:h.start_op ~end_op:h.end_op
-      ~on_neutralize:h.recover f
 
   let so_regular key = rev31 key lor 1
 
@@ -252,22 +233,22 @@ module Make (T : Tracker_intf.TRACKER) = struct
      won (its table is at least as big). *)
   let grow h =
     with_table h (fun tv tb tr ->
-      if tr.lg >= h.hm.max_lg then false
+      if tr.lg >= h.ds.max_lg then false
       else begin
         let size = 1 lsl tr.lg in
         (* Mask allocation through the linearizing swing and the
            winner's bulk retire: a restart inside would leak the new
            table or re-publish it; no dereference happens inside
            ([tr] was loaded under the table slot's protection). *)
-        Ds_common.committed (fun () ->
+        committed (fun () ->
           let buckets' =
             Array.init (2 * size) (fun i ->
               if i < size then tr.buckets.(i)
-              else T.make_ptr h.hm.tracker None)
+              else T.make_ptr h.ds.tracker None)
           in
           let ntb = T.alloc h.th (Table { lg = tr.lg + 1; buckets = buckets' })
           in
-          if T.cas h.th h.hm.table ~expected:tv (Some ntb) then begin
+          if T.cas h.th h.ds.table ~expected:tv (Some ntb) then begin
             T.retire h.th tb;
             true
           end
@@ -279,8 +260,8 @@ module Make (T : Tracker_intf.TRACKER) = struct
 
   let maybe_grow h (tr : trec) =
     if
-      tr.lg < h.hm.max_lg
-      && Atomic.get h.hm.count > load_factor * (1 lsl tr.lg)
+      tr.lg < h.ds.max_lg
+      && Atomic.get h.ds.count > load_factor * (1 lsl tr.lg)
     then ignore (grow h)
 
   let insert h ~key ~value =
@@ -296,12 +277,12 @@ module Make (T : Tracker_intf.TRACKER) = struct
             | Some (_, n, _) when n.so_key = so -> false
             | Some _ | None ->
               (match
-                 Ds_common.committed (fun () ->
+                 committed (fun () ->
                    let b =
                      T.alloc h.th
                        (Node { so_key = so; key; value;
                                next =
-                                 T.make_ptr h.hm.tracker
+                                 T.make_ptr h.ds.tracker
                                    (View.target curv) })
                    in
                    if T.cas h.th prev ~expected:curv (Some b) then Some true
@@ -315,7 +296,7 @@ module Make (T : Tracker_intf.TRACKER) = struct
           in
           let r = attempt () in
           if r then begin
-            Atomic.incr h.hm.count;
+            Atomic.incr h.ds.count;
             maybe_grow h tr
           end;
           r))
@@ -334,19 +315,19 @@ module Make (T : Tracker_intf.TRACKER) = struct
           let r =
             (* Mask the linearizing mark CAS with the unlink+retire
                tail, exactly as the Harris list does. *)
-            Ds_common.committed (fun () ->
+            committed (fun () ->
               if
                 not
                   (T.cas h.th n.next ~expected:nextv ~tag:marked
                      (View.target nextv))
-              then raise Ds_common.Restart
+              then raise Restart
               else begin
                 (if T.cas h.th prev ~expected:curv (View.target nextv)
                  then T.retire h.th bcur);
                 true
               end)
           in
-          if r then Atomic.decr h.hm.count;
+          if r then Atomic.decr h.ds.count;
           r
         | Some _ | None -> false))
 
@@ -365,108 +346,91 @@ module Make (T : Tracker_intf.TRACKER) = struct
 
   let migrate h = wrap h (fun () -> grow h)
 
-  let retired_count h = T.retired_count h.th
-  let force_empty h = T.force_empty h.th
-  let allocator_stats t = Alloc.stats (T.allocator t.tracker)
-  let reclaim_service t = T.reclaim_service t.tracker
-  let epoch_value t = T.epoch_value t.tracker
-  let set_capacity t cap = Alloc.set_capacity (T.allocator t.tracker) cap
-  let eject t ~tid = T.eject t.tracker ~tid
-
   let table_length t =
-    let th = T.register t.tracker ~tid:0 in
-    T.start_op th;
-    let r =
+    sequential t.tracker (fun th ->
       match T.read th ~slot:slot_table t.table with
       | View.Null _ -> 0
       | View.Ptr { target = tb; _ } ->
         (match Block.get tb with
          | Table tr -> Array.length tr.buckets
-         | Node _ -> assert false)
-    in
-    T.end_op th;
-    r
+         | Node _ -> assert false))
 
   (* Sequential-context walk of the whole split-ordered list from
      bucket 0's dummy, collecting regular (odd so_key, unmarked)
      nodes; split order is not key order, so sort. *)
   let to_sorted_list t =
-    let th = T.register t.tracker ~tid:0 in
-    T.start_op th;
-    let rec walk acc v =
-      match v with
-      | View.Null _ -> acc
-      | View.Ptr { target = b; _ } ->
-        (match Block.get b with
-         | Table _ -> assert false
-         | Node n ->
-           let nextv = T.read th ~slot:slot_next n.next in
-           let acc =
-             if n.so_key land 1 = 1 && View.tag nextv <> marked then
-               (n.key, n.value) :: acc
-             else acc
-           in
-           walk acc nextv)
-    in
-    let start =
-      match T.read th ~slot:slot_table t.table with
-      | View.Null _ -> assert false
-      | View.Ptr { target = tb; _ } ->
-        (match Block.get tb with
-         | Table tr -> tr.buckets.(0)
-         | Node _ -> assert false)
-    in
-    let r = walk [] (T.read th ~slot:slot_cur start) in
-    T.end_op th;
-    List.sort (fun (a, _) (b, _) -> compare a b) r
+    sequential t.tracker (fun th ->
+      let rec walk acc v =
+        match v with
+        | View.Null _ -> acc
+        | View.Ptr { target = b; _ } ->
+          (match Block.get b with
+           | Table _ -> assert false
+           | Node n ->
+             let nextv = T.read th ~slot:slot_next n.next in
+             let acc =
+               if n.so_key land 1 = 1 && View.tag nextv <> marked then
+                 (n.key, n.value) :: acc
+               else acc
+             in
+             walk acc nextv)
+      in
+      let start =
+        match T.read th ~slot:slot_table t.table with
+        | View.Null _ -> assert false
+        | View.Ptr { target = tb; _ } ->
+          (match Block.get tb with
+           | Table tr -> tr.buckets.(0)
+           | Node _ -> assert false)
+      in
+      walk [] (T.read th ~slot:slot_cur start))
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
 
   (* Invariants at quiescence: strictly increasing so_keys (so no
      duplicates), no reachable reclaimed block, every initialized
      bucket cell points at the dummy with that bucket's split-order
      position, and the live count matches the regular population. *)
   let check_invariants t =
-    let th = T.register t.tracker ~tid:0 in
-    T.start_op th;
-    let tr =
-      match T.read th ~slot:slot_table t.table with
-      | View.Null _ -> failwith "rhashmap invariant: null table"
-      | View.Ptr { target = tb; _ } ->
-        if Block.is_reclaimed tb then
-          failwith "rhashmap invariant: reclaimed table";
-        (match Block.get tb with
-         | Table tr -> tr
-         | Node _ -> failwith "rhashmap invariant: table points at a node")
-    in
-    let regular = ref 0 in
-    let rec walk last v =
-      match v with
-      | View.Null _ -> ()
-      | View.Ptr { target = b; _ } ->
-        if Block.is_reclaimed b then
-          failwith "rhashmap invariant: reachable reclaimed block";
-        (match Block.get b with
-         | Table _ -> failwith "rhashmap invariant: table linked in list"
-         | Node n ->
-           if n.so_key <= last then
-             failwith "rhashmap invariant: so_keys not strictly increasing";
-           let nextv = T.read th ~slot:slot_next n.next in
-           if n.so_key land 1 = 1 && View.tag nextv <> marked then
-             incr regular;
-           walk n.so_key nextv)
-    in
-    walk (-1) (T.read th ~slot:slot_cur tr.buckets.(0));
-    Array.iteri
-      (fun idx cell ->
-         match T.read th ~slot:slot_prev cell with
-         | View.Null _ -> ()
-         | View.Ptr { target = b; _ } ->
-           (match Block.get b with
-            | Table _ -> failwith "rhashmap invariant: bucket -> table"
-            | Node n ->
-              if n.so_key <> rev31 idx then
-                failwith "rhashmap invariant: bucket dummy mismatch"))
-      tr.buckets;
-    T.end_op th
+    sequential t.tracker (fun th ->
+      let tr =
+        match T.read th ~slot:slot_table t.table with
+        | View.Null _ -> failwith "rhashmap invariant: null table"
+        | View.Ptr { target = tb; _ } ->
+          if Block.is_reclaimed tb then
+            failwith "rhashmap invariant: reclaimed table";
+          (match Block.get tb with
+           | Table tr -> tr
+           | Node _ -> failwith "rhashmap invariant: table points at a node")
+      in
+      let regular = ref 0 in
+      let rec walk last v =
+        match v with
+        | View.Null _ -> ()
+        | View.Ptr { target = b; _ } ->
+          if Block.is_reclaimed b then
+            failwith "rhashmap invariant: reachable reclaimed block";
+          (match Block.get b with
+           | Table _ -> failwith "rhashmap invariant: table linked in list"
+           | Node n ->
+             if n.so_key <= last then
+               failwith "rhashmap invariant: so_keys not strictly increasing";
+             let nextv = T.read th ~slot:slot_next n.next in
+             if n.so_key land 1 = 1 && View.tag nextv <> marked then
+               incr regular;
+             walk n.so_key nextv)
+      in
+      walk (-1) (T.read th ~slot:slot_cur tr.buckets.(0));
+      Array.iteri
+        (fun idx cell ->
+           match T.read th ~slot:slot_prev cell with
+           | View.Null _ -> ()
+           | View.Ptr { target = b; _ } ->
+             (match Block.get b with
+              | Table _ -> failwith "rhashmap invariant: bucket -> table"
+              | Node n ->
+                if n.so_key <> rev31 idx then
+                  failwith "rhashmap invariant: bucket dummy mismatch"))
+        tr.buckets)
 
   let map =
     Some { Ds_intf.insert; remove; get; contains; to_sorted_list }

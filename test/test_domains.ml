@@ -53,6 +53,16 @@ let cases =
       Registry.tag_ibr_wcas; Registry.two_ge_ibr ]
     [ "list"; "hashmap"; "nmtree"; "bonsai" ]
 
+(* The queue rideables under mix D (enqueue/dequeue churn) and the
+   resizable hashmap under mix F (inserts racing forced table growth),
+   under one scheme of each reservation style. *)
+let churn_cases =
+  let styles = [ Registry.ebr; Registry.hp; Registry.two_ge_ibr ] in
+  compatible_cases ~mix:Ibr_harness.Workload.profile_d ~prefix:"domains"
+    styles [ "stack"; "msqueue" ]
+  @ compatible_cases ~mix:Ibr_harness.Workload.profile_f ~prefix:"domains"
+      styles [ "rhashmap" ]
+
 (* Range scans on real domains (mix E: 90% scans racing 5% inserts and
    5% removes), under every scheme whose protected reads retry: the
    pointer schemes and the interval family.  The scans hold one
@@ -129,4 +139,5 @@ let suite =
   Alcotest.test_case "sharded allocator stats exact after join" `Quick
     test_alloc_shards_exact
   :: cases
+  @ churn_cases
   @ scan_cases

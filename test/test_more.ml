@@ -110,28 +110,72 @@ let test_hashmap_negative_like_keys () =
 (* A scheme with per-pointer reservations gets [cfg.slots] slots per
    thread; a structure that protects more pointers at once must be
    refused at creation, not fail mid-operation with an out-of-bounds
-   slot index. *)
+   slot index.  Every rideable the registry pairs with HP or HE is
+   refused one slot short of its [slots_needed] and runs each of its
+   operations at exactly [slots_needed]. *)
+let slot_budget_pairs =
+  List.concat_map
+    (fun (m : Ibr_ds.Ds_registry.maker) ->
+       List.filter_map
+         (fun (e : Registry.entry) ->
+            if Ibr_ds.Ds_registry.compatible m e.tracker then Some (m, e)
+            else None)
+         [ Registry.hp; Registry.he ])
+    Ibr_ds.Ds_registry.all
+
 let test_slot_budget_refused () =
-  let module NM = Ibr_ds.Nm_tree.Make (Hp) in
-  Alcotest.check_raises "HP nmtree with 2 slots"
-    (Invalid_argument
-       "natarajan-mittal-tree under HP needs 4 reservation slots per \
-        thread, but the config has slots = 2")
-    (fun () -> ignore (NM.create ~threads:1 { hm_cfg with slots = 2 }))
+  List.iter
+    (fun ((m : Ibr_ds.Ds_registry.maker), (e : Registry.entry)) ->
+       let (module S : Ibr_ds.Ds_intf.RIDEABLE) = m.instantiate e.tracker in
+       let slots = S.slots_needed - 1 in
+       Alcotest.check_raises
+         (Printf.sprintf "%s/%s with %d slots" m.ds_name e.name slots)
+         (Invalid_argument
+            (Printf.sprintf
+               "%s under %s needs %d reservation slots per thread, but the \
+                config has slots = %d"
+               S.name e.name S.slots_needed slots))
+         (fun () -> ignore (S.create ~threads:1 { hm_cfg with slots })))
+    slot_budget_pairs
 
 let test_slot_budget_exact () =
-  let module L = Ibr_ds.Harris_list.Make (He) in
-  let ops = Option.get L.map in
-  let t = L.create ~threads:1 { hm_cfg with slots = 3 } in
-  let h = L.register t ~tid:0 in
-  for k = 0 to 63 do ignore (ops.insert h ~key:k ~value:k) done;
-  for k = 0 to 63 do
-    if k mod 2 = 0 then ignore (ops.remove h ~key:k)
-  done;
-  for k = 0 to 63 do
-    Alcotest.(check bool) "membership" (k mod 2 = 1) (ops.contains h ~key:k)
-  done;
-  L.check_invariants t
+  List.iter
+    (fun ((m : Ibr_ds.Ds_registry.maker), (e : Registry.entry)) ->
+       let (module S : Ibr_ds.Ds_intf.RIDEABLE) = m.instantiate e.tracker in
+       let what = Printf.sprintf "%s/%s" m.ds_name e.name in
+       let t = S.create ~threads:1 { hm_cfg with slots = S.slots_needed } in
+       let h = S.register t ~tid:0 in
+       Option.iter
+         (fun (ops : _ Ibr_ds.Ds_intf.map_ops) ->
+            for k = 0 to 63 do ignore (ops.insert h ~key:k ~value:k) done;
+            for k = 0 to 63 do
+              if k mod 2 = 0 then ignore (ops.remove h ~key:k)
+            done;
+            for k = 0 to 63 do
+              Alcotest.(check bool) (what ^ " membership") (k mod 2 = 1)
+                (ops.contains h ~key:k)
+            done)
+         S.map;
+       Option.iter
+         (fun (r : _ Ibr_ds.Ds_intf.range_ops) ->
+            Alcotest.(check int) (what ^ " scan") 32
+              (List.length (r.range h ~lo:0 ~hi:63)))
+         S.range;
+       Option.iter
+         (fun (b : _ Ibr_ds.Ds_intf.bulk_ops) ->
+            Alcotest.(check bool) (what ^ " migrate") true (b.migrate h))
+         S.bulk;
+       Option.iter
+         (fun (q : _ Ibr_ds.Ds_intf.queue_ops) ->
+            for v = 0 to 63 do q.enqueue h v done;
+            let first = if q.order = Ibr_ds.Ds_intf.Fifo then 0 else 63 in
+            Alcotest.(check (option int)) (what ^ " peek") (Some first)
+              (q.peek h);
+            Alcotest.(check (option int)) (what ^ " dequeue") (Some first)
+              (q.dequeue h))
+         S.queue;
+       S.check_invariants t)
+    slot_budget_pairs
 
 let test_slots_validated () =
   Alcotest.check_raises "slots = 0"
@@ -196,35 +240,38 @@ let test_bonsai_speculation_reclaimed () =
 
 (* --- the op wrapper ------------------------------------------------- *)
 
+(* Counted through the callbacks: every call of [f] after the first is
+   a restart, every [start_op] after the first a reservation refresh. *)
 let test_with_op_restart_accounting () =
-  let stats = Ibr_ds.Ds_common.make_op_stats () in
   let starts = ref 0 and ends = ref 0 in
-  let tries = ref 0 in
+  let tries = ref 0 and completed = ref 0 in
   let bound = Ibr_ds.Ds_common.max_cas_failures in
   let restarts = (2 * bound) + 1 in
   let result =
-    Ibr_ds.Ds_common.with_op ~stats
+    Ibr_ds.Ds_common.with_op
       ~start_op:(fun () -> incr starts)
       ~end_op:(fun () -> incr ends)
       ~on_neutralize:(fun () -> ())
       (fun () ->
          incr tries;
          if !tries <= restarts then raise Ibr_ds.Ds_common.Restart
-         else "done")
+         else begin
+           incr completed;
+           "done"
+         end)
   in
   Alcotest.(check string) "result" "done" result;
-  Alcotest.(check int) "restarts" restarts stats.restarts;
+  Alcotest.(check int) "restarts" restarts (!tries - 1);
   (* 2 * bound + 1 failures: refreshes after the bound-th and the
      (2 * bound)-th. *)
-  Alcotest.(check int) "reservation refreshes" 2 stats.reservation_refreshes;
+  Alcotest.(check int) "reservation refreshes" 2 (!starts - 1);
   Alcotest.(check int) "balanced start/end" !starts !ends;
-  Alcotest.(check int) "ops counted" 1 stats.ops
+  Alcotest.(check int) "ops counted" 1 !completed
 
 let test_with_op_exception_safe () =
-  let stats = Ibr_ds.Ds_common.make_op_stats () in
   let ends = ref 0 in
   (try
-     Ibr_ds.Ds_common.with_op ~stats
+     Ibr_ds.Ds_common.with_op
        ~start_op:(fun () -> ())
        ~end_op:(fun () -> incr ends)
        ~on_neutralize:(fun () -> ())

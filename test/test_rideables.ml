@@ -11,9 +11,13 @@
       single scanner's successive scans are sorted, bounded, and
       monotonically non-decreasing (the set only grows, so each
       linearized scan must contain its predecessor).
-   4. Capability matrix: every registry maker's advertised caps equal
-      the instantiated module's, and every workload profile has at
-      least one rideable supporting it. *)
+   4. Capability matrix: every registry maker has a compatible
+      tracker, its caps (derived over No MM) equal the module's under
+      every compatible tracker, and every workload profile has at
+      least one rideable supporting it.
+   5. The lifecycle every rideable shares ([Ds_common.Lifecycle]):
+      attach up to capacity, refusal beyond it, slot reuse after a
+      detach, one operation per handle, detach all. *)
 
 open Ibr_core
 open Ibr_runtime
@@ -288,25 +292,31 @@ let test_range_monotone (maker : Ds_registry.maker)
 
 (* --- 4. capability matrix ----------------------------------------- *)
 
+(* The registry derives each maker's caps once, from the module
+   instantiated over No MM; the module under any scheme it pairs with
+   must export the same caps. *)
 let test_caps_consistent () =
   List.iter
     (fun (maker : Ds_registry.maker) ->
        match
-         List.find_opt
+         List.filter
            (fun (e : Registry.entry) ->
              Ds_registry.compatible maker e.tracker)
            Registry.all
        with
-       | None ->
-         Alcotest.failf "%s: no compatible tracker at all" maker.ds_name
-       | Some e ->
-         let s = maker.instantiate e.tracker in
-         let derived = Ds_intf.caps_of s in
-         if derived <> maker.caps then
-           Alcotest.failf "%s: registry advertises %s, module exports %s"
-             maker.ds_name
-             (Ds_intf.caps_to_string maker.caps)
-             (Ds_intf.caps_to_string derived))
+       | [] -> Alcotest.failf "%s: no compatible tracker at all" maker.ds_name
+       | es ->
+         List.iter
+           (fun (e : Registry.entry) ->
+              let derived = Ds_intf.caps_of (maker.instantiate e.tracker) in
+              if derived <> maker.caps then
+                Alcotest.failf "%s: registry advertises %s, module over %s \
+                                exports %s"
+                  maker.ds_name
+                  (Ds_intf.caps_to_string maker.caps)
+                  e.name
+                  (Ds_intf.caps_to_string derived))
+           es)
     Ds_registry.all
 
 let test_profiles_runnable () =
@@ -320,6 +330,45 @@ let test_profiles_runnable () =
            (Ds_intf.caps_to_string need)
        | _ -> ())
     Ibr_harness.Workload.profiles
+
+(* --- 5. the shared lifecycle ----------------------------------------- *)
+
+(* Four census slots: [attach] claims the lowest free one and refuses
+   a fifth; a detached slot is the next one claimed.  Each handle then
+   runs one operation through the capability record, and after every
+   handle detaches the structure holds one entry per handle. *)
+let test_lifecycle (maker : Ds_registry.maker) (e : Registry.entry) () =
+  let (module S : Ds_intf.RIDEABLE) = maker.instantiate e.tracker in
+  let threads = 4 in
+  let t = S.create ~threads (cfg ~threads ()) in
+  let attach () =
+    match S.attach t with
+    | Some h -> h
+    | None -> Alcotest.fail "attach refused below capacity"
+  in
+  let hs = Array.init threads (fun _ -> attach ()) in
+  Alcotest.(check (list int)) "lowest free slot first" [ 0; 1; 2; 3 ]
+    (Array.to_list (Array.map S.handle_tid hs));
+  Alcotest.(check bool) "attach refused at capacity" true
+    (Option.is_none (S.attach t));
+  S.detach hs.(2);
+  hs.(2) <- attach ();
+  Alcotest.(check int) "the freed slot is reused" 2 (S.handle_tid hs.(2));
+  let tids = [ 0; 1; 2; 3 ] in
+  (match S.map, S.queue with
+   | Some m, _ ->
+     Array.iteri (fun i h -> ignore (m.insert h ~key:i ~value:i)) hs;
+     Array.iter S.detach hs;
+     S.check_invariants t;
+     Alcotest.(check (list (pair int int))) "one entry per handle"
+       (List.map (fun i -> (i, i)) tids) (m.to_sorted_list t)
+   | None, Some q ->
+     Array.iteri (fun i h -> q.enqueue h i) hs;
+     Array.iter S.detach hs;
+     S.check_invariants t;
+     Alcotest.(check (list int)) "one element per handle" tids
+       (List.sort compare (q.to_seq_list t))
+   | None, None -> Alcotest.fail "neither map nor queue")
 
 let queue_entries =
   List.filter
@@ -379,6 +428,19 @@ let suite =
          (fun (m : Ds_registry.maker) ->
            m.caps.Ds_intf.range && m.caps.Ds_intf.map)
          Ds_registry.all)
+  @ List.concat_map
+      (fun (maker : Ds_registry.maker) ->
+         List.filter_map
+           (fun (e : Registry.entry) ->
+              if Ds_registry.compatible maker e.tracker then
+                Some
+                  (Alcotest.test_case
+                     (Printf.sprintf "%s/%s: attach, detach, re-attach"
+                        maker.ds_name e.name)
+                     `Quick (test_lifecycle maker e))
+              else None)
+           [ entry "EBR"; entry "HE"; entry "2GEIBR" ])
+      Ds_registry.all
   @ [
       Alcotest.test_case "registry caps = module caps" `Quick
         test_caps_consistent;
