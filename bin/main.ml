@@ -11,10 +11,9 @@ module Campaign = Ibr_harness.Campaign
 
 (* The tracker-config flags, applied alike to closed-loop runs and
    --service.  [threads] scales --epoch-freq as the paper's n * k. *)
-let tweak ~threads ~retire ~empty_freq ~epoch_freq ~background_reclaim
+let tweak ~threads ~empty_freq ~epoch_freq ~background_reclaim
     (cfg : Ibr_core.Tracker_intf.config) =
   { cfg with
-    retire_backend = Cli.parse_retire_backend retire;
     empty_freq = Option.value empty_freq ~default:cfg.empty_freq;
     epoch_freq =
       (match epoch_freq with Some k -> k * threads | None -> cfg.epoch_freq);
@@ -52,11 +51,9 @@ let append_csv ~header ~row = function
 
 let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
     ~key_range ~background_reclaim ~output ~verbose =
-  let { Cli.rideable; tracker; threads; interval; mix; retire; faults } =
-    base in
+  let { Cli.rideable; tracker; threads; interval; mix; faults } = base in
   let spec = spec_of ~mix ~key_range rideable in
-  let tweak =
-    tweak ~threads ~retire ~empty_freq ~epoch_freq ~background_reclaim in
+  let tweak = tweak ~threads ~empty_freq ~epoch_freq ~background_reclaim in
   (* -i is microseconds on domains: 1 virtual cycle ~ 1 us, so the same
      -i reaches a comparable run length on either backend.  Fault
      profiles the backend cannot honor raise [Unsupported]. *)
@@ -243,11 +240,7 @@ let list_menu () =
     (fun (e : Ibr_core.Registry.entry) ->
        let p = Ibr_core.Registry.props e in
        Fmt.pr "  %-12s %s@." e.name p.summary)
-    Ibr_core.Registry.all;
-  Fmt.pr "retire backends:@.";
-  List.iter
-    (fun b -> Fmt.pr "  %s@." (Ibr_core.Reclaimer.backend_name b))
-    Ibr_core.Reclaimer.all_backends
+    Ibr_core.Registry.all
 
 (* ---- cmdliner wiring ---- *)
 
@@ -274,11 +267,6 @@ let mix =
   Arg.(value & opt string "write"
        & info [ "m"; "mix" ] ~docv:"MIX"
            ~doc:"Workload mix: write (50/50 ins/rm), read (90% gets),                  or a YCSB-like profile A-F (A update-heavy, B                  read-mostly, C read-only, D queue churn, E scan-heavy,                  F migration; see --menu for capability needs).")
-
-let retire =
-  Arg.(value & opt string "list"
-       & info [ "b"; "retire-backend" ] ~docv:"B"
-           ~doc:"Retirement backend: list (flat oracle), buckets                  (epoch-bucketed limbo lists), or gated (buckets plus                  sweep gating).")
 
 let faults =
   Arg.(value & opt string "none"
@@ -362,7 +350,7 @@ let service =
                  keys, worker fibers joining and leaving the tracker \
                  census, SLO pass/fail verdicts (exit status 1 on \
                  FAIL).  -t sets the census capacity, -i the horizon; \
-                 -m, -b, --empty-freq, --epoch-freq and \
+                 -m, --empty-freq, --epoch-freq and \
                  --background-reclaim apply as in closed-loop runs, \
                  and -f and --meta are refused.")
 
@@ -435,8 +423,8 @@ let cmd =
   let doc = "run one IBR microbenchmark configuration" in
   let term =
     Term.(
-      const (fun menu_flag rideable tracker threads interval mix retire
-              faults cores seed backend empty_freq epoch_freq key_range
+      const (fun menu_flag rideable tracker threads interval mix faults
+              cores seed backend empty_freq epoch_freq key_range
               background_reclaim output verbose metas trace hist check
               check_bound check_budget check_out check_replay service
               service_fleet service_period service_arrival service_zipf
@@ -473,7 +461,7 @@ let cmd =
                 run_service ~rideable ~tracker ~threads ~interval ~mix
                   ~cores ~seed ~backend
                   ~tweak:
-                    (tweak ~threads ~retire ~empty_freq ~epoch_freq
+                    (tweak ~threads ~empty_freq ~epoch_freq
                        ~background_reclaim)
                   ~fleet:service_fleet ~period:service_period
                   ~arrival:service_arrival ~zipf:service_zipf
@@ -492,7 +480,7 @@ let cmd =
                        ~verbose)
                   (Cli.expand_metas metas
                      { Cli.rideable; tracker; threads; interval; mix;
-                       retire; faults });
+                       faults });
                 if hist then Fmt.pr "%t" Ibr_obs.Trace_export.report_hist;
                 (match trace with
                  | None -> ()
@@ -510,8 +498,8 @@ let cmd =
             | Ibr_harness.Runner_intf.Unsupported _ as e ->
               Fmt.epr "error: %s@." (Printexc.to_string e);
               Stdlib.exit 1)
-      $ menu $ rideable $ tracker $ threads $ interval $ mix $ retire
-      $ faults $ cores $ seed $ backend $ empty_freq $ epoch_freq $ key_range
+      $ menu $ rideable $ tracker $ threads $ interval $ mix $ faults
+      $ cores $ seed $ backend $ empty_freq $ epoch_freq $ key_range
       $ background_reclaim $ output $ verbose $ metas $ trace $ hist $ check
       $ check_bound $ check_budget $ check_out $ check_replay $ service
       $ service_fleet $ service_period $ service_arrival $ service_zipf

@@ -33,24 +33,22 @@ let deref v =
 (* reuse = false gives precise use-after-free detection; epoch_freq =
    1 makes the single allocation advance the epoch (opening the
    interval-coverage race); empty_freq large defers all reclamation to
-   the explicit [force_empty].  The backend variants instead set
-   empty_freq = 1 so the retire itself sweeps — that is the only way
-   to drive the bucketed stores and the gate through their
-   mid-operation paths ([force_empty] bypasses the gate). *)
-let cfg ?(retire_backend = Reclaimer.List) ?(empty_freq = 1_000_000) threads =
+   the explicit [force_empty].  The "@buckets" variant instead sets
+   empty_freq = 1 so the retire itself sweeps, which walks the bucket
+   store through its cadence path (prepare, then sweep) inside the
+   explored schedules. *)
+let cfg ?(empty_freq = 1_000_000) threads =
   { (Tracker_intf.default_config ~threads ()) with
-    reuse = false; epoch_freq = 1; empty_freq; retire_backend }
+    reuse = false; epoch_freq = 1; empty_freq }
 
-let backend_suffix = function
-  | None -> ""
-  | Some b -> "@" ^ Reclaimer.backend_name b
-
-let reader_writer ?retire_backend ?empty_freq (entry : Registry.entry) =
+let reader_writer ?empty_freq (entry : Registry.entry) =
   let module T = (val entry.tracker : Tracker_intf.TRACKER) in
   Scenario.v
-    ~name:("reader_writer/" ^ entry.name ^ backend_suffix retire_backend)
+    ~name:
+      ("reader_writer/" ^ entry.name
+       ^ if Option.is_some empty_freq then "@buckets" else "")
     ~threads:2 (fun () ->
-    let t = T.create ~threads:2 (cfg ?retire_backend ?empty_freq 2) in
+    let t = T.create ~threads:2 (cfg ?empty_freq 2) in
     let h0 = T.register t ~tid:0 and h1 = T.register t ~tid:1 in
     let ptr = T.make_ptr t None in
     let reader _ =
@@ -496,13 +494,12 @@ type case = {
    scenario does not contain — the suite demonstrates witness
    specificity, not just witness existence.
 
-   The backend re-certification runs every sound tracker under the
-   Buckets and Gated retirement backends with empty_freq = 1, so the
-   retire-cadence sweep (bucket splitting, gate arming and skipping)
-   happens inside the explored schedules.  Bound 2 keeps the larger
-   step count (a sweep per retire) tractable while still admitting the
-   known witness shapes; [Unsafe_free] rides along Faulty to show the
-   fault detector sees through the new stores too.
+   The "@buckets" re-certification runs every sound tracker with
+   empty_freq = 1, so the retire-cadence sweep (bucket splitting and
+   wholesale frees) happens inside the explored schedules.  Bound 2
+   keeps the larger step count (a sweep per retire) tractable while
+   still admitting the known witness shapes; [Unsafe_free] rides along
+   Faulty to show the fault detector sees through the store too.
 
    [handoff_drain] re-certifies every sound tracker with the retire
    path rerouted through the background-reclaim handoff queue, the
@@ -512,9 +509,8 @@ type case = {
    same for a thread's final sweep against the service's. *)
 let cases () =
   let rw e expect bound = { scenario = reader_writer e; expect; bound } in
-  let rwb backend e expect bound =
-    { scenario = reader_writer ~retire_backend:backend ~empty_freq:1 e;
-      expect; bound }
+  let rwb e expect bound =
+    { scenario = reader_writer ~empty_freq:1 e; expect; bound }
   in
   let ar e expect bound = { scenario = advance_race e; expect; bound } in
   let cm e expect bound = { scenario = crash_mid_op e; expect; bound } in
@@ -537,11 +533,8 @@ let cases () =
   @ [ dd Registry.unsafe_free Faulty 2 ]
   @ List.map (fun e -> tc e Safe 2) Registry.all
   @ [ tc Registry.unsafe_free Faulty 2; tc Registry.ebr_noflush Faulty 2 ]
-  @ List.concat_map
-      (fun backend ->
-         List.map (fun e -> rwb backend e Safe 2) Registry.all
-         @ [ rwb backend Registry.unsafe_free Faulty 3 ])
-      [ Reclaimer.Buckets; Reclaimer.Gated ]
+  @ List.map (fun e -> rwb e Safe 2) Registry.all
+  @ [ rwb Registry.unsafe_free Faulty 3 ]
   (* queue_dequeue_churn mutates interior pointers (the next cells),
      which is outside POIBR's immutable-interior contract — the same
      reason the ds registry refuses the MS queue under POIBR — so it

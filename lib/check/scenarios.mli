@@ -1,16 +1,14 @@
 (** The checked scenario suite: reclamation-race choreographies
     instantiable for any registered tracker. *)
 
-val reader_writer :
-  ?retire_backend:Ibr_core.Reclaimer.backend -> ?empty_freq:int ->
-  Ibr_core.Registry.entry -> Scenario.t
+val reader_writer : ?empty_freq:int -> Ibr_core.Registry.entry -> Scenario.t
 (** Two threads: a reader holding a guarded root read against a writer
     that publishes, detaches, retires and reclaims the block.  The
     Fig. 6 shape — [Two_ge_ibr.Unfenced]'s use-after-free window lives
-    here (3 preemptions).  [retire_backend] (default [List]) selects
-    the retirement backend and suffixes the scenario name "@backend";
-    [empty_freq] (default effectively-never) sets the retire-cadence
-    sweep period — pass 1 to sweep inside the explored schedules. *)
+    here (3 preemptions).  [empty_freq] (default effectively-never)
+    sets the retire-cadence sweep period — pass 1 to sweep inside the
+    explored schedules; a given period suffixes the scenario name
+    "@buckets". *)
 
 val crash_mid_op : Ibr_core.Registry.entry -> Scenario.t
 (** Two threads: a reader that crashes mid-operation
@@ -102,8 +100,8 @@ type case = {
 val cases : unit -> case list
 (** The full suite: [reader_writer] and [crash_mid_op] for every
     correct tracker (Safe) and for the oracles, the reader_writer
-    shape re-certified under the Buckets and Gated retirement backends
-    with per-retire sweeps, [handoff_drain] and [detach_drain] for
+    shape re-certified with per-retire sweeps of the bucket store
+    ("@buckets"), [handoff_drain] and [detach_drain] for
     every tracker with [Unsafe_free] riding along Faulty,
     [thread_churn] for every tracker with [Unsafe_free] and
     [Ebr.Noflush] riding along Faulty, [advance_race] for the

@@ -13,11 +13,10 @@
      publication and clearing are kept: the reservation slot still
      goes quiescent ([max_int]) at every [end_op], exactly like EBR.
 
-   - Limbo bags: retired blocks go into epoch-bucketed limbo lists
-     (the [Buckets] reclaimer backend) rather than a flat list — a
-     bag whose epoch precedes every announcement frees as a unit.
-     A caller-chosen [Gated] backend is respected; only the default
-     flat [List] is remapped.
+   - Limbo bags: retired blocks go into epoch-bucketed limbo lists —
+     a bag whose epoch precedes every announcement frees as a unit.
+     That store ([Reclaimer]) is every scheme's, so DEBRA states only
+     its announcement.
 
    DEBRA alone is not robust — a stalled thread still pins everything
    retired after its announcement.  The neutralization that makes it
@@ -74,12 +73,6 @@ module Policy (R : RECOVERY) = struct
     { announce_left = 0; cached = -1; cell = t.res.(tid) }
   let source = Ebr.Policy.source
   let clear = Ebr.Policy.clear
-
-  (* Limbo bags are the scheme: remap the default flat list to the
-     epoch-bucketed backend (an explicit [Gated] choice stands). *)
-  let retire_backend = function
-    | Reclaimer.List -> Reclaimer.Buckets
-    | (Reclaimer.Buckets | Reclaimer.Gated) as b -> b
 
   (* The amortized announcement: a fresh shared-epoch read only every
      [announce_freq] operations; in between, re-publish the cached

@@ -38,7 +38,7 @@ module Policy = struct
   let create_state t ~tid = t.res.(tid)
 
   (* A single-threshold conflict: reclaim every block retired before
-     the oldest reservation (O(1) per block under any backend). *)
+     the oldest reservation (whole buckets at a time). *)
   let source t () =
     let reservations = Tracker_common.snapshot_reservations t.res in
     let max_safe = Array.fold_left min max_int reservations in

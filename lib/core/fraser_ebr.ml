@@ -65,9 +65,8 @@ module Policy = struct
     let e = Epoch.read t.epoch in
     Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1))
 
-  (* The advance attempt runs before every sweep, even one the Gated
-     backend skips — otherwise a closed gate would freeze the epoch
-     it is waiting on. *)
+  (* The advance attempt runs before every cadence and pressure
+     sweep. *)
   let prepare = try_advance
 
   (* The caller is between operations: help the epoch forward two

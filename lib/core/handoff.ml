@@ -124,23 +124,23 @@ let with_lock t f =
 let drain t = with_lock t (fun () -> drain_locked t)
 
 (* Synchronous fallback under allocator backpressure: drain whatever
-   is queued and run a pressure sweep on the spot, unless the service
-   is already mid-drain (then its sweep is the rescue and the caller's
-   backoff ladder yields to it). *)
+   is queued and sweep on the spot, unless the service is already
+   mid-drain (then its sweep is the rescue and the caller's backoff
+   ladder yields to it). *)
 let pressure t =
   Atomic.incr Stats.syncs;
   if Prim.cas t.lock false true then
     Fun.protect ~finally:(fun () -> unlock t)
       (fun () ->
          ignore (drain_locked t);
-         Reclaimer.pressure t.rc)
+         Reclaimer.sweep t.rc)
 
 (* Shutdown: move everything queued into the reclaimer and sweep.
    The drain loop tolerates a straggling producer's push. *)
 let flush t =
   with_lock t (fun () ->
     while drain_locked t > 0 do () done;
-    Reclaimer.pressure t.rc)
+    Reclaimer.sweep t.rc)
 
 (* Post-run flush: the machine is single-threaded again (every fiber
    unwound or crashed), so a lock abandoned by a crash mid-drain can
@@ -192,5 +192,5 @@ let path_count = function
   | Queued h -> queued h + Reclaimer.count h.rc
 
 let path_pressure = function
-  | Direct rc -> Reclaimer.pressure rc
+  | Direct rc -> Reclaimer.sweep rc
   | Queued h -> pressure h

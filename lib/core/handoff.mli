@@ -22,12 +22,12 @@ val drain : 'a t -> int
 
 val pressure : 'a t -> unit
 (** Synchronous fallback for {!Alloc.set_pressure_hook}: drain and run
-    a pressure sweep now, unless a drain is already in progress (then
+    a sweep now, unless a drain is already in progress (then
     the caller's backoff ladder yields to it). *)
 
 val flush : 'a t -> unit
 (** Shutdown: drain until every segment is empty, then run a final
-    pressure sweep.  Blocks still conflicting stay in the store. *)
+    sweep.  Blocks still conflicting stay in the store. *)
 
 val shutdown_flush : 'a t -> unit
 (** {!flush}, seizing the drain lock first.  Only sound once the

@@ -49,9 +49,8 @@ module Policy = struct
 
   (* Michael's scan: snapshot all hazard slots into an id set, then
      sweep the local retired store against membership.  An opaque
-     predicate — blocks carry no retire epochs here, so the bucketed
-     backends degenerate to per-block tests (and, with the epoch
-     peek pinned at 0, Gated never gates).  The id table is reused
+     predicate — blocks carry no retire epochs here, so the bucket
+     store degenerates to per-block tests.  The id table is reused
      across sweeps so a scan does not allocate (and regrow) a fresh
      one; cleared, not reset, to keep its buckets.  One per
      reclaimer: the background service sweeps with its own. *)

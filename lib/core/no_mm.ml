@@ -38,9 +38,7 @@ let create ~threads (cfg : Tracker_intf.config) =
 
 (* empty_freq:0 — the reclaimer only stores; nothing ever sweeps. *)
 let make_rc t ~tid =
-  Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-    ~empty_freq:0
-    ~current_epoch:(fun () -> 0)
+  Reclaimer.create ~empty_freq:0
     ~source:(fun () -> Reclaimer.Predicate (fun _ -> true))
     ~free:(fun b -> Alloc.free t.alloc ~tid b)
     ()

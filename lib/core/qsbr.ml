@@ -76,10 +76,8 @@ module Policy (A : ADVANCE) = struct
     let e = Epoch.read t.epoch in
     Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1))
 
-  (* The advance attempt runs before every sweep, even one the Gated
-     backend skips: QSBR's epoch only moves through it, so a gate
-     that suppressed it would wait on an epoch that can no longer
-     advance. *)
+  (* The advance attempt runs before every cadence and pressure sweep:
+     QSBR's epoch only moves through it. *)
   let prepare = try_advance
 
   (* A parked slot reads [max_int] ("always quiescent"), which must

@@ -1,6 +1,6 @@
-(* Pieces shared by all trackers: the per-thread retired list and its
-   sweep, the reservation-table snapshots used by [empty], and the
-   sweep telemetry the harness reports.
+(* Pieces shared by all trackers: the reservation-table snapshots used
+   by [empty], the structured conflict test, and the sweep telemetry
+   the harness reports.
 
    The sweep path is the hot loop of every scheme's [empty]: one
    conflict test per retired block.  A naive test re-scans the whole
@@ -23,7 +23,6 @@ module Sweep_stats = struct
     freed : int;            (* blocks handed to free *)
     snapshot_entries : int; (* reservation cells read building snapshots *)
     snapshot_cycles : int;  (* modelled cycles spent building snapshots *)
-    skipped : int;          (* sweep attempts skipped by the Gated backend *)
     buckets : int;          (* limbo buckets occupied, summed at sweep time *)
   }
 
@@ -32,7 +31,6 @@ module Sweep_stats = struct
   let freed = Atomic.make 0
   let snapshot_entries = Atomic.make 0
   let snapshot_cycles = Atomic.make 0
-  let skipped = Atomic.make 0
   let buckets = Atomic.make 0
 
   let note_sweep ~examined:e ~freed:f =
@@ -44,8 +42,6 @@ module Sweep_stats = struct
     ignore (Atomic.fetch_and_add snapshot_entries entries);
     ignore (Atomic.fetch_and_add snapshot_cycles cycles)
 
-  let note_skip () = Atomic.incr skipped
-
   let note_buckets n = ignore (Atomic.fetch_and_add buckets n)
 
   let snap () = {
@@ -54,7 +50,6 @@ module Sweep_stats = struct
     freed = Atomic.get freed;
     snapshot_entries = Atomic.get snapshot_entries;
     snapshot_cycles = Atomic.get snapshot_cycles;
-    skipped = Atomic.get skipped;
     buckets = Atomic.get buckets;
   }
 
@@ -64,7 +59,6 @@ module Sweep_stats = struct
     freed = b.freed - a.freed;
     snapshot_entries = b.snapshot_entries - a.snapshot_entries;
     snapshot_cycles = b.snapshot_cycles - a.snapshot_cycles;
-    skipped = b.skipped - a.skipped;
     buckets = b.buckets - a.buckets;
   }
 
@@ -74,7 +68,6 @@ module Sweep_stats = struct
     Atomic.set freed 0;
     Atomic.set snapshot_entries 0;
     Atomic.set snapshot_cycles 0;
-    Atomic.set skipped 0;
     Atomic.set buckets 0
 
   (* Read-backed registry counters over the same atomics; runs report
@@ -88,59 +81,7 @@ module Sweep_stats = struct
     reg "sweep_freed" 420 freed;
     reg "sweep_snapshot_entries" 430 snapshot_entries;
     reg "sweep_snapshot_cycles" 440 snapshot_cycles;
-    reg "sweeps_skipped" 450 skipped;
     reg "sweep_buckets" 460 buckets
-end
-
-module Retired = struct
-  (* Thread-local list of retired-but-unreclaimed blocks.  Only its
-     owning thread touches it, so no atomics are needed; the count is
-     sampled by the harness from the same simulated thread. *)
-  type 'a t = {
-    mutable blocks : 'a Block.t list;
-    mutable count : int;
-    mutable total_retired : int;
-    mutable total_reclaimed : int;
-  }
-
-  let create () =
-    { blocks = []; count = 0; total_retired = 0; total_reclaimed = 0 }
-
-  let add t b =
-    t.blocks <- b :: t.blocks;
-    t.count <- t.count + 1;
-    t.total_retired <- t.total_retired + 1
-
-  let count t = t.count
-
-  (* Keep blocks satisfying [conflict]; hand the rest to [free].
-     Charges one local step per examined block (list walk).  The
-     store is committed before any free runs: the examination steps
-     are preemption points, so an abort (horizon stop, crash) inside
-     the walk must leave every block still stored, and one inside the
-     free loop may leak condemned blocks but can never leave a freed
-     block where a later sweep would double-free it. *)
-  let sweep t ~conflict ~free =
-    let examined = t.count in
-    let kept = ref [] and doomed = ref [] and n = ref 0 in
-    List.iter (fun b ->
-      Prim.local 1;
-      if conflict b then begin kept := b :: !kept; incr n end
-      else doomed := b :: !doomed)
-      t.blocks;
-    t.blocks <- !kept;
-    t.count <- !n;
-    Sweep_stats.note_sweep ~examined ~freed:(examined - !n);
-    List.iter
-      (fun b ->
-         t.total_reclaimed <- t.total_reclaimed + 1;
-         free b)
-      (List.rev !doomed)
-
-  (* Plain iterator over the still-retired blocks, in most-recently-
-     retired-first order.  Purely observational (diagnostics and
-     leak accounting); it does not free or drop anything. *)
-  let iter t f = List.iter f t.blocks
 end
 
 (* Snapshot an [int Atomic.t array] reservation table, charging the
@@ -299,10 +240,15 @@ module Interval_res = struct
     let cell _ = Ibr_runtime.Padded.copy (Atomic.make max_int) in
     { lower = Array.init threads cell; upper = Array.init threads cell }
 
-  (* start_op: lower = upper = current epoch (Fig. 5 line 43). *)
+  (* start_op: lower = upper = current epoch (Fig. 5 line 43).  Upper
+     first: a sweep reads a [max_int] lower as an empty slot, so a
+     thread that dies between the two writes leaves nothing reserved.
+     Lower first would leave [e, max_int], which pins every block
+     retired after [e] for the rest of the run.  The thread
+     dereferences nothing before both writes land. *)
   let start t ~tid e =
-    Prim.write t.lower.(tid) e;
-    Prim.write t.upper.(tid) e
+    Prim.write t.upper.(tid) e;
+    Prim.write t.lower.(tid) e
 
   let clear t ~tid =
     Prim.write t.lower.(tid) max_int;
@@ -341,8 +287,10 @@ module Interval_res = struct
       let hi = Atomic.get t.upper.(i) in
       if lo <> max_int then begin
         los.(!k) <- lo;
-        (* Mid-[start] slots show a fresh lower with a cleared upper;
-           widen rather than invert the interval. *)
+        (* A mid-[start] slot still reads as empty: [start] writes
+           the lower endpoint last.  The upper is read after the lower
+           and epochs only grow, so it is never below it; the guard
+           only keeps a torn pair from inverting the interval. *)
         his.(!k) <- (if hi < lo then lo else hi);
         incr k
       end

@@ -1,6 +1,6 @@
-(** Pieces shared by all trackers: the flat retired list and its
-    sweep, reservation-table snapshots, the structured conflict test,
-    and the global sweep telemetry the harness reports.
+(** Pieces shared by all trackers: reservation-table snapshots, the
+    structured conflict test, and the global sweep telemetry the
+    harness reports.
 
     The sweep path is the hot loop of every scheme's reclamation: one
     conflict test per retired block.  {!Sweep_snapshot} sorts and
@@ -19,45 +19,16 @@ module Sweep_stats : sig
     freed : int;            (** blocks handed to free *)
     snapshot_entries : int; (** reservation cells read for snapshots *)
     snapshot_cycles : int;  (** modelled cycles building snapshots *)
-    skipped : int;          (** sweep attempts skipped by Gated *)
     buckets : int;          (** limbo buckets occupied, at sweep time *)
   }
 
   val note_sweep : examined:int -> freed:int -> unit
   val note_snapshot : entries:int -> cycles:int -> unit
-  val note_skip : unit -> unit
   val note_buckets : int -> unit
 
   val snap : unit -> snap
   val diff : snap -> snap -> snap
   val reset : unit -> unit
-end
-
-(** Thread-local list of retired-but-unreclaimed blocks (the flat
-    [List] store of {!Reclaimer}).  Only its owning thread touches it,
-    so no atomics; the count is sampled from the same simulated
-    thread. *)
-module Retired : sig
-  type 'a t = {
-    mutable blocks : 'a Block.t list;
-    mutable count : int;
-    mutable total_retired : int;
-    mutable total_reclaimed : int;
-  }
-
-  val create : unit -> 'a t
-  val add : 'a t -> 'a Block.t -> unit
-  val count : 'a t -> int
-
-  val sweep :
-    'a t -> conflict:('a Block.t -> bool) -> free:('a Block.t -> unit) ->
-    unit
-  (** Keep blocks satisfying [conflict]; hand the rest to [free].
-      Charges one local step per examined block and records the sweep
-      in {!Sweep_stats}. *)
-
-  val iter : 'a t -> ('a Block.t -> unit) -> unit
-  (** Observational iterator, most-recently-retired first. *)
 end
 
 val snapshot_reservations : int Atomic.t array -> int array

@@ -21,11 +21,6 @@ type config = {
   (* Hazard slots per thread for pointer-based schemes (HP, HE). *)
   reuse : bool;
   (* Allocator reuse (benchmark mode) vs. precise-UAF mode (tests). *)
-  retire_backend : Reclaimer.backend;
-  (* How each handle stores and sweeps its retired blocks: the flat
-     [List] (the differential oracle), epoch-bucketed limbo lists
-     ([Buckets]), or buckets plus sweep gating ([Gated]).  See
-     [Reclaimer]. *)
   background_reclaim : bool;
   (* Route retirements through per-thread handoff queues drained by a
      dedicated reclaimer thread (DEBRA-style decoupling) instead of
@@ -41,7 +36,6 @@ let default_config ?(threads = 1) () = {
   empty_freq = 30;
   slots = 8;
   reuse = true;
-  retire_backend = Reclaimer.List;
   background_reclaim = false;
 }
 

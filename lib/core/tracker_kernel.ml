@@ -48,7 +48,7 @@ type ('a, 'r, 's) handle = {
    lines 15–17 / Fig. 5 lines 31–33) and say whether stamping a birth
    epoch is a charged shared read.  [Quiescence] schemes (QSBR,
    Fraser) advance it from their [prepare] hook instead.  HP has no
-   epoch: its blocks carry no lifetimes and its sweeps never gate. *)
+   epoch: its blocks carry no lifetimes. *)
 type birth_read = Uncharged | Charged
 
 type epoch_use =
@@ -92,10 +92,9 @@ module type POLICY = sig
   (** Hooks where schemes really differ; {!Default_hooks} makes each a
       no-op. *)
 
-  val retire_backend : Reclaimer.backend -> Reclaimer.backend
   val prepare : 'a kt -> unit
   (** Before every cadence and pressure sweep (QSBR/Fraser advance
-      their epoch here, so a closed gate cannot freeze it). *)
+      their epoch here). *)
 
   val before_force : 'a kh -> unit
   (** Before [force_empty]'s sweep; the caller is between operations. *)
@@ -120,7 +119,6 @@ module type POLICY = sig
 end
 
 module Default_hooks = struct
-  let retire_backend b = b
   let prepare _ = ()
   let before_force _ = ()
   let on_attach _ ~tid:_ = ()
@@ -158,11 +156,8 @@ module Make (P : POLICY) = struct
      state, so the same constructor serves per-slot reclaimers and the
      background service's. *)
   let make_reclaimer t ~tid =
-    Reclaimer.create
-      ~backend:(P.retire_backend t.cfg.Tracker_intf.retire_backend)
-      ~empty_freq:t.cfg.Tracker_intf.empty_freq
+    Reclaimer.create ~empty_freq:t.cfg.Tracker_intf.empty_freq
       ~prepare:(fun () -> P.prepare t)
-      ~current_epoch:(fun () -> epoch_value t)
       ~source:(P.source t)
       ~free:(fun b -> Alloc.free t.alloc ~tid b)
       ()

@@ -258,50 +258,59 @@ module Make (T : Tracker_intf.TRACKER) = struct
           end)
       end)
 
-  let maybe_grow h (tr : trec) =
-    if
-      tr.lg < h.ds.max_lg
-      && Atomic.get h.ds.count > load_factor * (1 lsl tr.lg)
-    then ignore (grow h)
+  (* What an insert attempt reports: the key was present, the linking
+     CAS lost a race, the node landed, or it landed and pushed the load
+     factor past the bound of the table the insert saw. *)
+  let present = 0
+  let lost_race = 1
+  let landed = 2
+  let landed_grow = 3
 
+  let migrate h = wrap h (fun () -> grow h)
+
+  (* The linking CAS and the count bump are one committed section.
+     The growth the bump may call for runs as an operation of its own
+     after the insert's bracket: a neutralization inside it repeats
+     only the growth, never the insert, which has already landed. *)
   let insert h ~key ~value =
     check_key "insert" key;
-    let inserted =
+    let r =
       wrap h (fun () ->
         with_table h (fun _ _ tr ->
           let cell = bucket_cell h tr key in
           let so = so_regular key in
+          let bound =
+            if tr.lg < h.ds.max_lg then load_factor * (1 lsl tr.lg)
+            else max_int
+          in
           let rec attempt () =
             let prev, curv, found = find h.th cell so in
             match found with
-            | Some (_, n, _) when n.so_key = so -> false
+            | Some (_, n, _) when n.so_key = so -> present
             | Some _ | None ->
-              (match
-                 committed (fun () ->
-                   let b =
-                     T.alloc h.th
-                       (Node { so_key = so; key; value;
-                               next =
-                                 T.make_ptr h.ds.tracker
-                                   (View.target curv) })
-                   in
-                   if T.cas h.th prev ~expected:curv (Some b) then Some true
-                   else begin
-                     T.dealloc h.th b;
-                     None
-                   end)
-               with
-               | Some r -> r
-               | None -> attempt ())
+              let r =
+                committed (fun () ->
+                  let b =
+                    T.alloc h.th
+                      (Node { so_key = so; key; value;
+                              next =
+                                T.make_ptr h.ds.tracker (View.target curv) })
+                  in
+                  if T.cas h.th prev ~expected:curv (Some b) then
+                    if Atomic.fetch_and_add h.ds.count 1 >= bound then
+                      landed_grow
+                    else landed
+                  else begin
+                    T.dealloc h.th b;
+                    lost_race
+                  end)
+              in
+              if r = lost_race then attempt () else r
           in
-          let r = attempt () in
-          if r then begin
-            Atomic.incr h.ds.count;
-            maybe_grow h tr
-          end;
-          r))
+          attempt ()))
     in
-    inserted
+    if r = landed_grow then ignore (migrate h);
+    r <> present
 
   let remove h ~key =
     check_key "remove" key;
@@ -343,8 +352,6 @@ module Make (T : Tracker_intf.TRACKER) = struct
         | Some _ | None -> None))
 
   let contains h ~key = get h ~key <> None
-
-  let migrate h = wrap h (fun () -> grow h)
 
   let table_length t =
     sequential t.tracker (fun th ->

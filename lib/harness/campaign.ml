@@ -309,41 +309,6 @@ let profiles () =
     claims = [];
     files = [ ("profiles.csv", rows_csv ~tagged:true rows) ] }
 
-(* The same seeded workload under every retirement backend; rows are
-   labelled "TRACKER/backend". *)
-let retire () =
-  let rows =
-    List.concat_map
-      (fun tracker ->
-         List.concat_map
-           (fun threads ->
-              List.filter_map
-                (fun b ->
-                   run
-                     (point ~seed:(0xf1e + threads) ~threads ~horizon:150_000
-                        ~label:(tracker ^ "/" ^ Reclaimer.backend_name b)
-                        ~tweak:(fun c -> { c with retire_backend = b })
-                        tracker "hashmap"))
-                Reclaimer.all_backends)
-           [ 16; 32; 48 ])
-      [ "EBR"; "QSBR"; "2GEIBR"; "TagIBR" ]
-  in
-  { text =
-      section "ablation:retire (backends on hashmap)"
-        (table
-           [ ("tracker/backend", -16, fun (r : Stats.t) -> r.tracker);
-             ("machine", -7, fun r -> r.backend);
-             ("thr", -4, fun r -> Int.to_string r.threads);
-             ("ops/Mcyc", 10, fun r -> Printf.sprintf "%.2f" r.throughput);
-             ("sweeps", 8, metric "sweeps");
-             ("examined", 10, metric "sweep_examined");
-             ("freed", 8, metric "sweep_freed");
-             ("skipped", 8, metric "sweeps_skipped");
-             ("buckets", 8, metric "sweep_buckets") ]
-           rows);
-    claims = [];
-    files = [ ("retire.csv", rows_csv ~tagged:true rows) ] }
-
 (* ---- robustness (DESIGN.md §7) ---- *)
 
 let robust_points
@@ -705,7 +670,7 @@ let all =
     c "fig8c" (fun () -> panel "nmtree" "c");
     c "fig8d" (fun () -> panel "bonsai" "d");
     c "fig10" fig10; c "k-sweep" k_sweep; c "fence" fence; c "tagibr" tagibr;
-    c "profiles" profiles; c "retire" retire; c "robust" robust;
+    c "profiles" profiles; c "robust" robust;
     c "robust-domains" robust_domains; c "service" service;
     c "service-heal" service_heal; c "bench6" bench6 ]
 

@@ -1,5 +1,5 @@
 (* Command-line vocabulary for bin/main.exe's workload axes (rideable,
-   tracker, threads, interval, mix, retire backend, fault profile):
+   tracker, threads, interval, mix, fault profile):
    the string -> value parsers and the parharness-style [--meta]
    Cartesian expansion.  The meta key table is the single source of
    truth: the per-key setters, the documentation string, and the
@@ -11,7 +11,6 @@ type base = {
   threads : int;
   interval : int;
   mix : string;
-  retire : string;
   faults : string;
 }
 
@@ -27,16 +26,6 @@ let parse_mix s =
          (Printf.sprintf "unknown mix %S (write|read|%s)" s
             (String.concat "|"
                (List.map Workload.mix_name Workload.profiles))))
-
-let parse_retire_backend s =
-  match Ibr_core.Reclaimer.backend_of_string s with
-  | Some b -> b
-  | None ->
-    failwith
-      (Printf.sprintf "unknown retire backend %S (%s)" s
-         (String.concat "|"
-            (List.map Ibr_core.Reclaimer.backend_name
-               Ibr_core.Reclaimer.all_backends)))
 
 let parse_faults s =
   match Runner_intf.faults_of_string s with
@@ -61,7 +50,6 @@ let meta_keys :
     ("t", "threads", fun c v -> { c with threads = int_of_meta "t" v });
     ("i", "interval", fun c v -> { c with interval = int_of_meta "i" v });
     ("m", "mix", fun c v -> { c with mix = v });
-    ("b", "retire backend", fun c v -> { c with retire = v });
     ("f", "fault profile", fun c v -> { c with faults = v });
   ]
 

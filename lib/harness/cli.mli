@@ -11,7 +11,6 @@ type base = {
   threads : int;
   interval : int;
   mix : string;
-  retire : string;
   faults : string;
 }
 
@@ -19,10 +18,6 @@ val parse_mix : string -> Workload.mix
 (** Accepts the legacy aliases [write]/[read], the full legacy names,
     and the YCSB-like profile letters [A]–[F] (case-insensitive).
     Raises [Failure] naming the valid mixes on unknown input. *)
-
-val parse_retire_backend : string -> Ibr_core.Reclaimer.backend
-(** Raises [Failure] listing the registered backends on unknown
-    input. *)
 
 val parse_faults : string -> Runner_intf.faults
 (** Raises [Failure] listing the fault profiles on unknown input. *)

@@ -62,7 +62,8 @@ let sim_exec ~sched ~horizon : Runner_intf.exec =
     backend = "sim";
     caps = sim_caps;
     spawn = (fun body -> ignore (Sched.spawn sched (fun tid -> body ~tid)));
-    spawn_aux = (fun body -> ignore (Sched.spawn sched (fun _ -> body ())));
+    spawn_aux =
+      (fun body -> ignore (Sched.spawn_service sched (fun _ -> body ())));
     launch = (fun () -> Sched.run ~horizon sched);
     now = Hooks.now;
     wait = Hooks.step;

@@ -187,8 +187,9 @@ type exec = {
   (* Register a worker; tids are assigned in spawn order from 0.
      Bodies run at [launch]. *)
   spawn_aux : (unit -> unit) -> unit;
-  (* Register a service thread (reclaimer, watchdog): a fiber on the
-     sim, a domain joined after the workers on domains. *)
+  (* Register a service thread (reclaimer, watchdog): a fiber exempt
+     from injected stalls on the sim, a domain joined after the
+     workers on domains. *)
   launch : unit -> unit;
   (* Run everything registered to completion/horizon and join. *)
   now : unit -> int;

@@ -114,6 +114,7 @@ type thread = {
   mutable quanta : int;     (* quanta received (observability) *)
   mutable neutralized : bool; (* restart signal pending delivery *)
   mutable restart_ok : bool;  (* restart window open (Hooks.restart_window) *)
+  service : bool;           (* exempt from injected stalls *)
 }
 
 type t = {
@@ -146,15 +147,18 @@ let set_decider t d =
   if t.ran then invalid_arg "Sched.set_decider: scheduler already ran";
   t.decider <- Some d
 
-let spawn t body =
+let spawn_fiber ~service t body =
   if t.ran then invalid_arg "Sched.spawn: scheduler already ran";
   let tid = t.n_threads in
   t.threads <- { tid; fiber = Not_started body; ready_at = 0; vtime = 0;
                  acc = 0; stalled = false; crashed = false; quanta = 0;
-                 neutralized = false; restart_ok = false }
+                 neutralized = false; restart_ok = false; service }
                :: t.threads;
   t.n_threads <- tid + 1;
   tid
+
+let spawn t body = spawn_fiber ~service:false t body
+let spawn_service t body = spawn_fiber ~service:true t body
 
 let thread_array t =
   let arr = Array.of_list t.threads in
@@ -382,11 +386,14 @@ let run ?(horizon = max_int) t =
           if t.makespan < finish then t.makespan <- finish;
           (* Involuntary stall injection: only meaningful when threads
              outnumber cores (below that, the paper's methodology pins
-             each thread to a dedicated hardware context). *)
+             each thread to a dedicated hardware context).  Every fiber
+             draws, so the PRNG stream does not depend on which fibers
+             are service fibers; only workers take the stall. *)
           if
             t.n_threads > t.cfg.cores
             && t.cfg.stall_prob > 0.0
             && Rng.chance t.rng t.cfg.stall_prob
+            && not th.service
           then th.ready_at <- th.ready_at + t.cfg.stall_len;
           (* Crash injection: the thread dies wherever the quantum left
              it — almost always mid-operation, reservations posted.

@@ -79,6 +79,13 @@ val spawn : t -> (int -> unit) -> int
     scheduler dispatches it.  Returns the thread id.  Must be called
     before {!run}. *)
 
+val spawn_service : t -> (int -> unit) -> int
+(** {!spawn} for a service fiber (the watchdog, the background
+    reclaimer).  It still draws its stall chance from the PRNG, so the
+    stream stays the one a worker would draw, but an injected stall
+    is never applied to it: a stall outlasts most runs, and a stalled
+    watchdog or reclaimer would stop serving the workers for good. *)
+
 val run : ?horizon:int -> t -> unit
 (** Dispatch until every thread finishes or [horizon] (virtual
     wall-clock time) is reached; past the horizon remaining fibers are

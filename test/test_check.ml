@@ -43,6 +43,64 @@ let expectation_cases =
          `Quick (run_case c))
     (Scenarios.cases ())
 
+(* ---- two buckets per sweep: the "@gated" cases ---- *)
+
+(* [Scenarios.reader_writer] with a writer that publishes, unlinks and
+   retires two blocks in one operation, sweeping at each retire
+   (empty_freq = 1).  epoch_freq = 1 makes each allocation open a
+   fresh epoch, so the store holds two buckets and a sweep can fall
+   with its conflict bound between them — one bucket freed wholesale,
+   the other kept — while the reader's guarded read races both
+   blocks.  The single-retire "@buckets" cases only ever sweep one
+   bucket.  The suffix is the name these cases had when they
+   re-certified the deleted gated store, whose schedules equalled the
+   "@buckets" ones. *)
+let reader_writer_gated (entry : Ibr_core.Registry.entry) =
+  let open Ibr_core in
+  let module T = (val entry.tracker : Tracker_intf.TRACKER) in
+  Scenario.v ~name:("reader_writer/" ^ entry.name ^ "@gated") ~threads:2
+    (fun () ->
+      let t =
+        T.create ~threads:2
+          { (Tracker_intf.default_config ~threads:2 ()) with
+            reuse = false; epoch_freq = 1; empty_freq = 1 }
+      in
+      let h0 = T.register t ~tid:0 and h1 = T.register t ~tid:1 in
+      let ptr = T.make_ptr t None in
+      let reader _ =
+        T.start_op h0;
+        (match T.read_root h0 ptr with
+         | View.Ptr { target = b; _ } -> ignore (Block.get b)
+         | View.Null _ -> ());
+        T.end_op h0
+      in
+      let round v =
+        let b = T.alloc h1 v in
+        T.write h1 ptr (Some b);
+        T.write h1 ptr None;
+        T.retire h1 b
+      in
+      let writer _ =
+        T.start_op h1;
+        round 1;
+        round 2;
+        T.end_op h1;
+        T.force_empty h1
+      in
+      { Scenario.bodies = [| reader; writer |]; finish = (fun () -> None) })
+
+let gated_cases =
+  List.map
+    (fun (e, expect, bound) ->
+       let c =
+         { Scenarios.scenario = reader_writer_gated e; expect; bound }
+       in
+       Alcotest.test_case
+         (Printf.sprintf "explore %s" c.scenario.Scenario.name)
+         `Quick (run_case c))
+    (List.map (fun e -> (e, Scenarios.Safe, 2)) Ibr_core.Registry.all
+     @ [ (Ibr_core.Registry.unsafe_free, Scenarios.Faulty, 3) ])
+
 (* ---- the two paper-bug witnesses: found, minimal, replayable ---- *)
 
 let witness_pipeline name ~insufficient_bound ~needed_preemptions () =
@@ -240,6 +298,7 @@ let test_shrink_padded_witness () =
 
 let suite =
   expectation_cases
+  @ gated_cases
   @ [
       Alcotest.test_case "2GEIBR-unfenced witness pipeline" `Quick
         (witness_pipeline "reader_writer/2GEIBR-unfenced"

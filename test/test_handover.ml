@@ -7,9 +7,9 @@
 
 open Ibr_core
 
-let cfg ?(retire_backend = Reclaimer.List) ~threads () =
+let cfg ~threads () =
   { (Tracker_intf.default_config ~threads ()) with
-    reuse = false; epoch_freq = 1; empty_freq = 1_000_000; retire_backend }
+    reuse = false; epoch_freq = 1; empty_freq = 1_000_000 }
 
 (* Hand-over-hand traversal shape: protect a in slot 0, protect its
    successor b in slot 1, then move b's protection down to slot 0 and
@@ -92,8 +92,8 @@ let print_script ops =
          | Unreserve s -> Printf.sprintf "u%d" s)
        ops)
 
-let run_script (module T : Tracker_intf.TRACKER) ~retire_backend ops =
-  let t = T.create ~threads:2 (cfg ~retire_backend ~threads:2 ()) in
+let run_script (module T : Tracker_intf.TRACKER) ops =
+  let t = T.create ~threads:2 (cfg ~threads:2 ()) in
   let h0 = T.register t ~tid:0 and h1 = T.register t ~tid:1 in
   let b = T.alloc h0 1 in
   let root = T.make_ptr t (Some b) in
@@ -130,11 +130,7 @@ let qcheck_handover (module T : Tracker_intf.TRACKER) =
       (Printf.sprintf "%s: reassign/unreserve matches slot model" T.name)
     ~count:300
     (QCheck.make ~print:print_script script_gen)
-    (fun ops ->
-       List.for_all
-         (fun retire_backend ->
-            run_script (module T) ~retire_backend ops)
-         Reclaimer.all_backends)
+    (run_script (module T))
 
 let suite =
   [

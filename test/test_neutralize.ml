@@ -419,6 +419,63 @@ let test_service_neutralize_smoke () =
   Alcotest.(check string) "service CSV row deterministic"
     (Service.to_csv_row r) (Service.to_csv_row r')
 
+(* ---- the resizable hashmap's insert under a restart ---- *)
+
+(* A restart signal raised by the insert's own linking CAS lands at the
+   first open guard-path poll after it.  That poll belongs to the
+   load-factor growth the insert triggers, which must repeat on its
+   own: restarting the insert would find its own key and report the
+   insert of an absent key as [false].  One native domain, with a
+   rail handler like the domains backend's. *)
+let test_rhashmap_insert_survives_growth_restart () =
+  let armed = ref false and rail = Atomic.make false in
+  let module Railed = struct
+    include Ebr
+
+    let cas h p ~expected ?tag b =
+      let ok = Ebr.cas h p ~expected ?tag b in
+      if ok && !armed then begin
+        armed := false;
+        Atomic.set rail true
+      end;
+      ok
+  end in
+  let module RH = Ibr_ds.Resizable_hashmap.Make (Railed) in
+  let win = ref false and delivered = ref 0 in
+  let handler =
+    { Hooks.default with
+      restart_window =
+        (fun open_ ->
+          let prev = !win in
+          win := open_;
+          prev);
+      poll_neutralize =
+        (fun () ->
+          if !win && Atomic.get rail then begin
+            Atomic.set rail false;
+            incr delivered;
+            raise Hooks.Neutralized
+          end) }
+  in
+  Hooks.with_handler handler (fun () ->
+    let t =
+      RH.create_sized ~lg:1 ~threads:1
+        (Tracker_intf.default_config ~threads:1 ())
+    in
+    let m = Option.get RH.map and bulk = Option.get RH.bulk in
+    let h = RH.register t ~tid:0 in
+    for key = 0 to 7 do
+      ignore (m.insert h ~key ~value:key)
+    done;
+    Alcotest.(check int) "eight keys fit two buckets" 2 (bulk.table_length t);
+    armed := true;
+    Alcotest.(check bool) "the absent key 8 is inserted" true
+      (m.insert h ~key:8 ~value:8);
+    Alcotest.(check int) "one restart delivered" 1 !delivered;
+    Alcotest.(check (option int)) "key 8 is present" (Some 8)
+      (m.get h ~key:8);
+    Alcotest.(check int) "the growth ran" 4 (bulk.table_length t))
+
 let suite =
   [
     Alcotest.test_case "signal delivered only in an open window" `Quick
@@ -444,4 +501,6 @@ let suite =
       test_campaign_reproducible;
     Alcotest.test_case "service neutralize leg (smoke)" `Quick
       test_service_neutralize_smoke;
+    Alcotest.test_case "rhashmap insert survives a growth restart" `Quick
+      test_rhashmap_insert_survives_growth_restart;
   ]

@@ -1,12 +1,13 @@
-(* Differential and unit tests for the retirement backends.
+(* Differential and unit tests for the retirement store.
 
-   The three backends must agree on *what* is freed, differing only in
-   cost and timing: List and Buckets free identical block sets after
-   every single sweep (step equality, arbitrary conflict scripts);
-   Gated may defer frees while its gate is closed but must converge to
-   the same set — checked here with monotone threshold scripts, where
-   the ever-freed set is determined by the final threshold alone, plus
-   a closing [force] on all three. *)
+   The reference is the flat list the store replaced: every retired
+   block in one list, and a sweep that tests each of them against the
+   conflict test the store's sweep just built and frees exactly the
+   ones it rejects.  After every sweep of every script the bucket
+   store must have freed the same set and hold the same count.  The
+   threshold scripts exercise the wholesale bucket splits; the
+   interval scripts retire out of order, so they also reach the
+   bucket splice a monotone epoch never does. *)
 
 open Ibr_core
 
@@ -17,18 +18,59 @@ let mk_block id ~birth ~retire =
   Block.set_retire_epoch b retire;
   b
 
-(* One backend instance driven by a shared script: the conflict source
-   reads mutable refs the script updates, frees record block ids. *)
+(* The store under test, with the conflict test of its last sweep, next
+   to the reference list.  Frees on either side record block ids. *)
 type harness = {
   rc : int Reclaimer.t;
   freed : (int, unit) Hashtbl.t;
+  last : int Reclaimer.test option ref;
+  mutable held : int Block.t list;  (* the reference list *)
+  ref_freed : (int, unit) Hashtbl.t;
 }
 
-let freed_set h =
-  Hashtbl.fold (fun id () acc -> id :: acc) h.freed []
-  |> List.sort Int.compare
+let make_harness build =
+  let freed = Hashtbl.create 64 and last = ref None in
+  let rc =
+    Reclaimer.create ~empty_freq:0
+      ~source:(fun () ->
+        let test = build () in
+        last := Some test;
+        test)
+      ~free:(fun b -> Hashtbl.replace freed (Block.id b) ())
+      ()
+  in
+  { rc; freed; last; held = []; ref_freed = Hashtbl.create 64 }
 
-(* ---- threshold scripts: all three backends converge ---------------- *)
+let ids tbl =
+  Hashtbl.fold (fun id () acc -> id :: acc) tbl [] |> List.sort Int.compare
+
+let freed_set h = ids h.freed
+
+let retire h b =
+  Reclaimer.add h.rc b;
+  h.held <- b :: h.held
+
+(* Sweep the store (or force it), then apply the test it built to every
+   block the reference still holds. *)
+let sweep ?(force = false) h =
+  h.last := None;
+  if force then Reclaimer.force h.rc else Reclaimer.sweep h.rc;
+  let conflict =
+    match !(h.last) with
+    | Some (Reclaimer.Shape c) -> Tracker_common.Conflict.pred c
+    | Some (Reclaimer.Predicate p) -> p
+    | None -> Alcotest.fail "a sweep built no conflict test"
+  in
+  let kept, doomed = List.partition conflict h.held in
+  h.held <- kept;
+  List.iter (fun b -> Hashtbl.replace h.ref_freed (Block.id b) ()) doomed
+
+let agrees h =
+  ids h.freed = ids h.ref_freed
+  && Reclaimer.count h.rc = List.length h.held
+  && Reclaimer.total_reclaimed h.rc = Hashtbl.length h.ref_freed
+
+(* ---- threshold scripts --------------------------------------------- *)
 
 type th_event = Retire | Advance | Raise of int | Sweep
 
@@ -52,56 +94,28 @@ let print_th_script evs =
 
 let run_threshold_script evs =
   let epoch = ref 1 and threshold = ref 0 and next_id = ref 0 in
-  let make backend =
-    let freed = Hashtbl.create 64 in
-    let rc =
-      Reclaimer.create ~backend ~empty_freq:0
-        ~current_epoch:(fun () -> !epoch)
-        ~source:(fun () ->
-          Reclaimer.Shape (Tracker_common.Conflict.Threshold !threshold))
-        ~free:(fun b -> Hashtbl.replace freed (Block.id b) ())
-        ()
-    in
-    { rc; freed }
+  let h =
+    make_harness (fun () ->
+      Reclaimer.Shape (Tracker_common.Conflict.Threshold !threshold))
   in
-  let list = make Reclaimer.List
-  and buckets = make Reclaimer.Buckets
-  and gated = make Reclaimer.Gated in
-  let all = [ list; buckets; gated ] in
-  let step_equal = ref true in
+  let ok = ref true in
   List.iter
     (fun ev ->
        (match ev with
         | Retire ->
           let id = !next_id in
           incr next_id;
-          List.iter
-            (fun h ->
-               Reclaimer.add h.rc (mk_block id ~birth:!epoch ~retire:!epoch))
-            all
+          retire h (mk_block id ~birth:!epoch ~retire:!epoch)
         | Advance -> incr epoch
         | Raise d -> threshold := !threshold + d
-        | Sweep -> List.iter (fun h -> Reclaimer.sweep h.rc) all);
-       (* List and Buckets are step-equal; Gated only lags. *)
-       if freed_set list <> freed_set buckets then step_equal := false;
-       if
-         not
-           (List.for_all
-              (fun id -> Hashtbl.mem list.freed id)
-              (freed_set gated))
-       then step_equal := false)
+        | Sweep -> sweep h);
+       if not (agrees h) then ok := false)
     evs;
-  (* Converge: threshold past every retire epoch, then force. *)
+  (* Drain: threshold past every retire epoch, then force. *)
   threshold := !epoch + 1;
-  List.iter (fun h -> Reclaimer.force h.rc) all;
-  !step_equal
-  && freed_set list = freed_set buckets
-  && freed_set list = freed_set gated
-  && Reclaimer.total_reclaimed list.rc = Reclaimer.total_reclaimed buckets.rc
-  && Reclaimer.total_reclaimed list.rc = Reclaimer.total_reclaimed gated.rc
-  && Reclaimer.count list.rc = 0
-  && Reclaimer.count buckets.rc = 0
-  && Reclaimer.count gated.rc = 0
+  sweep ~force:true h;
+  !ok && agrees h && Reclaimer.count h.rc = 0
+  && List.length (freed_set h) = !next_id
 
 let qcheck_threshold_backends =
   QCheck.Test.make
@@ -110,7 +124,7 @@ let qcheck_threshold_backends =
     (QCheck.make ~print:print_th_script th_script_gen)
     run_threshold_script
 
-(* ---- interval scripts: List vs Buckets are step-equal -------------- *)
+(* ---- interval scripts ---------------------------------------------- *)
 
 type iv_event =
   | IRetire of int * int        (* birth, length *)
@@ -155,19 +169,10 @@ let run_interval_script evs =
       !slots;
     Tracker_common.Interval_res.sweep_snapshot res
   in
-  let make backend =
-    let freed = Hashtbl.create 64 in
-    let rc =
-      Reclaimer.create ~backend ~empty_freq:0
-        ~current_epoch:(fun () -> 0)
-        ~source:(fun () ->
-          Reclaimer.Shape (Tracker_common.Conflict.Intervals (snapshot ())))
-        ~free:(fun b -> Hashtbl.replace freed (Block.id b) ())
-        ()
-    in
-    { rc; freed }
+  let h =
+    make_harness (fun () ->
+      Reclaimer.Shape (Tracker_common.Conflict.Intervals (snapshot ())))
   in
-  let list = make Reclaimer.List and buckets = make Reclaimer.Buckets in
   let ok = ref true in
   List.iter
     (fun ev ->
@@ -177,23 +182,14 @@ let run_interval_script evs =
           incr next_id;
           (* Out-of-order retire epochs on purpose: they exercise the
              bucket splice path a monotone epoch never reaches. *)
-          List.iter
-            (fun h ->
-               Reclaimer.add h.rc (mk_block id ~birth ~retire:(birth + len)))
-            [ list; buckets ]
+          retire h (mk_block id ~birth ~retire:(birth + len))
         | ISlots s -> slots := s
-        | ISweep ->
-          List.iter (fun h -> Reclaimer.sweep h.rc) [ list; buckets ]);
-       if freed_set list <> freed_set buckets then ok := false;
-       if Reclaimer.count list.rc <> Reclaimer.count buckets.rc then
-         ok := false)
+        | ISweep -> sweep h);
+       if not (agrees h) then ok := false)
     evs;
   slots := [];
-  List.iter (fun h -> Reclaimer.force h.rc) [ list; buckets ];
-  !ok
-  && freed_set list = freed_set buckets
-  && Reclaimer.count list.rc = 0
-  && Reclaimer.count buckets.rc = 0
+  sweep ~force:true h;
+  !ok && agrees h && Reclaimer.count h.rc = 0
 
 let qcheck_interval_backends =
   QCheck.Test.make
@@ -202,94 +198,13 @@ let qcheck_interval_backends =
     (QCheck.make ~print:print_iv_script iv_script_gen)
     run_interval_script
 
-(* ---- gating semantics ---------------------------------------------- *)
-
-let gated_harness ?(prepare = fun () -> ()) ~epoch ~threshold () =
-  let freed = Hashtbl.create 16 in
-  let rc =
-    Reclaimer.create ~backend:Reclaimer.Gated ~empty_freq:0 ~prepare
-      ~current_epoch:(fun () -> !epoch)
-      ~source:(fun () ->
-        Reclaimer.Shape (Tracker_common.Conflict.Threshold !threshold))
-      ~free:(fun b -> Hashtbl.replace freed (Block.id b) ())
-      ()
-  in
-  { rc; freed }
-
-let test_gate_arms_and_skips () =
-  let epoch = ref 5 and threshold = ref 0 in
-  let h = gated_harness ~epoch ~threshold () in
-  Reclaimer.add h.rc (mk_block 0 ~birth:5 ~retire:5);
-  let before = Tracker_common.Sweep_stats.snap () in
-  Reclaimer.sweep h.rc;
-  Alcotest.(check bool) "zero-free sweep arms the gate" true
-    (Reclaimer.gate h.rc <> None);
-  Reclaimer.sweep h.rc;
-  Reclaimer.sweep h.rc;
-  let d =
-    Tracker_common.Sweep_stats.diff before (Tracker_common.Sweep_stats.snap ())
-  in
-  Alcotest.(check int) "only the first sweep ran" 1 d.sweeps;
-  Alcotest.(check int) "two skips while gated" 2 d.skipped;
-  (* Epoch movement reopens the gate. *)
-  incr epoch;
-  threshold := 10;
-  Reclaimer.sweep h.rc;
-  Alcotest.(check (list int)) "reopened sweep frees" [ 0 ] (freed_set h);
-  Alcotest.(check bool) "gate open after freeing sweep" true
-    (Reclaimer.gate h.rc = None)
-
-let test_force_bypasses_gate () =
-  let epoch = ref 3 and threshold = ref 0 in
-  let h = gated_harness ~epoch ~threshold () in
-  Reclaimer.add h.rc (mk_block 1 ~birth:3 ~retire:3);
-  Reclaimer.sweep h.rc;
-  Alcotest.(check bool) "gate armed" true (Reclaimer.gate h.rc <> None);
-  threshold := 99;
-  Reclaimer.force h.rc;
-  Alcotest.(check (list int)) "force frees through the gate" [ 1 ]
-    (freed_set h)
-
-let test_prepare_runs_while_gated () =
-  (* QSBR/Fraser shape: the epoch only moves through [prepare].  If the
-     gate suppressed it, the gate would wait on an epoch that can no
-     longer advance. *)
-  let epoch = ref 1 and threshold = ref 0 in
-  let preps = ref 0 in
-  let h =
-    gated_harness
-      ~prepare:(fun () ->
-        incr preps;
-        if !preps >= 3 then begin
-          epoch := 2;
-          threshold := 10
-        end)
-      ~epoch ~threshold ()
-  in
-  Reclaimer.add h.rc (mk_block 2 ~birth:1 ~retire:1);
-  Reclaimer.sweep h.rc;   (* arms the gate *)
-  Reclaimer.sweep h.rc;   (* gated, but prepare still runs *)
-  Reclaimer.sweep h.rc;   (* prepare moves the epoch: gate opens *)
-  Alcotest.(check int) "prepare ran on every attempt" 3 !preps;
-  Alcotest.(check (list int)) "freed once the epoch moved" [ 2 ]
-    (freed_set h)
-
-let test_epochless_never_gates () =
-  let epoch = ref 0 and threshold = ref 0 in
-  let h = gated_harness ~epoch ~threshold () in
-  Reclaimer.add h.rc (mk_block 3 ~birth:1 ~retire:1);
-  Reclaimer.sweep h.rc;
-  Alcotest.(check bool) "current_epoch = 0 disables gating" true
-    (Reclaimer.gate h.rc = None)
-
 (* ---- bucket mechanics ---------------------------------------------- *)
 
 let test_threshold_examines_no_blocks () =
-  let epoch = ref 1 and threshold = ref 0 in
+  let threshold = ref 0 in
   let freed = Hashtbl.create 16 in
   let rc =
-    Reclaimer.create ~backend:Reclaimer.Buckets ~empty_freq:0
-      ~current_epoch:(fun () -> !epoch)
+    Reclaimer.create ~empty_freq:0
       ~source:(fun () ->
         Reclaimer.Shape (Tracker_common.Conflict.Threshold !threshold))
       ~free:(fun b -> Hashtbl.replace freed (Block.id b) ())
@@ -315,12 +230,11 @@ let test_threshold_examines_no_blocks () =
   Alcotest.(check int) "kept blocks" 15 (Reclaimer.count rc)
 
 let test_empty_freq_cadence () =
-  let epoch = ref 1 and threshold = ref 100 in
+  let threshold = ref 100 in
   let freed = Hashtbl.create 16 in
   let sweeps_before = (Tracker_common.Sweep_stats.snap ()).sweeps in
   let rc =
-    Reclaimer.create ~backend:Reclaimer.Buckets ~empty_freq:3
-      ~current_epoch:(fun () -> !epoch)
+    Reclaimer.create ~empty_freq:3
       ~source:(fun () ->
         Reclaimer.Shape (Tracker_common.Conflict.Threshold !threshold))
       ~free:(fun b -> Hashtbl.replace freed (Block.id b) ())
@@ -339,12 +253,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_threshold_backends;
     QCheck_alcotest.to_alcotest qcheck_interval_backends;
-    Alcotest.test_case "gate arms and skips" `Quick test_gate_arms_and_skips;
-    Alcotest.test_case "force bypasses gate" `Quick test_force_bypasses_gate;
-    Alcotest.test_case "prepare runs while gated" `Quick
-      test_prepare_runs_while_gated;
-    Alcotest.test_case "epoch-less schemes never gate" `Quick
-      test_epochless_never_gates;
     Alcotest.test_case "threshold sweep examines no blocks" `Quick
       test_threshold_examines_no_blocks;
     Alcotest.test_case "empty_freq cadence" `Quick test_empty_freq_cadence;

@@ -202,6 +202,51 @@ let test_crash_pins_ebr_not_hp () =
     true
     (ebr.peak_unreclaimed > 4 * hp.peak_unreclaimed)
 
+(* A 2GEIBR thread that dies inside [start_op] must not pin what other
+   threads retire afterwards.  A decider lets thread 0 take [k]
+   dispatches of one step each and then stalls it for good, so for
+   some [k] it stops between the two reservation writes of
+   [Interval_res.start]; at every [k] the block thread 1 then
+   allocates (born after thread 0's epoch), retires and force-empties
+   must be freed.  Were the lower endpoint written first, the slot
+   would hold [e, max_int] at that point and pin the block. *)
+let test_death_mid_start_pins_nothing () =
+  let module T = Two_ge_ibr in
+  for k = 0 to 6 do
+    let t =
+      T.create ~threads:2
+        { (Tracker_intf.default_config ~threads:2 ()) with
+          reuse = false; epoch_freq = 1; empty_freq = 1_000_000 }
+    in
+    let h0 = T.register t ~tid:0 and h1 = T.register t ~tid:1 in
+    let sched =
+      Ibr_runtime.Sched.create
+        { (Ibr_runtime.Sched.test_config ~cores:2 ()) with quantum = 1 }
+    in
+    let given = ref 0 in
+    Ibr_runtime.Sched.set_decider sched (fun ~runnable ~current:_ ->
+      if Array.mem 0 runnable && !given < k then begin
+        incr given;
+        0
+      end
+      else begin
+        if Array.mem 0 runnable then Ibr_runtime.Sched.stall sched 0;
+        1
+      end);
+    let freed = ref false in
+    ignore (Ibr_runtime.Sched.spawn sched (fun _ -> T.start_op h0));
+    ignore
+      (Ibr_runtime.Sched.spawn sched (fun _ ->
+         let b = T.alloc h1 0 in
+         T.retire h1 b;
+         T.force_empty h1;
+         freed := Block.is_reclaimed b));
+    Ibr_runtime.Sched.run sched;
+    Alcotest.(check bool)
+      (Printf.sprintf "freed with thread 0 stopped after %d dispatches" k)
+      true !freed
+  done
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_capped_alloc_reconciles;
@@ -213,4 +258,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_capped_crash_separates;
     Alcotest.test_case "crash pins EBR, not HP" `Quick
       test_crash_pins_ebr_not_hp;
+    Alcotest.test_case "2GEIBR death mid start_op pins nothing" `Quick
+      test_death_mid_start_pins_nothing;
   ]

@@ -257,6 +257,43 @@ let test_quanta_counted () =
   Sched.run t;
   Alcotest.(check bool) "multiple quanta" true (Sched.thread_quanta t tid >= 5)
 
+(* Service fibers (the watchdog, the background reclaimer) draw their
+   stall chance like any fiber but never take the stall.  One core, two
+   workers and one more fiber, every quantum a coin flip for a stall
+   ten times longer than the run: a worker stops within a few quanta,
+   while the third fiber keeps the core to the horizon if it is a
+   service fiber and stops like the workers if it is not. *)
+let test_service_fiber_never_stalled () =
+  let horizon = 100_000 in
+  let run spawn_third =
+    let t =
+      Sched.create
+        { (Sched.test_config ~cores:1 ()) with
+          quantum = 1_000; ctx_switch = 0; stall_prob = 0.5;
+          stall_len = 10 * horizon }
+    in
+    let spin _ = while true do Hooks.step 10 done in
+    let w0 = Sched.spawn t spin and w1 = Sched.spawn t spin in
+    let third = spawn_third t spin in
+    Sched.run ~horizon t;
+    (Sched.thread_vtime t w0, Sched.thread_vtime t w1,
+     Sched.thread_vtime t third)
+  in
+  let w0, w1, svc = run Sched.spawn_service in
+  Alcotest.(check bool)
+    (Printf.sprintf "workers stalled (ran %d and %d cycles)" w0 w1)
+    true
+    (w0 < horizon / 10 && w1 < horizon / 10);
+  Alcotest.(check bool)
+    (Printf.sprintf "service fiber ran to the horizon (%d cycles)" svc)
+    true
+    (svc > horizon * 9 / 10);
+  let _, _, plain = run Sched.spawn in
+  Alcotest.(check bool)
+    (Printf.sprintf "the same fiber unmarked is stalled (%d cycles)" plain)
+    true
+    (plain < horizon / 10)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -283,4 +320,6 @@ let suite =
     Alcotest.test_case "spawn after run rejected" `Quick test_spawn_after_run_rejected;
     Alcotest.test_case "body exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "quanta counted" `Quick test_quanta_counted;
+    Alcotest.test_case "service fibers take no injected stall" `Quick
+      test_service_fiber_never_stalled;
   ]

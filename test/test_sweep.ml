@@ -141,23 +141,27 @@ let qcheck_threshold_differential =
 
 let test_sweep_stats_accumulate () =
   let before = Tracker_common.Sweep_stats.snap () in
-  let retired = Tracker_common.Retired.create () in
+  (* Keep blocks with even birth epochs, free the rest: an opaque
+     predicate makes the store test every block. *)
+  let retired =
+    Reclaimer.create ~empty_freq:0
+      ~source:(fun () ->
+        Reclaimer.Predicate (fun b -> Block.birth_epoch b mod 2 = 0))
+      ~free:ignore ()
+  in
   for i = 0 to 9 do
     let b = mk_block i (i, i + 1) in
     Block.transition_retire b;
-    Tracker_common.Retired.add retired b
+    Reclaimer.add retired b
   done;
-  (* Keep blocks with even birth epochs, free the rest. *)
-  Tracker_common.Retired.sweep retired
-    ~conflict:(fun b -> Block.birth_epoch b mod 2 = 0)
-    ~free:ignore;
+  Reclaimer.force retired;
   let d =
     Tracker_common.Sweep_stats.diff before (Tracker_common.Sweep_stats.snap ())
   in
   Alcotest.(check int) "one sweep" 1 d.sweeps;
   Alcotest.(check int) "examined all" 10 d.examined;
   Alcotest.(check int) "freed odd births" 5 d.freed;
-  Alcotest.(check int) "kept the rest" 5 (Tracker_common.Retired.count retired)
+  Alcotest.(check int) "kept the rest" 5 (Reclaimer.count retired)
 
 let test_snapshot_merges () =
   (* Overlapping and adjacent intervals collapse; disjoint ones stay;

@@ -11,17 +11,11 @@
 
 open Ibr_harness
 
-let golden_run ~rideable ~tracker ~threads ~horizon ~seed ~retire ~faults =
+let golden_run ~rideable ~tracker ~threads ~horizon ~seed ~faults =
   let spec = Workload.spec_for ~mix:Workload.write_dominated rideable in
-  let base =
+  let cfg =
     Runner_sim.default_config ~threads ~horizon ~cores:8 ~seed
       ~faults:(Cli.parse_faults faults) ~spec ()
-  in
-  let cfg =
-    { base with
-      tracker_cfg =
-        { base.tracker_cfg with
-          retire_backend = Cli.parse_retire_backend retire } }
   in
   Option.get (Runner_sim.run_named ~tracker_name:tracker ~ds_name:rideable cfg)
 
@@ -32,11 +26,11 @@ let () =
   let rows =
     [
       golden_run ~rideable:"hashmap" ~tracker:"2GEIBR" ~threads:4
-        ~horizon:50_000 ~seed:42 ~retire:"list" ~faults:"none";
+        ~horizon:50_000 ~seed:42 ~faults:"none";
       golden_run ~rideable:"hashmap" ~tracker:"EBR" ~threads:4
-        ~horizon:50_000 ~seed:42 ~retire:"list" ~faults:"none";
+        ~horizon:50_000 ~seed:42 ~faults:"none";
       golden_run ~rideable:"list" ~tracker:"HP" ~threads:3 ~horizon:40_000
-        ~seed:7 ~retire:"gated" ~faults:"crash";
+        ~seed:7 ~faults:"crash";
     ]
   in
   let oc = open_out path in
