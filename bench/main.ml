@@ -151,8 +151,8 @@ let sweep_ablation_tests () =
        [ interval "linear" (fun () ->
              TC.Interval_res.conflict_with_snapshot res);
          interval "sorted" (fun () ->
-             TC.Conflict.pred
-               (TC.Conflict.Intervals (TC.Interval_res.sweep_snapshot res)));
+             Ibr_core.Reclaimer.(
+               survives (intervals (TC.Interval_res.sweep_snapshot res))));
          era "linear" (fun () ->
              let reserved =
                Array.to_list eras |> List.filter (fun e -> e <> 0) in
@@ -163,9 +163,9 @@ let sweep_ablation_tests () =
                     && e <= Ibr_core.Block.retire_epoch b)
                  reserved);
          era "sorted" (fun () ->
-             TC.Conflict.pred
-               (TC.Conflict.Intervals
-                  (TC.Sweep_snapshot.of_points ~none:0 eras))) ])
+             Ibr_core.Reclaimer.(
+               survives
+                 (intervals (TC.Sweep_snapshot.of_points ~none:0 eras)))) ])
     [ 8; 72; 100 ]
 
 (* Bechamel OLS estimate of ns per run for each test, by name. *)

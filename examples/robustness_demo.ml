@@ -186,7 +186,6 @@ let crashed_churn ?capacity ?(watchdog = false) tracker_name =
       Some
         (Ibr_harness.Watchdog.spawn ~exec ~period:500 ~grace:3 ~threads
            ~progress:(fun tid -> ops.(tid))
-           ~footprint:(fun () -> (L.allocator_stats t).live)
            ~eject:(fun tid -> L.eject t ~tid)
            ())
   in

@@ -42,7 +42,7 @@ module Policy = struct
   let source t () =
     let reservations = Tracker_common.snapshot_reservations t.res in
     let max_safe = Array.fold_left min max_int reservations in
-    Reclaimer.Shape (Tracker_common.Conflict.Threshold max_safe)
+    { Reclaimer.below = max_safe; keep = None }
 
   let clear t ~tid = Prim.write t.res.(tid) max_int
 

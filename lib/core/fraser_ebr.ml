@@ -63,7 +63,7 @@ module Policy = struct
   (* retire_epoch > e - 2, i.e. the two-epoch-lag threshold. *)
   let source t () =
     let e = Epoch.read t.epoch in
-    Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1))
+    { Reclaimer.below = e - 1; keep = None }
 
   (* The advance attempt runs before every cadence and pressure
      sweep. *)

@@ -59,9 +59,8 @@ module Policy = struct
     Tracker_common.Sweep_stats.note_snapshot ~entries:(threads * slots)
       ~cycles:
         (threads * slots * !Prim.costs.Ibr_runtime.Cost.scan_reservation);
-    Reclaimer.Shape
-      (Tracker_common.Conflict.Intervals
-         (Tracker_common.Sweep_snapshot.of_points ~none:no_era eras))
+    Reclaimer.intervals
+      (Tracker_common.Sweep_snapshot.of_points ~none:no_era eras)
 
   (* Expire every era slot in the row; a released row is a fresh
      row's state. *)

@@ -48,14 +48,18 @@ module Policy = struct
   let create_state t ~tid = t.res.rows.(tid)
 
   (* Michael's scan: snapshot all hazard slots into an id set, then
-     sweep the local retired store against membership.  An opaque
-     predicate — blocks carry no retire epochs here, so the bucket
-     store degenerates to per-block tests.  The id table is reused
-     across sweeps so a scan does not allocate (and regrow) a fresh
-     one; cleared, not reset, to keep its buckets.  One per
-     reclaimer: the background service sweeps with its own. *)
+     sweep the local retired store against membership.  Blocks carry
+     no retire epochs here, so the bound is [min_int] and every block
+     is tested.  The id table, and the test over it, are reused across
+     sweeps so a scan does not allocate (and regrow) a fresh one;
+     cleared, not reset, to keep its buckets.  One per reclaimer: the
+     background service sweeps with its own. *)
   let source t =
     let hazard_scratch : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+    let test =
+      { Reclaimer.below = min_int;
+        keep = Some (fun b -> Hashtbl.mem hazard_scratch (Block.id b)) }
+    in
     fun () ->
       Hashtbl.clear hazard_scratch;
       let entries = ref 0 in
@@ -71,7 +75,7 @@ module Policy = struct
         t.res.rows;
       Tracker_common.Sweep_stats.note_snapshot ~entries:!entries
         ~cycles:(!entries * !Prim.costs.Ibr_runtime.Cost.scan_reservation);
-      Reclaimer.Predicate (fun b -> Hashtbl.mem hazard_scratch (Block.id b))
+      test
 
   (* Expire every hazard slot in the row.  A released row is exactly
      a fresh row's state: no hazard published until the first

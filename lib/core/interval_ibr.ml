@@ -48,8 +48,7 @@ module Policy (P : POINTER_OPS) = struct
      digested once into a sorted snapshot; each block then pays
      O(log T) instead of a rescan of every thread's endpoints. *)
   let source t () =
-    Reclaimer.Shape
-      (Tracker_common.Conflict.Intervals (Res.sweep_snapshot t.res))
+    Reclaimer.intervals (Res.sweep_snapshot t.res)
 
   (* Clearing the [lower, upper] interval unpins every block whose
      lifetime it intersected. *)

@@ -39,7 +39,7 @@ let create ~threads (cfg : Tracker_intf.config) =
 (* empty_freq:0 — the reclaimer only stores; nothing ever sweeps. *)
 let make_rc t ~tid =
   Reclaimer.create ~empty_freq:0
-    ~source:(fun () -> Reclaimer.Predicate (fun _ -> true))
+    ~source:(fun () -> { Reclaimer.below = min_int; keep = None })
     ~free:(fun b -> Alloc.free t.alloc ~tid b)
     ()
 

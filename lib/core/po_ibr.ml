@@ -48,10 +48,8 @@ module Policy = struct
      slot. *)
   let source t () =
     let reservations = Tracker_common.snapshot_reservations t.res in
-    Reclaimer.Shape
-      (Tracker_common.Conflict.Intervals
-         (Tracker_common.Sweep_snapshot.of_points ~none:max_int
-            reservations))
+    Reclaimer.intervals
+      (Tracker_common.Sweep_snapshot.of_points ~none:max_int reservations)
 
   (* Clearing the reservation unpins everything reachable from the
      root it had snapshotted; a released slot is a joiner's correct

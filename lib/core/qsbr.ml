@@ -74,7 +74,7 @@ module Policy (A : ADVANCE) = struct
   (* retire_epoch > e - 2, i.e. the two-grace-period threshold. *)
   let source t () =
     let e = Epoch.read t.epoch in
-    Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1))
+    { Reclaimer.below = e - 1; keep = None }
 
   (* The advance attempt runs before every cadence and pressure sweep:
      QSBR's epoch only moves through it. *)

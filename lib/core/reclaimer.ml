@@ -5,25 +5,36 @@
    that conflict-tests every retired block.  This module owns that
    pipeline once, in one store: epoch-bucketed limbo lists (DEBRA's
    layout).  Blocks sharing a retire epoch share a bucket, and buckets
-   are kept sorted by retire epoch.  A [Threshold] sweep
-   (EBR/QSBR/Fraser) frees or keeps whole buckets without touching
-   their blocks — O(freed + buckets) instead of O(retired) — and an
-   [Intervals] sweep (HE/POIBR/IBR family) frees wholesale every
-   bucket older than the smallest reserved lower endpoint before
-   falling back to per-block tests.  Either way a sweep frees exactly
-   the blocks its conflict test rejects (DESIGN.md §4b).
+   are kept sorted by retire epoch.  A sweep is one walk over them
+   (DESIGN.md §4b): buckets retired before the test's bound free
+   whole, unexamined; the rest stay whole (EBR/QSBR/Fraser) or are
+   tested block by block (HE/POIBR/IBR family, HP).  Either way a
+   sweep frees exactly the blocks [survives] rejects.
 
    The tracker supplies its conflict source as closures at [create]
    time; the sweep itself — storage walk, wholesale frees, telemetry —
    is shared by all twelve schemes. *)
 
-(* What a sweep tests blocks against: the structured conflicts of
-   [Tracker_common.Conflict] (which the bucket walk can exploit), or
-   an opaque per-block predicate (HP's hazard-id set) that forces
-   per-block examination. *)
-type 'a test =
-  | Shape of Tracker_common.Conflict.t
-  | Predicate of ('a Block.t -> bool)
+(* What a sweep keeps: a block retired at or after [below] whose
+   [keep] test (when there is one) holds. *)
+type 'a test = {
+  below : int;
+  keep : ('a Block.t -> bool) option;
+}
+
+let survives { below; keep } b =
+  Block.retire_epoch b >= below
+  && match keep with None -> true | Some keep -> keep b
+
+(* A block older than every reserved lower endpoint intersects no
+   interval, so the digest's smallest lower endpoint is the bound. *)
+let intervals s =
+  { below = Tracker_common.Sweep_snapshot.min_lower s;
+    keep =
+      Some
+        (fun b ->
+           Tracker_common.Sweep_snapshot.conflict s
+             ~birth:(Block.birth_epoch b) ~retire:(Block.retire_epoch b)) }
 
 (* One limbo bucket: every block in it was retired in [epoch]. *)
 type 'a bucket = {
@@ -94,104 +105,70 @@ let add_block t b =
      t.newest <- splice t.newest);
   t.count <- t.count + 1
 
-(* Sweep the store.  [examined] counts only per-block conflict tests —
-   wholesale bucket decisions charge one local step for the bucket
-   header and never look at the blocks. *)
-let sweep_store t test =
+(* Sweep the store.  [examined] counts only per-block tests; every
+   bucket header charges one local step, and a bucket that frees or
+   stays whole is never looked into. *)
+let sweep_store t { below; keep } =
   Tracker_common.Sweep_stats.note_buckets (List.length t.newest);
   (* Decide-then-commit-then-free: the walk only *condemns* blocks
-     (accumulating them), the surviving store is committed in one
+     and writes no bucket (a tested bucket that keeps some blocks
+     becomes a new record), the surviving store is committed in one
      mutation, and the frees run last.  The decide phase charges cost
      (preemption points), so a horizon stop or crash that lands inside
      it leaves every block still in the store; one landing inside the
      free loop can only leak condemned blocks — never leave a freed
      block where a later sweep (the background reclaimer's shutdown
-     flush, a pressure sweep from another path) would free it again. *)
-  let examined = ref 0 and doomed = ref [] and freed = ref 0 in
-  let condemn b =
-    doomed := b :: !doomed;
-    incr freed
-  in
-  let condemn_whole bk = List.iter condemn bk.blocks in
-  (* Per-block fallback inside one bucket; None when it drained. *)
-  let filter_bucket pred bk =
-    let kept =
-      List.filter
-        (fun b ->
-           Prim.local 1;
-           incr examined;
-           if pred b then true
-           else begin
-             condemn b;
-             false
-           end)
-        bk.blocks
-    in
-    match kept with
-    | [] -> None
-    | blocks ->
-      bk.blocks <- blocks;
-      bk.size <- List.length blocks;
-      Some bk
-  in
-  let kept =
-    match test with
-    | Shape Tracker_common.Conflict.Never ->
+     flush, a pressure sweep from another path) would free it
+     again. *)
+  let examined = ref 0 and rejects = ref [] and freed = ref 0
+  and cut = ref [] in
+  (* Descending epochs: the buckets at or above [below] form a
+     prefix.  The first bucket under it cuts off the rest, which
+     frees whole. *)
+  let rec decide = function
+    | bk :: rest when bk.epoch >= below -> (
+      Prim.local 1;
+      match keep with
+      | None -> bk :: decide rest
+      | Some keep -> (
+        let kept =
+          List.filter
+            (fun b ->
+               Prim.local 1;
+               incr examined;
+               if keep b then true
+               else begin
+                 rejects := b :: !rejects;
+                 incr freed;
+                 false
+               end)
+            bk.blocks
+        in
+        match kept with
+        | [] -> decide rest
+        | blocks ->
+          { bk with blocks; size = List.length blocks } :: decide rest))
+    | old ->
       List.iter
         (fun bk ->
            Prim.local 1;
-           condemn_whole bk)
-        t.newest;
+           freed := !freed + bk.size)
+        old;
+      cut := old;
       []
-    | Shape (Tracker_common.Conflict.Threshold n) ->
-      (* Descending epochs: the protected buckets (epoch >= n) form a
-         prefix, kept without examining a single block; everything
-         after the first unprotected bucket frees wholesale. *)
-      let rec split = function
-        | bk :: rest when bk.epoch >= n ->
-          Prim.local 1;
-          bk :: split rest
-        | old ->
-          List.iter
-            (fun bk ->
-               Prim.local 1;
-               condemn_whole bk)
-            old;
-          []
-      in
-      split t.newest
-    | Shape (Tracker_common.Conflict.Intervals s) ->
-      (* Buckets older than every reserved lower endpoint cannot
-         intersect any interval; the rest degenerate to per-block
-         tests (birth epochs differ within a bucket). *)
-      let lo_min = Tracker_common.Sweep_snapshot.min_lower s in
-      let pred =
-        Tracker_common.Conflict.pred (Tracker_common.Conflict.Intervals s)
-      in
-      List.filter_map
-        (fun bk ->
-           Prim.local 1;
-           if bk.epoch < lo_min then begin
-             condemn_whole bk;
-             None
-           end
-           else filter_bucket pred bk)
-        t.newest
-    | Predicate p ->
-      List.filter_map
-        (fun bk ->
-           Prim.local 1;
-           filter_bucket p bk)
-        t.newest
   in
-  t.newest <- kept;
-  t.count <- List.fold_left (fun acc bk -> acc + bk.size) 0 kept;
+  t.newest <- decide t.newest;
+  t.count <- t.count - !freed;
   Tracker_common.Sweep_stats.note_sweep ~examined:!examined ~freed:!freed;
-  List.iter
-    (fun b ->
-       t.total_reclaimed <- t.total_reclaimed + 1;
-       t.free b)
-    (List.rev !doomed);
+  (* Free in walk order, the per-block rejects and then the cut-off
+     buckets, newest first: the free order decides which block the
+     allocator hands out next, so it is part of every schedule. *)
+  let release b =
+    t.total_reclaimed <- t.total_reclaimed + 1;
+    t.free b
+  in
+  List.iter release (List.rev !rejects);
+  List.iter (fun bk -> List.iter release bk.blocks) !cut;
   !freed
 
 let force t =

@@ -4,21 +4,29 @@
 
     A tracker builds one [t] per handle, passing its conflict source
     as closures; {!add} records a retirement and runs the countdown.
-    The store is epoch-bucketed limbo lists, sorted by retire epoch.
-    A [Threshold] conflict frees/keeps whole buckets without touching
-    their blocks — O(freed + buckets) rather than O(retired); an
-    [Intervals] conflict frees wholesale every bucket below the
-    smallest reserved lower endpoint, then tests the rest per block.
-    A sweep frees exactly the blocks its conflict test rejects. *)
+    The store is epoch-bucketed limbo lists, sorted by retire epoch,
+    and a sweep is one walk over them that looks into a bucket only
+    to test its blocks one by one.  A sweep frees exactly the blocks
+    {!survives} rejects. *)
 
-(** A sweep's conflict test: a structured {!Tracker_common.Conflict.t}
-    (which the bucket walk exploits for wholesale decisions) or an
-    opaque predicate (HP's hazard set) that forces per-block
-    examination.  Either way a block is kept iff the test reports a
-    conflict. *)
-type 'a test =
-  | Shape of Tracker_common.Conflict.t
-  | Predicate of ('a Block.t -> bool)
+(** A sweep's conflict test.  Buckets retired before [below] free
+    whole, unexamined.  A bucket at or above it stays whole when
+    [keep] is [None] (the epoch family: EBR, DEBRA, DEBRA+, QSBR,
+    Fraser), and is otherwise tested block by block: {!intervals} for
+    HE, POIBR, the TagIBR family and 2GEIBR; HP's hazard set with
+    [below = min_int]. *)
+type 'a test = {
+  below : int;
+  keep : ('a Block.t -> bool) option;
+}
+
+val survives : 'a test -> 'a Block.t -> bool
+(** What a sweep keeps: a block retired at or after [below] that
+    [keep], when present, holds. *)
+
+val intervals : Tracker_common.Sweep_snapshot.t -> 'a test
+(** A block survives iff some reserved interval intersects its
+    lifetime; the bound is the smallest reserved lower endpoint. *)
 
 type 'a t
 

@@ -1,6 +1,5 @@
 (* Pieces shared by all trackers: the reservation-table snapshots used
-   by [empty], the structured conflict test, and the sweep telemetry
-   the harness reports.
+   by [empty] and the sweep telemetry the harness reports.
 
    The sweep path is the hot loop of every scheme's [empty]: one
    conflict test per retired block.  A naive test re-scans the whole
@@ -13,25 +12,16 @@
    oracle and for the old-vs-new ablation bench. *)
 
 (* Global sweep telemetry, accumulated by every tracker instance
-   (atomics: the domains backend sweeps in parallel).  Harness runners
-   snapshot before/after a run and report the difference, mirroring
-   how [Fault.total] is consumed. *)
+   (atomics: the domains backend sweeps in parallel), read through the
+   metric registry: runs report the delta across their measured
+   phase. *)
 module Sweep_stats = struct
-  type snap = {
-    sweeps : int;           (* sweeps actually run *)
-    examined : int;         (* retired blocks conflict-tested one by one *)
-    freed : int;            (* blocks handed to free *)
-    snapshot_entries : int; (* reservation cells read building snapshots *)
-    snapshot_cycles : int;  (* modelled cycles spent building snapshots *)
-    buckets : int;          (* limbo buckets occupied, summed at sweep time *)
-  }
-
-  let sweeps = Atomic.make 0
-  let examined = Atomic.make 0
-  let freed = Atomic.make 0
-  let snapshot_entries = Atomic.make 0
-  let snapshot_cycles = Atomic.make 0
-  let buckets = Atomic.make 0
+  let sweeps = Atomic.make 0           (* sweeps actually run *)
+  let examined = Atomic.make 0         (* blocks tested one by one *)
+  let freed = Atomic.make 0            (* blocks handed to free *)
+  let snapshot_entries = Atomic.make 0 (* reservation cells read *)
+  let snapshot_cycles = Atomic.make 0  (* modelled snapshot cycles *)
+  let buckets = Atomic.make 0          (* limbo buckets, summed per sweep *)
 
   let note_sweep ~examined:e ~freed:f =
     Atomic.incr sweeps;
@@ -44,34 +34,6 @@ module Sweep_stats = struct
 
   let note_buckets n = ignore (Atomic.fetch_and_add buckets n)
 
-  let snap () = {
-    sweeps = Atomic.get sweeps;
-    examined = Atomic.get examined;
-    freed = Atomic.get freed;
-    snapshot_entries = Atomic.get snapshot_entries;
-    snapshot_cycles = Atomic.get snapshot_cycles;
-    buckets = Atomic.get buckets;
-  }
-
-  let diff a b = {
-    sweeps = b.sweeps - a.sweeps;
-    examined = b.examined - a.examined;
-    freed = b.freed - a.freed;
-    snapshot_entries = b.snapshot_entries - a.snapshot_entries;
-    snapshot_cycles = b.snapshot_cycles - a.snapshot_cycles;
-    buckets = b.buckets - a.buckets;
-  }
-
-  let reset () =
-    Atomic.set sweeps 0;
-    Atomic.set examined 0;
-    Atomic.set freed 0;
-    Atomic.set snapshot_entries 0;
-    Atomic.set snapshot_cycles 0;
-    Atomic.set buckets 0
-
-  (* Read-backed registry counters over the same atomics; runs report
-     the delta across their measured phase. *)
   let () =
     let reg name order a =
       Ibr_obs.Metrics.register_counter ~name ~order (fun () -> Atomic.get a)
@@ -106,7 +68,7 @@ module Sweep_snapshot = struct
 
   (* Smallest reserved lower endpoint ([max_int] when nothing is
      reserved).  A block whose retire epoch precedes it cannot conflict
-     with any interval — the bucket-wholesale test of [Reclaimer]. *)
+     with any interval — the bound of [Reclaimer.intervals]. *)
   let min_lower t = if Array.length t.los = 0 then max_int else t.los.(0)
 
   (* Merge a sorted-by-lower array of [n] (lo, hi) pairs in place;
@@ -169,25 +131,17 @@ module Sweep_snapshot = struct
 
   (* Build from single-epoch reservations (HE eras, POIBR epochs):
      each reserved value [e] is the degenerate interval [e, e]; [none]
-     is the scheme's empty-slot sentinel.  No pairing needed — sort
-     the reserved values flat, then merge. *)
+     is the scheme's empty-slot sentinel. *)
   let of_points ~none values =
-    let n = Array.length values in
-    let pts = Array.make n 0 in
+    let los = Array.make (Array.length values) 0 in
     let k = ref 0 in
-    for i = 0 to n - 1 do
+    for i = 0 to Array.length values - 1 do
       if values.(i) <> none then begin
-        pts.(!k) <- values.(i);
+        los.(!k) <- values.(i);
         incr k
       end
     done;
-    let k = !k in
-    Prim.local k;
-    let los = Array.sub pts 0 k in
-    Array.sort Int.compare los;
-    let his = Array.copy los in
-    let m = merge_sorted los his k in
-    { los = Array.sub los 0 m; his = Array.sub his 0 m }
+    of_pairs los (Array.sub los 0 !k) !k
 
   (* Is [birth, retire] intersected by any reserved interval?  The
      merged intervals are disjoint and sorted, so both endpoint arrays
@@ -206,26 +160,6 @@ module Sweep_snapshot = struct
       done;
       !lo < n && t.los.(!lo) <= retire
     end
-end
-
-(* What a sweep tests each retired block against: nothing, a single
-   epoch threshold (the epoch-family schemes), or the sorted interval
-   digest.  Having one type here lets every tracker's [empty] build
-   its predicate the same way and keeps the O(log T) path shared. *)
-module Conflict = struct
-  type t =
-    | Never                          (* no reservations: free everything *)
-    | Threshold of int               (* conflict iff retire_epoch >= n *)
-    | Intervals of Sweep_snapshot.t  (* conflict iff lifetime intersects *)
-
-  let pred c =
-    match c with
-    | Never -> fun _ -> false
-    | Threshold n -> fun b -> Block.retire_epoch b >= n
-    | Intervals s ->
-      fun b ->
-        Sweep_snapshot.conflict s ~birth:(Block.birth_epoch b)
-          ~retire:(Block.retire_epoch b)
 end
 
 (* Per-thread [lower, upper] interval reservations, shared by the

@@ -1,6 +1,5 @@
-(** Pieces shared by all trackers: reservation-table snapshots, the
-    structured conflict test, and the global sweep telemetry the
-    harness reports.
+(** Pieces shared by all trackers: reservation-table snapshots and
+    the global sweep telemetry the harness reports.
 
     The sweep path is the hot loop of every scheme's reclamation: one
     conflict test per retired block.  {!Sweep_snapshot} sorts and
@@ -10,25 +9,15 @@
     differential-testing oracle. *)
 
 (** Global sweep telemetry, accumulated by every tracker instance
-    (atomics: the domains backend sweeps in parallel).  Harness
-    runners snapshot before/after a run and report the difference. *)
+    (atomics: the domains backend sweeps in parallel) and read as the
+    registry counters [sweeps], [sweep_examined], [sweep_freed],
+    [sweep_snapshot_entries], [sweep_snapshot_cycles] and
+    [sweep_buckets]: a run reports the delta across
+    [Ibr_obs.Metrics.begin_run]/[collect]. *)
 module Sweep_stats : sig
-  type snap = {
-    sweeps : int;           (** sweeps actually run *)
-    examined : int;         (** blocks conflict-tested one by one *)
-    freed : int;            (** blocks handed to free *)
-    snapshot_entries : int; (** reservation cells read for snapshots *)
-    snapshot_cycles : int;  (** modelled cycles building snapshots *)
-    buckets : int;          (** limbo buckets occupied, at sweep time *)
-  }
-
   val note_sweep : examined:int -> freed:int -> unit
   val note_snapshot : entries:int -> cycles:int -> unit
   val note_buckets : int -> unit
-
-  val snap : unit -> snap
-  val diff : snap -> snap -> snap
-  val reset : unit -> unit
 end
 
 val snapshot_reservations : int Atomic.t array -> int array
@@ -46,8 +35,8 @@ module Sweep_snapshot : sig
   val min_lower : t -> int
   (** Smallest reserved lower endpoint ([max_int] when nothing is
       reserved).  A block whose retire epoch precedes it cannot
-      conflict with any interval — the bucket-wholesale test of
-      {!Reclaimer}. *)
+      conflict with any interval — the bound of
+      {!Reclaimer.intervals}. *)
 
   val of_pairs : int array -> int array -> int -> t
   (** [of_pairs los his n] digests the first [n] (lo, hi) pairs.
@@ -61,18 +50,6 @@ module Sweep_snapshot : sig
   val conflict : t -> birth:int -> retire:int -> bool
   (** Is [birth, retire] intersected by any reserved interval?
       O(log T). *)
-end
-
-(** What a sweep tests each retired block against: nothing, a single
-    epoch threshold (the epoch-family schemes), or the sorted interval
-    digest. *)
-module Conflict : sig
-  type t =
-    | Never                          (** no reservations: free everything *)
-    | Threshold of int               (** conflict iff retire_epoch >= n *)
-    | Intervals of Sweep_snapshot.t  (** conflict iff lifetime intersects *)
-
-  val pred : t -> 'a Block.t -> bool
 end
 
 (** Per-thread [lower, upper] interval reservations, shared by the

@@ -348,7 +348,6 @@ let drive (type t h) ~(exec : Runner_intf.exec) ~ds_name
          in
          Watchdog.spawn ~exec ~period ~grace ~threads:cfg.threads ~remedy
            ~active:d.active ~progress:d.progress
-           ~footprint:(fun () -> (S.allocator_stats t).live)
            ~eject:(fun tid -> S.eject t ~tid)
            ())
       watchdog

@@ -32,10 +32,6 @@ type capabilities = {
   probes : bool;          (* Ibr_obs.Probe tracing and histograms *)
 }
 
-let capability_names =
-  [ "deterministic"; "crash_faults"; "stall_faults"; "virtual_time";
-    "watchdog"; "neutralize"; "alloc_capacity"; "service"; "probes" ]
-
 let has caps = function
   | "deterministic" -> caps.deterministic
   | "crash_faults" -> caps.crash_faults
@@ -243,9 +239,3 @@ let require_capability exec capability =
 let require_probes exec =
   if Ibr_obs.Probe.enabled () || Ibr_obs.Probe.hist_enabled () then
     require_capability exec "probes"
-
-(* Markdown-ish capability table for docs and --menu output. *)
-let caps_row caps =
-  String.concat " "
-    (List.map (fun c -> if has caps c then "+" ^ c else "-" ^ c)
-       capability_names)

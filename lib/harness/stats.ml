@@ -57,6 +57,9 @@ let identity_header =
 let csv_header () =
   String.concat "," (identity_header :: Ibr_obs.Metrics.columns ())
 
+(* One value under each column of the header as it stands now: a
+   column registered after this row was collected (the lazily
+   registered neutralization gauges, say) reads 0. *)
 let to_csv_row r =
   let prefix =
     Printf.sprintf "%s,%s,%d,%s,%d,%d,%.6f,%.3f,%d,%d" r.tracker r.ds
@@ -64,7 +67,9 @@ let to_csv_row r =
       r.peak_unreclaimed r.samples
   in
   String.concat ","
-    (prefix :: List.map (fun (_, v) -> string_of_int v) r.metrics)
+    (prefix
+     :: List.map (fun c -> string_of_int (metric r c))
+          (Ibr_obs.Metrics.columns ()))
 
 (* Backend-tagged variants for campaigns that mix sim and hardware
    rows in one table.  The untagged layout above is pinned by the

@@ -39,6 +39,7 @@ val csv_header : unit -> string
     histogram metrics are enabled. *)
 
 val to_csv_row : t -> string
+(** One value per {!csv_header} column, 0 where the row lacks it. *)
 
 val csv_header_tagged : unit -> string
 val to_csv_row_tagged : t -> string

@@ -56,23 +56,19 @@ type t = {
   remedy : remedy;
   active : int -> bool;
   progress : int -> int;
-  footprint : unit -> int;
   eject : int -> unit;
   last : int array;            (* min_int = not yet armed *)
   stale : int array;
   mutable ejections : int;
   mutable neutralizations : int;
   mutable recovered : int;     (* threads that resumed after a signal *)
-  mutable footprint_recovered : int;
   ejected : bool array;
   neutralized : bool array;    (* signal delivered, recovery pending *)
-  footprint_at_remedy : int option array;
 }
 
 let ejections w = w.ejections
 let neutralizations w = w.neutralizations
 let recovered w = w.recovered
-let footprint_recovered w = w.footprint_recovered
 let ejected w tid = w.ejected.(tid)
 let neutralized w tid = w.neutralized.(tid)
 
@@ -97,8 +93,7 @@ let publish w =
     ng := w.neutralizations;
     rg := w.recovered
 
-let make ~period ~grace ~threads ~remedy ~active ~progress ~footprint
-    ~eject =
+let make ~period ~grace ~threads ~remedy ~active ~progress ~eject =
   if period < 1 then invalid_arg "Watchdog: period < 1";
   if grace < 1 then invalid_arg "Watchdog: grace < 1";
   (match remedy with
@@ -110,30 +105,15 @@ let make ~period ~grace ~threads ~remedy ~active ~progress ~footprint
     remedy;
     active;
     progress;
-    footprint;
     eject;
     last = Array.make threads min_int;
     stale = Array.make threads 0;
     ejections = 0;
     neutralizations = 0;
     recovered = 0;
-    footprint_recovered = 0;
     ejected = Array.make threads false;
     neutralized = Array.make threads false;
-    footprint_at_remedy = Array.make threads None;
   }
-
-(* Credit the footprint drop since the last remedy on [tid] once, at
-   the following check — by then the workers' sweeps have had a chance
-   to reclaim what the stuck reservation pinned. *)
-let credit_footprint w tid =
-  match w.footprint_at_remedy.(tid) with
-  | Some before ->
-    let fp = w.footprint () in
-    if fp < before then
-      w.footprint_recovered <- w.footprint_recovered + (before - fp);
-    w.footprint_at_remedy.(tid) <- None
-  | None -> ()
 
 (* One monitoring scan over every census slot. *)
 let check_round w =
@@ -147,11 +127,9 @@ let check_round w =
       w.last.(tid) <- min_int;
       w.stale.(tid) <- 0;
       w.ejected.(tid) <- false;
-      w.neutralized.(tid) <- false;
-      w.footprint_at_remedy.(tid) <- None
+      w.neutralized.(tid) <- false
     end
     else if w.ejected.(tid) then begin
-      credit_footprint w tid;
       (* Re-monitor: an ejected slot whose counter moves again hosts
          a live thread after all (a stall outlasting grace, or a
          re-attach into the same slot).  Re-arm instead of leaving
@@ -164,7 +142,6 @@ let check_round w =
       end
     end
     else begin
-      credit_footprint w tid;
       let p = w.progress tid in
       if w.last.(tid) = min_int then begin
         (* Arm only after the first completed operation. *)
@@ -173,7 +150,6 @@ let check_round w =
       else if p = w.last.(tid) then begin
         w.stale.(tid) <- w.stale.(tid) + 1;
         if w.stale.(tid) >= w.grace then begin
-          w.footprint_at_remedy.(tid) <- Some (w.footprint ());
           match w.remedy with
           | Eject ->
             w.eject tid;
@@ -205,16 +181,12 @@ let check_round w =
   done
 
 let spawn ~(exec : Runner_intf.exec) ~period ~grace ~threads
-    ?(remedy = Eject) ?(active = fun _ -> true) ~progress ~footprint
-    ~eject () =
+    ?(remedy = Eject) ?(active = fun _ -> true) ~progress ~eject () =
   Runner_intf.require_capability exec "watchdog";
   (match remedy with
    | Eject -> ()
    | Neutralize _ -> Runner_intf.require_capability exec "neutralize");
-  let w =
-    make ~period ~grace ~threads ~remedy ~active ~progress ~footprint
-      ~eject
-  in
+  let w = make ~period ~grace ~threads ~remedy ~active ~progress ~eject in
   exec.spawn_aux (fun () ->
     let rec loop () =
       if exec.aux_running () then begin

@@ -40,21 +40,18 @@ val spawn :
   ?remedy:remedy ->
   ?active:(int -> bool) ->
   progress:(int -> int) ->
-  footprint:(unit -> int) ->
   eject:(int -> unit) ->
   unit -> t
-(** [spawn ~exec ~period ~grace ~threads ~progress ~footprint ~eject ()]
+(** [spawn ~exec ~period ~grace ~threads ~progress ~eject ()]
     registers the monitor as a service thread of [exec] (must precede
     its [launch]).  Every [period] backend time units — virtual cycles
     on the sim, microseconds of monotonic wall clock on domains — it
     polls [progress tid] (a monotone per-worker operation counter) for
     each of the [threads] workers; a worker that completed at least
     one operation and then stalls at the same count for [grace]
-    consecutive checks receives the [remedy] (default {!Eject}).
-    [footprint] (live+retired blocks) is sampled around each remedy to
-    estimate the memory recovered.  On domains the counters are read
-    racily: a stale read delays a remedy by one round, which the grace
-    budget absorbs.
+    consecutive checks receives the [remedy] (default {!Eject}).  On
+    domains the counters are read racily: a stale read delays a remedy
+    by one round, which the grace budget absorbs.
 
     [active] (default: always true) reports whether a census slot
     currently has an occupant (dynamic churn, DESIGN.md §10): an
@@ -76,11 +73,6 @@ val recovered : t -> int
 (** Neutralized workers whose progress counter has moved again — the
     signals that demonstrably healed the thread instead of killing
     it. *)
-
-val footprint_recovered : t -> int
-(** Estimated blocks unpinned by remedies: the drop in allocator
-    footprint between each ejection/neutralization and the following
-    check, summed. *)
 
 val ejected : t -> int -> bool
 val neutralized : t -> int -> bool

@@ -114,7 +114,7 @@ type thread = {
   mutable quanta : int;     (* quanta received (observability) *)
   mutable neutralized : bool; (* restart signal pending delivery *)
   mutable restart_ok : bool;  (* restart window open (Hooks.restart_window) *)
-  service : bool;           (* exempt from injected stalls *)
+  service : bool;           (* exempt from injected stalls and crashes *)
 }
 
 type t = {
@@ -398,13 +398,16 @@ let run ?(horizon = max_int) t =
           (* Crash injection: the thread dies wherever the quantum left
              it — almost always mid-operation, reservations posted.
              Unlike stalls this needs no oversubscription; a crash is a
-             process fault, not a scheduling artifact. *)
+             process fault, not a scheduling artifact.  A service fiber
+             draws like a worker but never dies: a run whose watchdog
+             crashed would measure a healthy run. *)
           if
             t.crashes < t.cfg.max_crashes
             && t.cfg.crash_prob > 0.0
             && th.fiber <> Finished
             && (not th.crashed)
             && Rng.chance t.rng t.cfg.crash_prob
+            && not th.service
           then begin
             th.crashed <- true;
             t.crashes <- t.crashes + 1;

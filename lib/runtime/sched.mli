@@ -81,10 +81,11 @@ val spawn : t -> (int -> unit) -> int
 
 val spawn_service : t -> (int -> unit) -> int
 (** {!spawn} for a service fiber (the watchdog, the background
-    reclaimer).  It still draws its stall chance from the PRNG, so the
-    stream stays the one a worker would draw, but an injected stall
-    is never applied to it: a stall outlasts most runs, and a stalled
-    watchdog or reclaimer would stop serving the workers for good. *)
+    reclaimer).  It still draws its stall and crash chances from the
+    PRNG, so the stream stays the one a worker would draw, but an
+    injected stall or crash is never applied to it: a stall outlasts
+    most runs, and a stalled or crashed watchdog or reclaimer would
+    stop serving the workers for good. *)
 
 val run : ?horizon:int -> t -> unit
 (** Dispatch until every thread finishes or [horizon] (virtual

@@ -83,16 +83,49 @@ let draws () =
          (Sys.opaque_identity
             (Ibr_harness.Workload.pick_op rng Ibr_harness.Workload.profile_e))))
 
+(* -- sweeps -- *)
+
+(* 10,000 retired blocks in 10 epoch buckets, all older than the
+   test's bound: one sweep frees them whole, and allocates the same
+   few words however many blocks the buckets hold. *)
+let wholesale_case what make_source () =
+  assert_native ();
+  let source = make_source () and freed = ref 0 in
+  let rc =
+    Reclaimer.create ~empty_freq:0 ~source ~free:(fun _ -> incr freed) ()
+  in
+  for i = 0 to calls - 1 do
+    let b = Block.make ~id:i 0 in
+    Block.set_birth_epoch b (i / 1_000);
+    Block.transition_retire b;
+    Block.set_retire_epoch b (i / 1_000);
+    Reclaimer.add rc b
+  done;
+  Alcotest.(check int) "ten buckets" 10 (Reclaimer.bucket_count rc);
+  let words = words_per_call ~n:1 (fun _ -> Reclaimer.force rc) in
+  Alcotest.(check int) "every block freed" calls !freed;
+  within ("wholesale sweep of 10,000 blocks under " ^ what) ~cap:64.0 words
+
+let wholesale_threshold () () = { Reclaimer.below = 10; keep = None }
+
+(* Two interval reservations, both younger than every bucket. *)
+let wholesale_intervals () =
+  let res = Tracker_common.Interval_res.create 4 in
+  Tracker_common.Interval_res.start res ~tid:0 20;
+  Tracker_common.Interval_res.start res ~tid:2 30;
+  fun () ->
+    Reclaimer.intervals (Tracker_common.Interval_res.sweep_snapshot res)
+
 (* -- whole operations -- *)
 
 (* Prefill [R] as the workload does, warm it up until its magazines
    and retired store reach their steady state, and draw the keys the
    measured calls use: [keys] are held, [draws] are uniform over the
    key range. *)
-let prefilled (type a b)
+let prefilled (type a b) ?(cfg = Tracker_intf.default_config ())
     (module R : Ds_intf.RIDEABLE with type t = a and type handle = b)
     ds_name =
-  let t = R.create ~threads:1 (Tracker_intf.default_config ()) in
+  let t = R.create ~threads:1 cfg in
   let h = R.register t ~tid:0 in
   let m = Option.get R.map in
   let spec = Ibr_harness.Workload.spec_for ds_name in
@@ -109,13 +142,13 @@ let prefilled (type a b)
   let keys = Array.init calls (fun _ -> pick ()) in
   let draws =
     Array.init calls (fun _ -> Ibr_runtime.Rng.int rng spec.key_range) in
-  (h, m, spec, keys, draws)
+  (t, h, m, spec, keys, draws)
 
 let map_case (maker : Ds_registry.maker) ~get_cap ~churn_cap
     (tracker : Registry.entry) () =
   assert_native ();
   let (module R) = maker.instantiate tracker.tracker in
-  let h, m, spec, keys, draws = prefilled (module R) maker.ds_name in
+  let _, h, m, spec, keys, draws = prefilled (module R) maker.ds_name in
   let what op =
     Printf.sprintf "%s %s under %s" maker.ds_name op tracker.name in
   within (what "get (held key)") ~cap:get_cap
@@ -147,7 +180,7 @@ let map_case (maker : Ds_registry.maker) ~get_cap ~churn_cap
 let range_case (tracker : Registry.entry) () =
   assert_native ();
   let (module R) = Ds_registry.nm_tree_maker.instantiate tracker.tracker in
-  let h, _, spec, _, draws = prefilled (module R) "nmtree" in
+  let _, h, _, spec, _, draws = prefilled (module R) "nmtree" in
   let r = Option.get R.range in
   let entries = ref 0 in
   let words =
@@ -163,6 +196,35 @@ let range_case (tracker : Registry.entry) () =
     ~cap:((6.0 *. per_scan) +. 24.0)
     words
 
+(* The background reclaimer's drain, per block it moves into its
+   store: the batch's reversal and the bucket cons, the sweeps its
+   cadence runs, and the frees.  A drain every 64 remove/reinsert
+   pairs takes about 64 blocks. *)
+let drain_case (tracker : Registry.entry) () =
+  assert_native ();
+  let (module R) = Ds_registry.hashmap_maker.instantiate tracker.tracker in
+  let cfg =
+    { (Tracker_intf.default_config ()) with background_reclaim = true } in
+  let t, h, m, _, keys, _ = prefilled ~cfg (module R) "hashmap" in
+  let svc = Option.get (R.reclaim_service t) in
+  ignore (svc.drain ());
+  let words = ref 0.0 and drained = ref 0 in
+  Array.iteri
+    (fun i key ->
+       ignore (m.remove h ~key);
+       ignore (m.insert h ~key ~value:key);
+       if i mod 64 = 63 then begin
+         let before = Gc.minor_words () in
+         drained := !drained + svc.drain ();
+         words := !words +. (Gc.minor_words () -. before)
+       end)
+    keys;
+  within
+    (Printf.sprintf "hashmap background drain under %s (%d blocks), per block"
+       tracker.name !drained)
+    ~cap:17.0
+    (!words /. float_of_int !drained)
+
 let budgeted = [ Registry.no_mm; Registry.ebr; Registry.two_ge_ibr; Registry.he ]
 
 let suite =
@@ -171,17 +233,28 @@ let suite =
        Alcotest.test_case ("read allocates nothing: " ^ e.name) `Quick
          (read_case e))
     Registry.all
-  @ [ Alcotest.test_case "workload draws allocate nothing" `Quick draws ]
+  @ [ Alcotest.test_case "workload draws allocate nothing" `Quick draws;
+      Alcotest.test_case "wholesale sweep allocates a constant: threshold"
+        `Quick
+        (wholesale_case "a threshold" wholesale_threshold);
+      Alcotest.test_case "wholesale sweep allocates a constant: intervals"
+        `Quick
+        (wholesale_case "an interval digest" wholesale_intervals) ]
   @ List.concat_map
       (fun (e : Registry.entry) ->
          [
            Alcotest.test_case ("hashmap ops: " ^ e.name) `Quick
              (map_case Ds_registry.hashmap_maker ~get_cap:16.0
-                ~churn_cap:50.0 e);
+                ~churn_cap:42.0 e);
            Alcotest.test_case ("nmtree ops: " ^ e.name) `Quick
              (map_case Ds_registry.nm_tree_maker ~get_cap:28.0
-                ~churn_cap:104.0 e);
+                ~churn_cap:78.0 e);
            Alcotest.test_case ("nmtree range: " ^ e.name) `Quick
              (range_case e);
          ])
       budgeted
+  @ List.map
+      (fun (e : Registry.entry) ->
+         Alcotest.test_case ("hashmap background drain: " ^ e.name) `Quick
+           (drain_case e))
+      [ Registry.ebr; Registry.two_ge_ibr; Registry.he ]

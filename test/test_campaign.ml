@@ -1,7 +1,21 @@
-(* The gated campaigns: every claim they check holds, and a failed
-   claim fails the run. *)
+(* The gated campaigns: every claim they check holds, every CSV file
+   they write is a rectangle, and a failed claim fails the run. *)
 
 open Ibr_harness
+
+(* Every line of a CSV file has as many fields as its header. *)
+let rectangular (file, contents) =
+  if Filename.check_suffix file ".csv" then
+    match List.filter (( <> ) "") (String.split_on_char '\n' contents) with
+    | [] -> ()
+    | header :: rows ->
+      let fields line = List.length (String.split_on_char ',' line) in
+      List.iteri
+        (fun i row ->
+           if fields row <> fields header then
+             Alcotest.failf "%s line %d: %d fields under a %d-column header"
+               file (i + 2) (fields row) (fields header))
+        rows
 
 let claims_hold name count () =
   let c = List.find (fun (c : Campaign.t) -> c.name = name) Campaign.all in
@@ -11,7 +25,8 @@ let claims_hold name count () =
     (fun (c : Campaign.claim) ->
        Alcotest.(check bool) (Printf.sprintf "%s (%s)" c.claim c.detail) true
          c.holds)
-    r.claims
+    r.claims;
+  List.iter rectangular r.files
 
 let test_failed_claim_fails_run () =
   let fake holds =

@@ -74,7 +74,6 @@ let neutralize_dog ~exec ~signals ~progress ~active =
     ~remedy:(Watchdog.Neutralize (fun tid -> signals := tid :: !signals))
     ~active:(fun _ -> !active)
     ~progress:(fun _ -> !progress)
-    ~footprint:(fun () -> 0)
     ~eject:(fun _ -> Alcotest.fail "a neutralize watchdog must not eject")
     ()
 
@@ -145,7 +144,6 @@ let test_watchdog_rearms_ejected_slot () =
   let w =
     Watchdog.spawn ~exec ~period:10 ~grace:2 ~threads:1
       ~progress:(fun _ -> !progress)
-      ~footprint:(fun () -> 0)
       ~eject:(fun tid -> ejected_tids := tid :: !ejected_tids)
       ()
   in

@@ -1,13 +1,13 @@
 (* Differential and unit tests for the retirement store.
 
    The reference is the flat list the store replaced: every retired
-   block in one list, and a sweep that tests each of them against the
-   conflict test the store's sweep just built and frees exactly the
-   ones it rejects.  After every sweep of every script the bucket
-   store must have freed the same set and hold the same count.  The
-   threshold scripts exercise the wholesale bucket splits; the
-   interval scripts retire out of order, so they also reach the
-   bucket splice a monotone epoch never does. *)
+   block in one list, and a sweep that judges each of them with
+   [Reclaimer.survives] under the test the store's sweep just built
+   and frees exactly the ones it rejects.  After every sweep of every
+   script the bucket store must have freed the same set and hold the
+   same count.  The threshold scripts exercise the wholesale bucket
+   splits; the interval scripts retire out of order, so they also
+   reach the bucket splice a monotone epoch never does. *)
 
 open Ibr_core
 
@@ -50,18 +50,17 @@ let retire h b =
   Reclaimer.add h.rc b;
   h.held <- b :: h.held
 
-(* Sweep the store (or force it), then apply the test it built to every
-   block the reference still holds. *)
+(* Sweep the store (or force it), then judge every block the reference
+   still holds by the test it built. *)
 let sweep ?(force = false) h =
   h.last := None;
   if force then Reclaimer.force h.rc else Reclaimer.sweep h.rc;
-  let conflict =
+  let test =
     match !(h.last) with
-    | Some (Reclaimer.Shape c) -> Tracker_common.Conflict.pred c
-    | Some (Reclaimer.Predicate p) -> p
+    | Some test -> test
     | None -> Alcotest.fail "a sweep built no conflict test"
   in
-  let kept, doomed = List.partition conflict h.held in
+  let kept, doomed = List.partition (Reclaimer.survives test) h.held in
   h.held <- kept;
   List.iter (fun b -> Hashtbl.replace h.ref_freed (Block.id b) ()) doomed
 
@@ -95,8 +94,7 @@ let print_th_script evs =
 let run_threshold_script evs =
   let epoch = ref 1 and threshold = ref 0 and next_id = ref 0 in
   let h =
-    make_harness (fun () ->
-      Reclaimer.Shape (Tracker_common.Conflict.Threshold !threshold))
+    make_harness (fun () -> { Reclaimer.below = !threshold; keep = None })
   in
   let ok = ref true in
   List.iter
@@ -170,8 +168,7 @@ let run_interval_script evs =
     Tracker_common.Interval_res.sweep_snapshot res
   in
   let h =
-    make_harness (fun () ->
-      Reclaimer.Shape (Tracker_common.Conflict.Intervals (snapshot ())))
+    make_harness (fun () -> Reclaimer.intervals (snapshot ()))
   in
   let ok = ref true in
   List.iter
@@ -200,13 +197,19 @@ let qcheck_interval_backends =
 
 (* ---- bucket mechanics ---------------------------------------------- *)
 
+(* The registry's value of each counter after [f ()], counted from
+   just before it, as a run reads them. *)
+let counted f =
+  let baseline = Ibr_obs.Metrics.begin_run () in
+  f ();
+  Ibr_obs.Metrics.get (Ibr_obs.Metrics.collect baseline)
+
 let test_threshold_examines_no_blocks () =
   let threshold = ref 0 in
   let freed = Hashtbl.create 16 in
   let rc =
     Reclaimer.create ~empty_freq:0
-      ~source:(fun () ->
-        Reclaimer.Shape (Tracker_common.Conflict.Threshold !threshold))
+      ~source:(fun () -> { Reclaimer.below = !threshold; keep = None })
       ~free:(fun b -> Hashtbl.replace freed (Block.id b) ())
       ()
   in
@@ -216,38 +219,63 @@ let test_threshold_examines_no_blocks () =
   Alcotest.(check int) "one bucket per distinct epoch" 10
     (Reclaimer.bucket_count rc);
   threshold := 5;
-  let before = Tracker_common.Sweep_stats.snap () in
-  Reclaimer.sweep rc;
-  let d =
-    Tracker_common.Sweep_stats.diff before (Tracker_common.Sweep_stats.snap ())
-  in
+  let d = counted (fun () -> Reclaimer.sweep rc) in
   (* Epochs 0..4 free wholesale (15 blocks), 5..9 kept wholesale: the
      threshold sweep never conflict-tests an individual block. *)
-  Alcotest.(check int) "threshold sweep examines zero blocks" 0 d.examined;
-  Alcotest.(check int) "freed the old buckets wholesale" 15 d.freed;
-  Alcotest.(check int) "bucket occupancy recorded" 10 d.buckets;
+  Alcotest.(check int) "threshold sweep examines zero blocks" 0
+    (d "sweep_examined");
+  Alcotest.(check int) "freed the old buckets wholesale" 15 (d "sweep_freed");
+  Alcotest.(check int) "bucket occupancy recorded" 10 (d "sweep_buckets");
   Alcotest.(check int) "kept buckets" 5 (Reclaimer.bucket_count rc);
   Alcotest.(check int) "kept blocks" 15 (Reclaimer.count rc)
 
 let test_empty_freq_cadence () =
   let threshold = ref 100 in
   let freed = Hashtbl.create 16 in
-  let sweeps_before = (Tracker_common.Sweep_stats.snap ()).sweeps in
   let rc =
     Reclaimer.create ~empty_freq:3
-      ~source:(fun () ->
-        Reclaimer.Shape (Tracker_common.Conflict.Threshold !threshold))
+      ~source:(fun () -> { Reclaimer.below = !threshold; keep = None })
       ~free:(fun b -> Hashtbl.replace freed (Block.id b) ())
       ()
   in
-  for i = 0 to 8 do
-    Reclaimer.add rc (mk_block i ~birth:1 ~retire:1)
-  done;
-  let sweeps_after = (Tracker_common.Sweep_stats.snap ()).sweeps in
-  Alcotest.(check int) "a sweep every empty_freq retires" 3
-    (sweeps_after - sweeps_before);
+  let d =
+    counted (fun () ->
+      for i = 0 to 8 do
+        Reclaimer.add rc (mk_block i ~birth:1 ~retire:1)
+      done)
+  in
+  Alcotest.(check int) "a sweep every empty_freq retires" 3 (d "sweeps");
   Alcotest.(check int) "everything below threshold freed" 9
     (Hashtbl.length freed)
+
+(* A sweep unwound inside its walk (a horizon stop or a crash at a
+   block's charge) must leave the store as it was: the newest bucket
+   loses one block to the test before the next bucket's first test
+   raises. *)
+let test_unwound_sweep_keeps_store () =
+  let calls = ref 0 and freed = ref 0 in
+  let rc =
+    Reclaimer.create ~empty_freq:0
+      ~source:(fun () ->
+        { Reclaimer.below = min_int;
+          keep =
+            Some
+              (fun _ ->
+                 incr calls;
+                 if !calls = 4 then raise Exit;
+                 !calls <> 2) })
+      ~free:(fun _ -> incr freed)
+      ()
+  in
+  List.iteri
+    (fun id e -> Reclaimer.add rc (mk_block id ~birth:e ~retire:e))
+    [ 1; 1; 2; 2; 2 ];
+  (try Reclaimer.force rc with Exit -> ());
+  Alcotest.(check int) "nothing freed" 0 !freed;
+  Alcotest.(check int) "count unchanged" 5 (Reclaimer.count rc);
+  let held = ref 0 in
+  Reclaimer.drain_all rc (fun _ -> incr held);
+  Alcotest.(check int) "every block still stored" 5 !held
 
 let suite =
   [
@@ -256,4 +284,6 @@ let suite =
     Alcotest.test_case "threshold sweep examines no blocks" `Quick
       test_threshold_examines_no_blocks;
     Alcotest.test_case "empty_freq cadence" `Quick test_empty_freq_cadence;
+    Alcotest.test_case "an unwound sweep keeps the store" `Quick
+      test_unwound_sweep_keeps_store;
   ]

@@ -294,6 +294,39 @@ let test_service_fiber_never_stalled () =
     true
     (plain < horizon / 10)
 
+(* Crash injection at probability 1 with room for three crashes: both
+   workers die in their first quantum, while the third fiber keeps
+   the core to the horizon if it is a service fiber and dies like the
+   workers if it is not. *)
+let test_service_fiber_never_crashed () =
+  let horizon = 100_000 in
+  let run spawn_third =
+    let t =
+      Sched.create
+        { (Sched.test_config ~cores:1 ()) with
+          quantum = 1_000; ctx_switch = 0; crash_prob = 1.0;
+          max_crashes = 3 }
+    in
+    let spin _ = while true do Hooks.step 10 done in
+    let w0 = Sched.spawn t spin and w1 = Sched.spawn t spin in
+    let third = spawn_third t spin in
+    Sched.run ~horizon t;
+    (Sched.crashed t w0 && Sched.crashed t w1, Sched.crashed t third,
+     Sched.thread_vtime t third)
+  in
+  let workers, crashed, svc = run Sched.spawn_service in
+  Alcotest.(check bool) "workers crashed" true workers;
+  Alcotest.(check bool) "service fiber not crashed" false crashed;
+  Alcotest.(check bool)
+    (Printf.sprintf "service fiber ran to the horizon (%d cycles)" svc)
+    true
+    (svc > horizon * 9 / 10);
+  let _, crashed, plain = run Sched.spawn in
+  Alcotest.(check bool)
+    (Printf.sprintf "the same fiber unmarked crashed (%d cycles)" plain)
+    true
+    (crashed && plain < horizon / 10)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -322,4 +355,6 @@ let suite =
     Alcotest.test_case "quanta counted" `Quick test_quanta_counted;
     Alcotest.test_case "service fibers take no injected stall" `Quick
       test_service_fiber_never_stalled;
+    Alcotest.test_case "service fibers take no injected crash" `Quick
+      test_service_fiber_never_crashed;
   ]

@@ -339,7 +339,6 @@ let watchdog_run ~active ~horizon body =
     Watchdog.spawn ~exec ~period:10 ~grace:2 ~threads:1
       ~active:(fun _ -> active ())
       ~progress:(fun _ -> !progress)
-      ~footprint:(fun () -> 0)
       ~eject:(fun _ -> ())
       ()
   in

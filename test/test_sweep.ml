@@ -1,9 +1,9 @@
 (* Differential tests for the sorted-snapshot sweep path: for random
-   reservation tables and block lifetimes, the O(log T) conflict
-   predicates must agree *exactly* with the original linear-scan
-   predicates they replaced, for every tracker family — interval
-   reservations (TagIBR/2GEIBR), era/epoch points (HE, POIBR), and the
-   epoch threshold (EBR/QSBR/Fraser). *)
+   reservation tables and block lifetimes, what [Reclaimer.survives]
+   keeps must agree *exactly* with the original linear-scan predicates
+   it replaced, for every tracker family — interval reservations
+   (TagIBR/2GEIBR), era/epoch points (HE, POIBR), and the epoch
+   threshold (EBR/QSBR/Fraser). *)
 
 open Ibr_core
 
@@ -73,8 +73,8 @@ let qcheck_interval_differential =
        let res = interval_res slots in
        let oracle = Tracker_common.Interval_res.conflict_with_snapshot res in
        let fast =
-         Tracker_common.Conflict.pred
-           (Tracker_common.Conflict.Intervals
+         Reclaimer.survives
+           (Reclaimer.intervals
               (Tracker_common.Interval_res.sweep_snapshot res))
        in
        List.for_all
@@ -103,8 +103,8 @@ let qcheck_era_differential =
            reserved
        in
        let fast =
-         Tracker_common.Conflict.pred
-           (Tracker_common.Conflict.Intervals
+         Reclaimer.survives
+           (Reclaimer.intervals
               (Tracker_common.Sweep_snapshot.of_points ~none:no_era eras))
        in
        List.for_all
@@ -130,8 +130,7 @@ let qcheck_threshold_differential =
          List.exists (fun r -> Block.retire_epoch b >= r) reservations
        in
        let fast =
-         Tracker_common.Conflict.pred
-           (Tracker_common.Conflict.Threshold max_safe)
+         Reclaimer.survives { Reclaimer.below = max_safe; keep = None }
        in
        List.for_all
          (fun lifetime ->
@@ -140,13 +139,14 @@ let qcheck_threshold_differential =
          blocks)
 
 let test_sweep_stats_accumulate () =
-  let before = Tracker_common.Sweep_stats.snap () in
-  (* Keep blocks with even birth epochs, free the rest: an opaque
-     predicate makes the store test every block. *)
+  let baseline = Ibr_obs.Metrics.begin_run () in
+  (* Keep blocks with even birth epochs, free the rest: a per-block
+     test under the lowest bound makes the store test every block. *)
   let retired =
     Reclaimer.create ~empty_freq:0
       ~source:(fun () ->
-        Reclaimer.Predicate (fun b -> Block.birth_epoch b mod 2 = 0))
+        { Reclaimer.below = min_int;
+          keep = Some (fun b -> Block.birth_epoch b mod 2 = 0) })
       ~free:ignore ()
   in
   for i = 0 to 9 do
@@ -155,12 +155,10 @@ let test_sweep_stats_accumulate () =
     Reclaimer.add retired b
   done;
   Reclaimer.force retired;
-  let d =
-    Tracker_common.Sweep_stats.diff before (Tracker_common.Sweep_stats.snap ())
-  in
-  Alcotest.(check int) "one sweep" 1 d.sweeps;
-  Alcotest.(check int) "examined all" 10 d.examined;
-  Alcotest.(check int) "freed odd births" 5 d.freed;
+  let d = Ibr_obs.Metrics.get (Ibr_obs.Metrics.collect baseline) in
+  Alcotest.(check int) "one sweep" 1 (d "sweeps");
+  Alcotest.(check int) "examined all" 10 (d "sweep_examined");
+  Alcotest.(check int) "freed odd births" 5 (d "sweep_freed");
   Alcotest.(check int) "kept the rest" 5 (Reclaimer.count retired)
 
 let test_snapshot_merges () =
