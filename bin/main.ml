@@ -20,8 +20,9 @@ let tweak ~threads ~empty_freq ~epoch_freq ~background_reclaim
     background_reclaim = cfg.background_reclaim || background_reclaim }
 
 (* What closed-loop and service runs share: the spec from --mix and
-   --key-range, the refusal of an incompatible pairing, and appending
-   a CSV row (the header only when the file is new). *)
+   --key-range, the refusal of an incompatible pairing, printing the
+   row (after the machine it ran on, with -v), and appending it to a
+   CSV file (the header only when the file is new). *)
 let spec_of ~mix ~key_range rideable =
   let base = Ibr_harness.Workload.spec_for ~mix:(Cli.parse_mix mix) rideable in
   match key_range with
@@ -35,16 +36,22 @@ let or_incompatible ~tracker ~rideable = function
       rideable;
     exit 1
 
-let append_csv ~header ~row = function
+let print_row ~verbose ~cores ~seed ~backend r =
+  if verbose then
+    Fmt.pr "cores=%d seed=%d backend=%s costs=%a@." cores seed backend
+      Ibr_runtime.Cost.pp !Ibr_core.Prim.costs;
+  Fmt.pr "%a@." Ibr_harness.Stats.pp r
+
+let append_csv r = function
   | None -> ()
   | Some path ->
     let existed = Sys.file_exists path in
     let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
     if not existed then begin
-      output_string oc header;
+      output_string oc (Ibr_harness.Stats.csv_header ());
       output_char oc '\n'
     end;
-    output_string oc row;
+    output_string oc (Ibr_harness.Stats.to_csv_row r);
     output_char oc '\n';
     close_out oc;
     Fmt.pr "appended to %s@." path
@@ -70,42 +77,21 @@ let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
             ~backend:machine ~tweak ~threads ~horizon:interval tracker
             rideable))
   in
-  if verbose then
-    Fmt.pr "cores=%d seed=%d backend=%s costs=%a@." cores seed backend
-      Ibr_runtime.Cost.pp !Ibr_core.Prim.costs;
-  Fmt.pr "%a@." Ibr_harness.Stats.pp r;
-  append_csv output ~header:(Ibr_harness.Stats.csv_header ())
-    ~row:(Ibr_harness.Stats.to_csv_row r)
+  print_row ~verbose ~cores ~seed ~backend r;
+  append_csv r output
 
 (* ---- open-loop service simulation (--service) ---- *)
 
+(* [threads + 2] workers share the [threads] census slots, so attach
+   contention and slot reuse happen constantly. *)
 let run_service ~rideable ~tracker ~threads ~interval ~mix ~cores ~seed
-    ~backend ~tweak ~fleet ~period ~arrival ~zipf ~watchdog ~slo_p50 ~slo_p99
-    ~slo_p999 ~slo_peak ~key_range ~output ~verbose =
+    ~backend ~tweak ~watchdog ~key_range ~output ~verbose =
   let module Service = Ibr_harness.Service in
-  let spec = spec_of ~mix ~key_range rideable in
-  let arrival =
-    match Service.arrival_of_string arrival with
-    | Some a -> a
-    | None ->
-      failwith
-        (Printf.sprintf "unknown arrival process %S (poisson|bursty)" arrival)
-  in
-  let slo =
-    let d = Service.default_slo in
-    {
-      Service.p50 = Option.value slo_p50 ~default:d.Service.p50;
-      p99 = Option.value slo_p99 ~default:d.Service.p99;
-      p999 = Option.value slo_p999 ~default:d.Service.p999;
-      peak_footprint = Option.value slo_peak ~default:d.Service.peak_footprint;
-    }
-  in
-  let fleet = Option.value fleet ~default:(threads + 2) in
+  let fleet = threads + 2 in
   let profile =
-    Service.default_profile ~workers:threads ~fleet
-      ~cores ~horizon:interval ~seed ~arrival ~period ~zipf_theta:zipf
-      ?watchdog:(if watchdog then Some (15_000, 3) else None)
-      ~slo ~spec ()
+    Service.default_profile ~workers:threads ~fleet ~cores ~horizon:interval
+      ~seed ?watchdog:(if watchdog then Some (15_000, 3) else None)
+      ~spec:(spec_of ~mix ~key_range rideable) ()
   in
   let profile = { profile with tracker_cfg = tweak profile.tracker_cfg } in
   let r =
@@ -125,11 +111,11 @@ let run_service ~rideable ~tracker ~threads ~interval ~mix ~cores ~seed
            ~ds_name:rideable profile
        | s -> failwith (Printf.sprintf "unknown backend %S (sim|domains)" s))
   in
-  Fmt.pr "%a@." Service.pp r;
-  if verbose then Fmt.pr "verdicts: %s@." (Service.verdicts_csv r);
-  append_csv output ~header:Service.csv_header ~row:(Service.to_csv_row r);
+  print_row ~verbose ~cores ~seed ~backend r;
+  Fmt.pr "%a@." Service.pp_slo r;
+  append_csv r output;
   (* CI gates on the SLO verdict. *)
-  if not r.Service.slo_pass then exit 1
+  if Service.slo_failures r <> [] then exit 1
 
 (* ---- model checking (--check / --check-replay) ---- *)
 
@@ -345,62 +331,20 @@ let service =
   Arg.(value & flag
        & info [ "service" ]
            ~doc:"Run the open-loop service simulation instead of the \
-                 closed-loop microbenchmark: arrivals on a Poisson or \
-                 bursty schedule (diurnal ramp + spikes), Zipf-skewed \
-                 keys, worker fibers joining and leaving the tracker \
-                 census, SLO pass/fail verdicts (exit status 1 on \
-                 FAIL).  -t sets the census capacity, -i the horizon; \
-                 -m, --empty-freq, --epoch-freq and \
-                 --background-reclaim apply as in closed-loop runs, \
-                 and -f and --meta are refused.")
-
-let service_fleet =
-  Arg.(value & opt (some int) None
-       & info [ "service-fleet" ] ~docv:"N"
-           ~doc:"Worker fibers sharing the census slots (default \
-                 threads + 2, so attach contention and slot reuse \
-                 happen constantly).")
-
-let service_period =
-  Arg.(value & opt int 60
-       & info [ "service-period" ] ~docv:"CYCLES"
-           ~doc:"Base mean inter-arrival gap in virtual cycles.")
-
-let service_arrival =
-  Arg.(value & opt string "poisson"
-       & info [ "service-arrival" ] ~docv:"PROCESS"
-           ~doc:"Arrival process: poisson or bursty.")
-
-let service_zipf =
-  Arg.(value & opt float 0.9
-       & info [ "service-zipf" ] ~docv:"THETA"
-           ~doc:"Zipf hot-key skew exponent (0 = uniform).")
+                 closed-loop microbenchmark: arrivals on a Poisson \
+                 schedule (diurnal ramp + spikes), Zipf-skewed keys, \
+                 threads + 2 worker fibers joining and leaving the \
+                 tracker census, and one SLO (exit status 1 on FAIL).  \
+                 -t sets the census capacity, -i the horizon; -m, \
+                 --empty-freq, --epoch-freq and --background-reclaim \
+                 apply as in closed-loop runs, and -f and --meta are \
+                 refused.")
 
 let service_watchdog =
   Arg.(value & flag
        & info [ "service-watchdog" ]
            ~doc:"Arm the census-aware ejection watchdog during the \
                  service run.")
-
-let slo_p50 =
-  Arg.(value & opt (some int) None
-       & info [ "slo-p50" ] ~docv:"CYCLES"
-           ~doc:"SLO target for p50 latency (virtual cycles).")
-
-let slo_p99 =
-  Arg.(value & opt (some int) None
-       & info [ "slo-p99" ] ~docv:"CYCLES"
-           ~doc:"SLO target for p99 latency (virtual cycles).")
-
-let slo_p999 =
-  Arg.(value & opt (some int) None
-       & info [ "slo-p999" ] ~docv:"CYCLES"
-           ~doc:"SLO target for p999 latency (virtual cycles).")
-
-let slo_peak =
-  Arg.(value & opt (some int) None
-       & info [ "slo-peak" ] ~docv:"BLOCKS"
-           ~doc:"SLO target for peak allocator footprint (blocks).")
 
 let metas =
   Arg.(value & opt_all string []
@@ -427,8 +371,7 @@ let cmd =
               cores seed backend empty_freq epoch_freq key_range
               background_reclaim output verbose metas trace hist check
               check_bound check_budget check_out check_replay service
-              service_fleet service_period service_arrival service_zipf
-              service_watchdog slo_p50 slo_p99 slo_p999 slo_peak ->
+              service_watchdog ->
           if menu_flag then list_menu ()
           else
             try
@@ -463,10 +406,7 @@ let cmd =
                   ~tweak:
                     (tweak ~threads ~empty_freq ~epoch_freq
                        ~background_reclaim)
-                  ~fleet:service_fleet ~period:service_period
-                  ~arrival:service_arrival ~zipf:service_zipf
-                  ~watchdog:service_watchdog ~slo_p50 ~slo_p99 ~slo_p999
-                  ~slo_peak ~key_range ~output ~verbose
+                  ~watchdog:service_watchdog ~key_range ~output ~verbose
               | None, None ->
                 (* Observability switches.  Rings grow on demand, so
                    the thread hint only sizes the initial table. *)
@@ -502,8 +442,7 @@ let cmd =
       $ cores $ seed $ backend $ empty_freq $ epoch_freq $ key_range
       $ background_reclaim $ output $ verbose $ metas $ trace $ hist $ check
       $ check_bound $ check_budget $ check_out $ check_replay $ service
-      $ service_fleet $ service_period $ service_arrival $ service_zipf
-      $ service_watchdog $ slo_p50 $ slo_p99 $ slo_p999 $ slo_peak)
+      $ service_watchdog)
   in
   Cmd.v (Cmd.info "ibr-bench" ~doc) term
 

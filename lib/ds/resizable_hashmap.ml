@@ -427,6 +427,11 @@ module Make (T : Tracker_intf.TRACKER) = struct
              walk n.so_key nextv)
       in
       walk (-1) (T.read th ~slot:slot_cur tr.buckets.(0));
+      let count = Atomic.get t.count in
+      if count <> !regular then
+        failwith
+          (Printf.sprintf "rhashmap invariant: count %d, %d regular nodes"
+             count !regular);
       Array.iteri
         (fun idx cell ->
            match T.read th ~slot:slot_prev cell with

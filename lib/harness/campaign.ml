@@ -95,9 +95,6 @@ let rows_csv ?(tagged = false) rows =
   in
   lines (header () :: List.map row rows)
 
-let service_csv results =
-  lines (Service.csv_header :: List.map Service.to_csv_row results)
-
 (* ---- figures: runs are (series label, x, row) triples ---- *)
 
 let throughput (r : Stats.t) = r.throughput
@@ -517,37 +514,39 @@ let service () =
     Service.default_profile ~workers:4 ~fleet:6 ~cores:8 ~horizon:150_000
       ~seed:0xca11 ~spec:(Workload.spec_for "hashmap") ()
   in
-  let results =
+  let rows =
     List.filter_map
       (fun (e : Registry.entry) ->
          Service.run_named ~tracker_name:e.name ~ds_name:"hashmap" profile)
       Registry.all
   in
-  let n = Int.to_string in
-  let passed = List.filter (fun (r : Service.result) -> r.slo_pass) results in
+  let pass r = Service.slo_failures r = [] in
+  let passed = List.filter pass rows in
   { text =
       section "service: open-loop SLO certification (hashmap, churn)"
         (table
-           [ ("tracker", -12, fun (r : Service.result) -> r.tracker);
-             ("arrivals", 8, fun r -> n r.arrivals);
-             ("completed", 9, fun r -> n r.completed);
+           [ ("tracker", -12, fun (r : Stats.t) -> r.tracker);
+             ("arrivals", 8, metric "svc_arrivals");
+             ("completed", 9, fun r -> Int.to_string r.ops);
              ("att/det", 7,
-              fun r -> Printf.sprintf "%3d/%-3d" r.attaches r.detaches);
-             ("p50", 7, fun r -> n r.p50);
-             ("p90", 7, fun r -> n r.p90);
-             ("p99", 7, fun r -> n r.p99);
-             ("p999", 7, fun r -> n r.p999);
-             ("peak", 8, fun r -> n r.peak_footprint);
+              fun r ->
+                Printf.sprintf "%3d/%-3d" (Stats.metric r "svc_attaches")
+                  (Stats.metric r "svc_detaches"));
+             ("p50", 7, metric "svc_latency_p50");
+             ("p90", 7, metric "svc_latency_p90");
+             ("p99", 7, metric "svc_latency_p99");
+             ("p999", 7, metric "svc_p999");
+             ("peak", 8, metric "peak_footprint");
              (* The verdict column sits two spaces out. *)
-             (" SLO", 0, fun r -> if r.slo_pass then " PASS" else " FAIL") ]
-           results);
+             (" SLO", 0, fun r -> if pass r then " PASS" else " FAIL") ]
+           rows);
     claims =
       [ claim "every scheme meets the SLO"
-          (List.length passed = List.length results)
+          (List.length passed = List.length rows)
           ~detail:
             (Printf.sprintf "%d of %d pass" (List.length passed)
-               (List.length results)) ];
-    files = [ ("service.csv", service_csv results) ] }
+               (List.length rows)) ];
+    files = [ ("service.csv", rows_csv ~tagged:true rows) ] }
 
 (* The same service on DEBRA+ under the same live stalls, once per
    watchdog remedy.  Every victim is alive and resumes, so ejecting one
@@ -574,19 +573,19 @@ let service_heal () =
   in
   let ((ej, ej_faults) as eject) = remedy false in
   let ((nt, nt_faults) as neut) = remedy true in
-  let n = Int.to_string in
-  let col h w f = (h, w, fun (_, ((r : Service.result), _)) -> n (f r)) in
+  let m = Stats.metric in
+  let col h w f = (h, w, fun (_, (r, _)) -> Int.to_string (f r)) in
   { text =
       section "service: watchdog remedy under live stalls (DEBRA+)"
         (table
            [ ("remedy", -12, fst);
-             col "completed" 9 (fun r -> r.completed);
-             col "p99" 7 (fun r -> r.p99);
-             col "p999" 7 (fun r -> r.p999);
-             col "ejct" 5 (fun r -> r.ejections);
-             col "ntrl" 5 (fun r -> r.neutralizations);
-             col "rcvr" 5 (fun r -> r.recovered);
-             ("faults", 7, fun (_, (_, f)) -> n f) ]
+             col "completed" 9 (fun (r : Stats.t) -> r.ops);
+             col "p99" 7 (fun r -> m r "svc_latency_p99");
+             col "p999" 7 (fun r -> m r "svc_p999");
+             col "ejct" 5 (fun r -> m r "ejections");
+             col "ntrl" 5 (fun r -> m r "neutralizations");
+             col "rcvr" 5 (fun r -> m r "recovered");
+             ("faults", 7, fun (_, (_, f)) -> Int.to_string f) ]
            [ ("eject", eject); ("neutralize", neut) ])
       ^ (if ej_faults = 0 then ""
          else
@@ -595,12 +594,12 @@ let service_heal () =
              ej_faults);
     claims =
       [ claim "eject remedy wrote off live workers (ejections > 0)"
-          (ej.ejections > 0);
-        claim "neutralize remedy never ejected" (nt.ejections = 0);
+          (m ej "ejections" > 0);
+        claim "neutralize remedy never ejected" (m nt "ejections" = 0);
         claim "neutralize remedy signalled and healed (ntrl > 0, rcvr > 0)"
-          (nt.neutralizations > 0 && nt.recovered > 0);
+          (m nt "neutralizations" > 0 && m nt "recovered" > 0);
         claim "neutralized run is fault-free" (nt_faults = 0) ];
-    files = [ ("service-heal.csv", service_csv [ ej; nt ]) ] }
+    files = [ ("service-heal.csv", rows_csv ~tagged:true [ ej; nt ]) ] }
 
 (* ---- BENCH_6.json (DESIGN.md §9) ---- *)
 

@@ -59,9 +59,9 @@ val table : (string * int * ('a -> string)) list -> 'a list -> string
 val all : t list
 (** Every library campaign, in the order {!main} runs them.  The order
     is fixed because some runs widen the {!Stats} CSV header of every
-    later run in the process: service runs register [svc_*] gauges, a
-    neutralizing watchdog registers its gauges, and [bench6] turns on
-    histograms. *)
+    later run in the process: service runs register [svc_*] columns
+    and the watchdog's neutralization gauges, a neutralizing watchdog
+    registers those gauges, and [bench6] turns on histograms. *)
 
 val main : t list -> string list -> int
 (** [main campaigns args] with [args = [--out DIR] [NAME ...]] runs

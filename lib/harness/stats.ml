@@ -37,11 +37,11 @@ let pp ppf r =
   let m = metric r in
   Fmt.pf ppf
     "%-12s %-8s t=%-3d %-15s ops=%-8d thr=%8.3f %s unrec=%8.1f \
-     peak=%-6d live=%-7d epoch=%-6d faults=%d sweeps=%d swept=%d%s"
+     peak=%-6d live=%-7d epoch=%-6d faults=%d sweeps=%d freed=%d%s"
     r.tracker r.ds r.threads r.mix r.ops r.throughput (throughput_unit r)
     r.avg_unreclaimed
     r.peak_unreclaimed (m "live") (m "epoch") (m "faults") (m "sweeps")
-    (m "sweep_examined")
+    (m "sweep_freed")
     ((if m "crashes" = 0 && m "ejections" = 0 && m "oom_events" = 0 then ""
       else
         Printf.sprintf " crashes=%d ejections=%d oom=%d" (m "crashes")

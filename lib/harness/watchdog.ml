@@ -74,15 +74,17 @@ let neutralized w tid = w.neutralized.(tid)
 
 (* Watchdog instances are per-run; the metric is published at end.
    The neutralization gauges are registered lazily, at the first
-   Neutralize-watchdog creation, so runs that never neutralize keep
-   the legacy CSV layout byte-for-byte (same precedent as the
-   histogram columns; see Metrics). *)
+   Neutralize-watchdog creation or service run, so runs that do
+   neither keep the legacy CSV layout byte-for-byte (same precedent as
+   the histogram columns; see Metrics). *)
 let gauge = Ibr_obs.Metrics.register_gauge ~name:"ejections" ~order:510
 
 let neutralize_gauges =
   lazy
     ( Ibr_obs.Metrics.register_gauge ~name:"neutralizations" ~order:511,
       Ibr_obs.Metrics.register_gauge ~name:"recovered" ~order:512 )
+
+let register_gauges () = ignore (Lazy.force neutralize_gauges)
 
 let publish w =
   gauge := w.ejections;
@@ -96,9 +98,7 @@ let publish w =
 let make ~period ~grace ~threads ~remedy ~active ~progress ~eject =
   if period < 1 then invalid_arg "Watchdog: period < 1";
   if grace < 1 then invalid_arg "Watchdog: grace < 1";
-  (match remedy with
-   | Eject -> ()
-   | Neutralize _ -> ignore (Lazy.force neutralize_gauges));
+  (match remedy with Eject -> () | Neutralize _ -> register_gauges ());
   {
     threads;
     grace;

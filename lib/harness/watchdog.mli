@@ -83,5 +83,10 @@ val publish : t -> unit
 (** Publish {!ejections} to the ["ejections"] metric gauge (end of
     run), plus ["neutralizations"]/["recovered"] for a {!Neutralize}
     watchdog (those gauges are registered lazily at the first
-    neutralize-watchdog creation, so ejection-only runs keep the
-    legacy CSV layout). *)
+    neutralize-watchdog creation or {!register_gauges}, so runs that
+    do neither keep the legacy CSV layout). *)
+
+val register_gauges : unit -> unit
+(** Register the ["neutralizations"]/["recovered"] gauges now (the
+    service does at its first run, so its rows have the same columns
+    whether or not a neutralizing watchdog ran before). *)

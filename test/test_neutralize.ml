@@ -407,15 +407,15 @@ let test_service_neutralize_smoke () =
     Option.get
       (Service.run_named ~tracker_name:"DEBRA+" ~ds_name:"hashmap" p)
   in
-  Alcotest.(check bool) "requests served" true (r.Service.completed > 0);
+  Alcotest.(check bool) "requests served" true (r.ops > 0);
   Alcotest.(check int) "healing watchdog ejects nobody" 0
-    r.Service.ejections;
+    (Stats.metric r "ejections");
   let r' =
     Option.get
       (Service.run_named ~tracker_name:"DEBRA+" ~ds_name:"hashmap" p)
   in
   Alcotest.(check string) "service CSV row deterministic"
-    (Service.to_csv_row r) (Service.to_csv_row r')
+    (Stats.to_csv_row r) (Stats.to_csv_row r')
 
 (* ---- the resizable hashmap's insert under a restart ---- *)
 

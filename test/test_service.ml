@@ -14,8 +14,8 @@
    - Watchdog census-awareness (inactive slots are not monitored and
      re-arm fresh).
    - The service harness itself: arrival-schedule determinism, Zipf
-     skew, bit-identical CSV + SLO verdicts across reruns of one
-     profile, and a smoke run per scheme family.
+     skew, the SLO check, a bit-identical row (verdict included) across
+     reruns of one profile, and a smoke run per scheme family.
 
    This suite must be registered LAST in [test_main]: a service run
    lazily registers its [svc_*] metrics, which widens the registry CSV
@@ -380,30 +380,29 @@ let test_watchdog_rearms_on_detach () =
 
 (* ---- service: arrivals, zipf, determinism, smoke ------------------- *)
 
-let small_profile ?arrival ?watchdog () =
+let small_profile ?watchdog () =
   Service.default_profile ~workers:3 ~fleet:5 ~cores:4 ~horizon:60_000
-    ~seed:0x5e11 ?arrival ?watchdog ~session_ops:12 ~away:800
+    ~seed:0x5e11 ?watchdog ~session_ops:12 ~away:800
     ~spec:(Workload.spec_for "hashmap") ()
 
 let test_arrivals_deterministic () =
   let p = small_profile () in
-  let a1, capped1 = Service.gen_arrivals p in
-  let a2, _ = Service.gen_arrivals p in
+  let a1 = Service.gen_arrivals p in
+  let a2 = Service.gen_arrivals p in
   Alcotest.(check bool) "same schedule twice" true (a1 = a2);
-  Alcotest.(check bool) "not truncated" false capped1;
   Alcotest.(check bool) "non-empty" true (Array.length a1 > 0);
   let sorted = ref true in
   Array.iteri
-    (fun i t -> if i > 0 && t < a1.(i - 1) then sorted := false)
+    (fun i t -> if i > 0 && t <= a1.(i - 1) then sorted := false)
     a1;
-  Alcotest.(check bool) "timestamps non-decreasing" true !sorted;
+  Alcotest.(check bool) "at most one arrival per cycle" true !sorted;
   Array.iter
     (fun t ->
        if t < 0 || t >= p.Service.horizon then
          Alcotest.failf "arrival %d outside horizon" t)
     a1;
   (* A different seed moves the schedule. *)
-  let a3, _ = Service.gen_arrivals { p with Service.seed = 1 } in
+  let a3 = Service.gen_arrivals { p with Service.seed = 1 } in
   Alcotest.(check bool) "seed changes the schedule" false (a1 = a3)
 
 let test_rate_modulation () =
@@ -422,15 +421,7 @@ let test_rate_modulation () =
   Alcotest.(check int) "diurnal trough" 600 !lo;
   Alcotest.(check bool) "spike peak above plain diurnal" true (!hi > 1500);
   Alcotest.(check bool) "spike peak bounded by 3x peak rate" true
-    (!hi <= 4500);
-  (* Bursty processes add arrivals at unchanged timestamps. *)
-  let pb =
-    { p with Service.arrival = Service.Bursty { burst = 4; prob = 0.1 } }
-  in
-  let plain, _ = Service.gen_arrivals p in
-  let bursty, capped = Service.gen_arrivals pb in
-  Alcotest.(check bool) "bursts add arrivals" true
-    (Array.length bursty > Array.length plain || capped)
+    (!hi <= 4500)
 
 let test_zipf_skew () =
   let rng = Ibr_runtime.Rng.create 99 in
@@ -455,6 +446,31 @@ let test_zipf_skew () =
   Alcotest.(check bool) "uniform head is unexceptional" true
     (uc.(0) < 3 * (4_000 / 64))
 
+(* The SLO check reads a row's columns: one target missed is one
+   failure, and a row exactly at every target passes. *)
+let test_slo_failures () =
+  let row metrics =
+    { Stats.tracker = "X"; ds = "hashmap"; threads = 1; mix = "m";
+      backend = "sim"; ops = 0; makespan = 0; throughput = 0.0;
+      avg_unreclaimed = 0.0; peak_unreclaimed = 0; samples = 0; metrics }
+  in
+  let slow = row [ ("svc_latency_p99", 70_000) ] in
+  Alcotest.(check (list string)) "p99 over its target"
+    [ "p99 70000 > 60000" ] (Service.slo_failures slow);
+  Alcotest.(check bool) "the SLO line names the failure" true
+    (String.ends_with ~suffix:": FAIL [p99 70000 > 60000]"
+       (Fmt.str "%a" Service.pp_slo slow));
+  let s = Service.slo in
+  let edge =
+    row
+      [ ("svc_latency_p50", s.p50); ("svc_latency_p99", s.p99);
+        ("svc_p999", s.p999); ("peak_footprint", s.peak_footprint) ]
+  in
+  Alcotest.(check (list string)) "at every target" []
+    (Service.slo_failures edge);
+  Alcotest.(check bool) "the SLO line passes" true
+    (String.ends_with ~suffix:": PASS" (Fmt.str "%a" Service.pp_slo edge))
+
 let test_service_deterministic ~background_reclaim () =
   let p = small_profile () in
   let p =
@@ -465,14 +481,12 @@ let test_service_deterministic ~background_reclaim () =
   let r2 = Service.run_named ~tracker_name:"TagIBR" ~ds_name:"hashmap" p in
   match r1, r2 with
   | Some r1, Some r2 ->
-    Alcotest.(check string) "bit-identical CSV rows"
-      (Service.to_csv_row r1) (Service.to_csv_row r2);
-    Alcotest.(check string) "identical SLO verdicts"
-      (Service.verdicts_csv r1) (Service.verdicts_csv r2);
+    Alcotest.(check string) "bit-identical CSV rows, verdict included"
+      (Stats.to_csv_row r1) (Stats.to_csv_row r2);
     (* The reclaimer thread rides the open loop too: every block a
        churning worker handed off was drained by the end of the run. *)
     if background_reclaim then begin
-      let m = Ibr_obs.Metrics.get r1.Service.metrics in
+      let m = Stats.metric r1 in
       Alcotest.(check bool) "blocks were handed off" true
         (m "handoff_pushed" > 0);
       Alcotest.(check int) "handoff_pushed = handoff_drained"
@@ -491,36 +505,36 @@ let test_service_smoke tracker () =
   with
   | None -> Alcotest.failf "%s should run the hashmap" tracker
   | Some r ->
-    Alcotest.(check int) "every arrival accounted for" r.Service.arrivals
-      (r.Service.completed + r.Service.aborted + r.Service.unserved);
+    let m = Stats.metric r in
+    let arrivals = m "svc_arrivals" and attaches = m "svc_attaches" in
+    Alcotest.(check bool) "no request counted twice" true
+      (r.ops + m "svc_aborted" <= arrivals);
     Alcotest.(check bool) "served most of the demand" true
-      (r.Service.completed > r.Service.arrivals / 2);
-    Alcotest.(check bool) "churn happened" true (r.Service.attaches > 2);
+      (r.ops > arrivals / 2);
+    (* One sample per claimed request, at its start. *)
+    Alcotest.(check bool) "every served request sampled" true
+      (r.ops + m "svc_aborted" <= r.samples && r.samples <= arrivals);
+    Alcotest.(check bool) "churn happened" true (attaches > 2);
     Alcotest.(check bool) "leavers detached" true
-      (r.Service.detaches > 0 && r.Service.detaches <= r.Service.attaches);
+      (m "svc_detaches" > 0 && m "svc_detaches" <= attaches);
     Alcotest.(check bool) "tails are ordered" true
-      (r.Service.p50 <= r.Service.p99
-       && r.Service.p99 <= r.Service.p999
-       && r.Service.p999 <= r.Service.max_latency);
-    Alcotest.(check int) "four SLO verdicts" 4
-      (List.length r.Service.verdicts);
-    Alcotest.(check bool) "default SLO holds" true r.Service.slo_pass
+      (m "svc_latency_p50" <= m "svc_latency_p99"
+       && m "svc_latency_p99" <= m "svc_p999"
+       && m "svc_p999" <= m "svc_latency_max");
+    Alcotest.(check (list string)) "the SLO holds" []
+      (Service.slo_failures r);
+    Alcotest.(check int) "svc_slo_pass is the check" 1 (m "svc_slo_pass")
 
-let test_service_bursty_watchdog () =
-  let p =
-    small_profile
-      ~arrival:(Service.Bursty { burst = 6; prob = 0.05 })
-      ~watchdog:(15_000, 3) ()
-  in
+let test_service_watchdog_churn () =
+  let p = small_profile ~watchdog:(15_000, 3) () in
   match Service.run_named ~tracker_name:"EBR" ~ds_name:"hashmap" p with
   | None -> Alcotest.fail "EBR should run the hashmap"
   | Some r ->
-    Alcotest.(check bool) "bursty demand served" true
-      (r.Service.completed > 0);
+    Alcotest.(check bool) "demand served" true (r.ops > 0);
     (* No stalls are injected, so churn alone must never look like
        death to the census-aware watchdog. *)
     Alcotest.(check int) "no spurious ejections under churn" 0
-      r.Service.ejections
+      (Stats.metric r "ejections")
 
 let suite =
   [
@@ -561,6 +575,8 @@ let suite =
         test_arrivals_deterministic;
       Alcotest.test_case "rate modulation" `Quick test_rate_modulation;
       Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
+      Alcotest.test_case "the SLO check reads the row" `Quick
+        test_slo_failures;
       Alcotest.test_case "service run is bit-reproducible" `Quick
         (test_service_deterministic ~background_reclaim:false);
       Alcotest.test_case "bit-reproducible with the reclaimer thread" `Quick
@@ -573,6 +589,6 @@ let suite =
            `Quick (test_service_smoke tracker))
       smoke_schemes
   @ [
-      Alcotest.test_case "bursty arrivals + census-aware watchdog" `Quick
-        test_service_bursty_watchdog;
+      Alcotest.test_case "census-aware watchdog under churn" `Quick
+        test_service_watchdog_churn;
     ]
