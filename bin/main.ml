@@ -9,8 +9,8 @@ open Cmdliner
 module Cli = Ibr_harness.Cli
 module Campaign = Ibr_harness.Campaign
 
-(* The tracker-config flags, applied alike to closed-loop runs and
-   --service.  [threads] scales --epoch-freq as the paper's n * k. *)
+(* The tracker-config flags, applied alike to closed-loop and --service
+   runs.  [threads] scales --epoch-freq as the paper's n * k. *)
 let tweak ~threads ~empty_freq ~epoch_freq ~background_reclaim
     (cfg : Ibr_core.Tracker_intf.config) =
   { cfg with
@@ -19,28 +19,12 @@ let tweak ~threads ~empty_freq ~epoch_freq ~background_reclaim
       (match epoch_freq with Some k -> k * threads | None -> cfg.epoch_freq);
     background_reclaim = cfg.background_reclaim || background_reclaim }
 
-(* What closed-loop and service runs share: the spec from --mix and
-   --key-range, the refusal of an incompatible pairing, printing the
-   row (after the machine it ran on, with -v), and appending it to a
-   CSV file (the header only when the file is new). *)
-let spec_of ~mix ~key_range rideable =
-  let base = Ibr_harness.Workload.spec_for ~mix:(Cli.parse_mix mix) rideable in
-  match key_range with
-  | Some r -> { base with key_range = r }
-  | None -> base
-
 let or_incompatible ~tracker ~rideable = function
   | Some r -> r
   | None ->
     Fmt.epr "error: tracker %s is not compatible with rideable %s@." tracker
       rideable;
     exit 1
-
-let print_row ~verbose ~cores ~seed ~backend r =
-  if verbose then
-    Fmt.pr "cores=%d seed=%d backend=%s costs=%a@." cores seed backend
-      Ibr_runtime.Cost.pp !Ibr_core.Prim.costs;
-  Fmt.pr "%a@." Ibr_harness.Stats.pp r
 
 let append_csv r = function
   | None -> ()
@@ -56,10 +40,17 @@ let append_csv r = function
     close_out oc;
     Fmt.pr "appended to %s@." path
 
-let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
-    ~key_range ~background_reclaim ~output ~verbose =
+(* One run of either driver: the spec from --mix and --key-range, the
+   refusal of an incompatible pairing, the row (after the machine it
+   ran on, with -v), a service run's SLO line, and the CSV append (the
+   header only when the file is new). *)
+let run_one ~(base : Cli.base) ~driver ~cores ~seed ~backend ~empty_freq
+    ~epoch_freq ~key_range ~background_reclaim ~output ~verbose =
   let { Cli.rideable; tracker; threads; interval; mix; faults } = base in
-  let spec = spec_of ~mix ~key_range rideable in
+  let spec =
+    let s = Ibr_harness.Workload.spec_for ~mix:(Cli.parse_mix mix) rideable in
+    match key_range with Some r -> { s with key_range = r } | None -> s
+  in
   let tweak = tweak ~threads ~empty_freq ~epoch_freq ~background_reclaim in
   (* -i is microseconds on domains: 1 virtual cycle ~ 1 us, so the same
      -i reaches a comparable run length on either backend.  Fault
@@ -74,48 +65,23 @@ let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
     or_incompatible ~tracker ~rideable
       (Campaign.run
          (Campaign.point ~spec ~cores ~seed ~faults:(Cli.parse_faults faults)
-            ~backend:machine ~tweak ~threads ~horizon:interval tracker
+            ~backend:machine ~driver ~tweak ~threads ~horizon:interval tracker
             rideable))
   in
-  print_row ~verbose ~cores ~seed ~backend r;
-  append_csv r output
-
-(* ---- open-loop service simulation (--service) ---- *)
-
-(* [threads + 2] workers share the [threads] census slots, so attach
-   contention and slot reuse happen constantly. *)
-let run_service ~rideable ~tracker ~threads ~interval ~mix ~cores ~seed
-    ~backend ~tweak ~watchdog ~key_range ~output ~verbose =
-  let module Service = Ibr_harness.Service in
-  let fleet = threads + 2 in
-  let profile =
-    Service.default_profile ~workers:threads ~fleet ~cores ~horizon:interval
-      ~seed ?watchdog:(if watchdog then Some (15_000, 3) else None)
-      ~spec:(spec_of ~mix ~key_range rideable) ()
+  if verbose then
+    Fmt.pr "cores=%d seed=%d backend=%s costs=%a@." cores seed backend
+      Ibr_runtime.Cost.pp !Ibr_core.Prim.costs;
+  Fmt.pr "%a@." Ibr_harness.Stats.pp r;
+  let slo_failures =
+    match driver with
+    | Campaign.Closed -> []
+    | Service _ ->
+      Fmt.pr "%a@." Ibr_harness.Service.pp_slo r;
+      Ibr_harness.Service.slo_failures r
   in
-  let profile = { profile with tracker_cfg = tweak profile.tracker_cfg } in
-  let r =
-    or_incompatible ~tracker ~rideable
-      (match backend with
-       | "sim" ->
-         Service.run_named ~tracker_name:tracker ~ds_name:rideable profile
-       | "domains" ->
-         (* The fleet workers become real domains; -i (the horizon) is
-            a wall-clock duration in microseconds under 1 cycle ~ 1 us. *)
-         let exec =
-           Ibr_harness.Run_engine.domains_exec ~threads:fleet
-             ~duration_s:(float_of_int interval /. 1e6) ~seed
-             ~faults:Ibr_harness.Runner_intf.No_faults ()
-         in
-         Service.run_named_exec ~exec ~tracker_name:tracker
-           ~ds_name:rideable profile
-       | s -> failwith (Printf.sprintf "unknown backend %S (sim|domains)" s))
-  in
-  print_row ~verbose ~cores ~seed ~backend r;
-  Fmt.pr "%a@." Service.pp_slo r;
   append_csv r output;
   (* CI gates on the SLO verdict. *)
-  if Service.slo_failures r <> [] then exit 1
+  if slo_failures <> [] then exit 1
 
 (* ---- model checking (--check / --check-replay) ---- *)
 
@@ -400,14 +366,16 @@ let cmd =
                 run_check ~target ~bound:check_bound ~budget:check_budget
                   ~out:check_out ~verbose
               | None, Some path -> run_replay ~path
-              | None, None when service ->
-                run_service ~rideable ~tracker ~threads ~interval ~mix
-                  ~cores ~seed ~backend
-                  ~tweak:
-                    (tweak ~threads ~empty_freq ~epoch_freq
-                       ~background_reclaim)
-                  ~watchdog:service_watchdog ~key_range ~output ~verbose
               | None, None ->
+                let driver =
+                  if not service then Campaign.Closed
+                  else
+                    Service
+                      { watchdog =
+                          (if service_watchdog then Some (15_000, 3)
+                           else None);
+                        neutralize = false }
+                in
                 (* Observability switches.  Rings grow on demand, so
                    the thread hint only sizes the initial table. *)
                 if trace <> None then
@@ -415,7 +383,7 @@ let cmd =
                 if hist then Ibr_obs.Probe.enable_hist ();
                 List.iter
                   (fun (base : Cli.base) ->
-                     run_one ~base ~cores ~seed ~backend ~empty_freq
+                     run_one ~base ~driver ~cores ~seed ~backend ~empty_freq
                        ~epoch_freq ~key_range ~background_reclaim ~output
                        ~verbose)
                   (Cli.expand_metas metas

@@ -68,52 +68,20 @@ let reset () = List.iter (fun k -> Atomic.set (counter k) 0) all_kinds
 
 let set_mode m = Atomic.set mode m
 
-(* A point-in-time copy of every counter, so a delta survives whatever
-   the measured code does — including raising. *)
-type snapshot = {
-  use_after_free : int;
-  double_free : int;
-  double_retire : int;
-  retire_unpublished : int;
-  alloc_exhausted : int;
-}
-
-let snapshot () = {
-  use_after_free = Atomic.get use_after_free;
-  double_free = Atomic.get double_free;
-  double_retire = Atomic.get double_retire;
-  retire_unpublished = Atomic.get retire_unpublished;
-  alloc_exhausted = Atomic.get alloc_exhausted;
-}
-
-(* Counters observed since [before] (counters are monotone between
-   resets, so the componentwise difference is the events in between). *)
-let diff (after : snapshot) (before : snapshot) = {
-  use_after_free = after.use_after_free - before.use_after_free;
-  double_free = after.double_free - before.double_free;
-  double_retire = after.double_retire - before.double_retire;
-  retire_unpublished = after.retire_unpublished - before.retire_unpublished;
-  alloc_exhausted = after.alloc_exhausted - before.alloc_exhausted;
-}
-
-let snapshot_total s =
-  s.use_after_free + s.double_free + s.double_retire + s.retire_unpublished
-  + s.alloc_exhausted
-
-(* Run [f] in [Count] mode; the tally is computed from snapshots so it
-   survives [f] raising (the old success-path-only subtraction lost the
-   count of a crashing run). *)
+(* Run [f] in [Count] mode; the tally is the change in [total] across
+   the call, so it survives [f] raising (the old success-path-only
+   subtraction lost the count of a crashing run). *)
 let with_counting_result f =
   let old = Atomic.get mode in
   Atomic.set mode Count;
-  let before = snapshot () in
+  let before = total () in
   let result =
     Fun.protect ~finally:(fun () -> Atomic.set mode old) (fun () ->
       match f () with
       | v -> Ok v
       | exception e -> Error e)
   in
-  (result, snapshot_total (diff (snapshot ()) before))
+  (result, total () - before)
 
 let with_counting f =
   match with_counting_result f with

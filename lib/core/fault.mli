@@ -38,24 +38,6 @@ val all_kinds : kind list
 
 val kind_to_string : kind -> string
 
-(** A point-in-time copy of every counter. *)
-type snapshot = {
-  use_after_free : int;
-  double_free : int;
-  double_retire : int;
-  retire_unpublished : int;
-  alloc_exhausted : int;
-}
-
-val snapshot : unit -> snapshot
-
-val diff : snapshot -> snapshot -> snapshot
-(** [diff after before]: events observed between the two snapshots
-    (componentwise difference; counters are monotone between
-    {!reset}s). *)
-
-val snapshot_total : snapshot -> int
-
 val with_counting : (unit -> 'a) -> 'a * int
 (** Run in [Count] mode; return the result and the number of faults
     observed during the call.  Restores the previous mode.  If [f]

@@ -26,6 +26,8 @@
 
 type 'a t = {
   queues : 'a Block.t list Atomic.t array;
+  pushed : int ref array;    (* per queue; written by its producer *)
+  drained : int array;       (* per queue; written under [lock] *)
   rc : 'a Reclaimer.t;       (* service-owned; sweeps run here *)
   lock : bool Atomic.t;      (* serialises drain vs. sync fallback *)
 }
@@ -58,15 +60,23 @@ end
 
 let create ~producers rc =
   { queues = Array.init producers (fun _ -> Atomic.make []);
+    (* Each producer bumps its own count on every push. *)
+    pushed = Array.init producers (fun _ -> Ibr_runtime.Padded.copy (ref 0));
+    drained = Array.make producers 0;
     rc;
     lock = Atomic.make false }
 
-(* Blocks queued but not yet handed to the reclaimer.  Each segment is
-   read with one atomic load (the list itself is immutable), so this
-   is safe from any thread, though the total is only exact once
-   producers have quiesced. *)
+(* Blocks queued but not yet handed to the reclaimer: one subtraction
+   per producer, never a walk of the queues.  Both counts move with no
+   preemption point between them and the queue operation they count,
+   so on the simulator this is exact at every step; on Domains it is a
+   racy read, exact once producers quiesce. *)
 let queued t =
-  Array.fold_left (fun n q -> n + List.length (Atomic.get q)) 0 t.queues
+  let n = ref 0 in
+  for i = 0 to Array.length t.queues - 1 do
+    n := !n + !(t.pushed.(i)) - t.drained.(i)
+  done;
+  max 0 !n
 
 let push t ~tid b =
   let q = t.queues.(tid) in
@@ -77,6 +87,7 @@ let push t ~tid b =
        fiber at the horizon, and a queued-but-uncounted block would
        break the shutdown invariant (drained = pushed). *)
     if ok then begin
+      incr t.pushed.(tid);
       Atomic.incr Stats.pushed;
       Ibr_obs.Probe.handoff ~block:(Block.id b)
     end;
@@ -89,8 +100,8 @@ let push t ~tid b =
 
 let drain_locked t =
   let n = ref 0 in
-  Array.iter
-    (fun q ->
+  Array.iteri
+    (fun i q ->
        match Atomic.exchange q [] with
        | [] -> ()
        | batch ->
@@ -101,6 +112,7 @@ let drain_locked t =
             claiming the blocks are still queued. *)
          let k = List.length batch in
          n := !n + k;
+         t.drained.(i) <- t.drained.(i) + k;
          ignore (Atomic.fetch_and_add Stats.drained k);
          Ibr_obs.Probe.drain ~drained:k;
          Prim.local 1;

@@ -35,8 +35,9 @@ val shutdown_flush : 'a t -> unit
     abandoned a fiber mid-drain leaves the lock held forever. *)
 
 val queued : 'a t -> int
-(** Blocks pushed but not yet drained (exact once producers
-    quiesce). *)
+(** Blocks pushed but not yet drained, from per-queue counts in
+    O(producers): exact at every simulator step, and on Domains once
+    producers quiesce. *)
 
 (** Monomorphic view for runners and data-structure wrappers.
     [shutdown_flush] is {!flush} that first *seizes* the drain lock:

@@ -8,6 +8,10 @@ open Ibr_core
 
 type backend = Sim | Domains
 
+type driver =
+  | Closed
+  | Service of { watchdog : (int * int) option; neutralize : bool }
+
 type point = {
   tracker : string;
   ds : string;
@@ -18,41 +22,59 @@ type point = {
   seed : int;
   faults : Runner_intf.faults;
   backend : backend;
+  driver : driver;
   label : string option;
   tweak : Tracker_intf.config -> Tracker_intf.config;
 }
 
 let point ?spec ?(cores = 72) ?(seed = 0xbeef)
-    ?(faults = Runner_intf.No_faults) ?(backend = Sim) ?label
-    ?(tweak = Fun.id) ~threads ~horizon tracker ds =
+    ?(faults = Runner_intf.No_faults) ?(backend = Sim) ?(driver = Closed)
+    ?label ?(tweak = Fun.id) ~threads ~horizon tracker ds =
   let spec = match spec with Some s -> s | None -> Workload.spec_for ds in
-  { tracker; ds; spec; threads; cores; horizon; seed; faults; backend; label;
-    tweak }
+  { tracker; ds; spec; threads; cores; horizon; seed; faults; backend; driver;
+    label; tweak }
 
 let run p =
-  let tracker_name = p.tracker and ds_name = p.ds in
-  let row =
+  let cfg =
+    { Run_engine.threads = p.threads; seed = p.seed; spec = p.spec;
+      tracker_cfg = p.tweak (Tracker_intf.default_config ~threads:p.threads ());
+      faults = p.faults }
+  in
+  let exec =
     match p.backend with
     | Sim ->
       let c =
         Runner_sim.default_config ~threads:p.threads ~horizon:p.horizon
           ~cores:p.cores ~seed:p.seed ~faults:p.faults ~spec:p.spec ()
       in
-      Runner_sim.run_named ~tracker_name ~ds_name
-        { c with tracker_cfg = p.tweak c.tracker_cfg }
+      Run_engine.sim_exec
+        ~sched:(Ibr_runtime.Sched.create (Runner_sim.sched_config c))
+        ~horizon:p.horizon
     | Domains ->
-      (* 1 virtual cycle ~ 1 us: the horizon is a wall-clock duration. *)
-      let c =
-        Runner_domains.default_config ~threads:p.threads
-          ~duration_s:(float_of_int p.horizon /. 1e6) ~seed:p.seed
-          ~faults:p.faults ~spec:p.spec ()
-      in
-      Runner_domains.run_named ~tracker_name ~ds_name
-        { c with tracker_cfg = p.tweak c.tracker_cfg }
+      (* One domain per worker; 1 virtual cycle ~ 1 us, so the horizon
+         is a wall-clock duration. *)
+      Run_engine.domains_exec
+        ~threads:
+          (match p.driver with
+           | Closed -> p.threads
+           | Service _ -> Service.fleet p.threads)
+        ~duration_s:(float_of_int p.horizon /. 1e6) ~seed:p.seed
+        ~faults:p.faults ()
   in
-  match p.label with
-  | None -> row
-  | Some l -> Option.map (fun (r : Stats.t) -> { r with tracker = l }) row
+  Option.map
+    (fun (tracker_name, m) ->
+       let row =
+         match p.driver with
+         | Closed -> Run_engine.run ~exec ~tracker_name ~ds_name:p.ds m cfg
+         | Service { watchdog; neutralize } ->
+           Service.serve ~exec ~horizon:p.horizon ~tracker_name
+             ~ds_name:p.ds m cfg
+             ~watchdog:
+               (Option.map (fun (period, grace) -> (period, grace, neutralize))
+                  watchdog)
+       in
+       match p.label with None -> row | Some l -> { row with tracker = l })
+    (Run_engine.resolve ~tracker_name:p.tracker ~ds_name:p.ds)
 
 type claim = { claim : string; holds : bool; detail : string }
 
@@ -510,14 +532,14 @@ let robust_domains () =
    arrivals with a diurnal ramp and two spikes, Zipf keys, six workers
    churning through four census slots) and is held to the same SLO. *)
 let service () =
-  let profile =
-    Service.default_profile ~workers:4 ~fleet:6 ~cores:8 ~horizon:150_000
-      ~seed:0xca11 ~spec:(Workload.spec_for "hashmap") ()
-  in
   let rows =
     List.filter_map
       (fun (e : Registry.entry) ->
-         Service.run_named ~tracker_name:e.name ~ds_name:"hashmap" profile)
+         run
+           (point
+              ~driver:(Service { watchdog = None; neutralize = false })
+              ~cores:8 ~seed:0xca11 ~threads:4 ~horizon:150_000 e.name
+              "hashmap"))
       Registry.all
   in
   let pass r = Service.slo_failures r = [] in
@@ -554,22 +576,15 @@ let service () =
    faults, and only the neutralizing run must have none. *)
 let service_heal () =
   let remedy neutralize =
-    let profile =
-      Service.default_profile ~workers:4 ~fleet:6 ~cores:4 ~horizon:150_000
-        ~seed:0x43a1 ~watchdog:(5_000, 2) ~neutralize
-        ~spec:(Workload.spec_for "list") ()
-    in
     (* Stalls fire only when fibers outnumber cores: 6 on 4 here. *)
-    let sched =
-      Ibr_runtime.Sched.create
-        { Ibr_runtime.Sched.default_config with
-          cores = 4; seed = 0x43a1; stall_prob = 0.3; stall_len = 30_000 }
-    in
     Fault.with_counting (fun () ->
       Option.get
-        (Service.run_named_exec
-           ~exec:(Run_engine.sim_exec ~sched ~horizon:150_000)
-           ~tracker_name:"DEBRA+" ~ds_name:"list" profile))
+        (run
+           (point
+              ~driver:(Service { watchdog = Some (5_000, 2); neutralize })
+              ~faults:(Stall_storm { stall_prob = 0.3; stall_len = 30_000 })
+              ~cores:4 ~seed:0x43a1 ~threads:4 ~horizon:150_000 "DEBRA+"
+              "list")))
   in
   let ((ej, ej_faults) as eject) = remedy false in
   let ((nt, nt_faults) as neut) = remedy true in

@@ -1,13 +1,22 @@
 (** The paper's evaluation as data (index in DESIGN.md §3).
 
-    Every run of every campaign is a {!point} executed by {!run}, the
-    one place that builds a simulator or Domains run config.  A
+    Every run of every campaign, and of [bin/main.exe], is a {!point}
+    executed by {!run}, the one place that builds a simulator or
+    Domains machine and runs either driver on it.  A
     campaign is a named [unit -> report]: the text it prints, the
     claims it checks against its own rows, and the files it archives.
     {!main} is the front end behind [bench/main.exe]: it runs the named
     campaigns in {!all}'s order and fails when any claim fails. *)
 
 type backend = Sim | Domains
+
+(** What the workers do: the paper's closed loop, or the open-loop
+    service ({!Service.serve}) with its own census-aware watchdog
+    [(period, grace)], whose remedy neutralizes instead of ejecting
+    when [neutralize] holds. *)
+type driver =
+  | Closed
+  | Service of { watchdog : (int * int) option; neutralize : bool }
 
 type point = {
   tracker : string;
@@ -18,7 +27,9 @@ type point = {
   horizon : int;        (** virtual cycles, or microseconds on Domains *)
   seed : int;
   faults : Runner_intf.faults;
+  (** A service point takes only [No_faults] or a [Stall_storm]. *)
   backend : backend;
+  driver : driver;
   label : string option;
   (** Replaces the row's tracker name (e.g. ["EBR/crash"]); [None]
       keeps the registry's canonical name. *)
@@ -28,16 +39,22 @@ type point = {
 
 val point :
   ?spec:Workload.spec -> ?cores:int -> ?seed:int ->
-  ?faults:Runner_intf.faults -> ?backend:backend -> ?label:string ->
+  ?faults:Runner_intf.faults -> ?backend:backend -> ?driver:driver ->
+  ?label:string ->
   ?tweak:(Ibr_core.Tracker_intf.config -> Ibr_core.Tracker_intf.config) ->
   threads:int -> horizon:int -> string -> string -> point
 (** [point ~threads ~horizon tracker ds]: defaults are the runners'
-    (72 cores, seed [0xbeef], no faults, the simulator) and
-    [Workload.spec_for ds]. *)
+    (72 cores, seed [0xbeef], no faults, the simulator, the closed
+    loop) and [Workload.spec_for ds]. *)
 
 val run : point -> Stats.t option
-(** One run; [None] if the tracker cannot run the rideable.  On
-    [Domains] the horizon is a wall-clock duration in microseconds.
+(** One run; [None] if the tracker cannot run the rideable.  The sim
+    machine takes the scheduler knobs {!Runner_sim.sched_config} gives
+    the point's faults; on [Domains] each worker (each of the
+    {!Service.fleet} for a service) is a domain and the horizon is a
+    wall-clock duration in microseconds.
+    @raise Invalid_argument on unknown names, or a service point whose
+    faults are not [No_faults] or a [Stall_storm].
     @raise Runner_intf.Unsupported if the faults need a capability the
     backend lacks. *)
 

@@ -46,14 +46,11 @@ type config = {
 (* -- backend constructors -- *)
 
 let sim_caps : Runner_intf.capabilities = {
-  deterministic = true;
   crash_faults = true;
   stall_faults = true;
-  virtual_time = true;
   watchdog = true;
   neutralize = true;
   alloc_capacity = true;
-  service = true;
   probes = true;
 }
 
@@ -82,14 +79,11 @@ let sim_exec ~sched ~horizon : Runner_intf.exec =
   }
 
 let domains_caps : Runner_intf.capabilities = {
-  deterministic = false;
   crash_faults = false;
   stall_faults = true;
-  virtual_time = false;
   watchdog = true;
   neutralize = true;
   alloc_capacity = true;
-  service = true;
   probes = false;
 }
 
@@ -277,14 +271,10 @@ type 'h driver = {
   spawn_workers : ('h -> Workload.op -> int -> bool) -> unit;
   active : int -> bool;
   progress : int -> int;
+  occupant : int -> int;
 }
 
-type outcome = {
-  makespan : int;
-  alloc : Ibr_core.Alloc.stats;
-  watchdog : Watchdog.t option;
-  baseline : Ibr_obs.Metrics.baseline;
-}
+type outcome = { makespan : int; baseline : Ibr_obs.Metrics.baseline }
 
 let drive (type t h) ~(exec : Runner_intf.exec) ~ds_name
     (module S : Ds_intf.RIDEABLE with type t = t and type handle = h)
@@ -335,15 +325,19 @@ let drive (type t h) ~(exec : Runner_intf.exec) ~ds_name
        loop ())
    | None -> ());
   (* The watchdog rides as one more service thread, reading the
-     driver's census view. *)
+     driver's census view.  It judges census slots; the restart signal
+     goes to the worker occupying the slot whose reservations it
+     expires. *)
   let watchdog =
     Option.map
       (fun (period, grace, neutralize) ->
          let remedy =
            if neutralize then
              Watchdog.Neutralize
-               (fun tid ->
-                  exec.neutralize ~eject:(fun () -> S.eject t ~tid) ~tid)
+               (fun slot ->
+                  exec.neutralize
+                    ~eject:(fun () -> S.eject t ~tid:slot)
+                    ~tid:(d.occupant slot))
            else Watchdog.Eject
          in
          Watchdog.spawn ~exec ~period ~grace ~threads:cfg.threads ~remedy
@@ -371,12 +365,11 @@ let drive (type t h) ~(exec : Runner_intf.exec) ~ds_name
    | Some svc -> svc.Ibr_core.Handoff.shutdown_flush ()
    | None -> ());
   (* Publish the instance-scoped gauges. *)
-  let alloc = S.allocator_stats t in
-  Ibr_core.Alloc.publish_stats alloc;
+  Ibr_core.Alloc.publish_stats (S.allocator_stats t);
   Ibr_core.Epoch.publish (S.epoch_value t);
   exec.publish_crashes ();
   Option.iter Watchdog.publish watchdog;
-  { makespan = exec.makespan (); alloc; watchdog; baseline }
+  { makespan = exec.makespan (); baseline }
 
 (* -- the closed-loop driver -- *)
 
@@ -429,6 +422,8 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
       (* Progress = attempts, not completions, so a live thread stuck
          aborting against a full heap is not mistaken for a dead one. *)
       progress = (fun tid -> counts.(tid).ops + counts.(tid).aborted);
+      (* Worker [tid] registers slot [tid] for the whole run. *)
+      occupant = Fun.id;
     }
   in
   let watchdog =
@@ -465,8 +460,3 @@ let resolve ~tracker_name ~ds_name =
   let (module S : Ds_intf.RIDEABLE) = m in
   let (module T : Ibr_core.Tracker_intf.TRACKER) = tracker in
   if S.compatible T.props then Some (T.name, m) else None
-
-let run_named ~exec ~tracker_name ~ds_name cfg =
-  Option.map
-    (fun (tracker_name, m) -> run ~exec ~tracker_name ~ds_name m cfg)
-    (resolve ~tracker_name ~ds_name)

@@ -76,14 +76,15 @@ type 'h driver = {
       {!dispatch}. *)
   active : int -> bool;
   progress : int -> int;
+  occupant : int -> int;
   (** The census view the watchdog reads: whether a slot has an
-      occupant, and its monotone attempt counter. *)
+      occupant, its monotone attempt counter, and the [exec.spawn] tid
+      of the worker holding it, which a restart signal for the slot
+      must reach. *)
 }
 
 type outcome = {
   makespan : int;
-  alloc : Ibr_core.Alloc.stats;  (** after the shutdown flush *)
-  watchdog : Watchdog.t option;
   baseline : Ibr_obs.Metrics.baseline;
   (** taken at launch; {!Ibr_obs.Metrics.collect} it once the driver
       has published its own gauges *)
@@ -119,8 +120,3 @@ val resolve :
 (** The registered tracker name and the rideable instantiated over
     it; [None] if the pairing is incompatible.
     @raise Invalid_argument on unknown names. *)
-
-val run_named :
-  exec:Runner_intf.exec ->
-  tracker_name:string -> ds_name:string -> config -> Stats.t option
-(** {!run} through {!resolve}. *)

@@ -21,26 +21,20 @@
    15_000 cycles is a 15 ms wall period on domains. *)
 
 type capabilities = {
-  deterministic : bool;   (* same seed => bit-identical run *)
   crash_faults : bool;    (* scheduler-injected thread death *)
   stall_faults : bool;    (* injected long stalls *)
-  virtual_time : bool;    (* discrete-event clock (replay, traces) *)
   watchdog : bool;        (* ejection watchdog can ride along *)
   neutralize : bool;      (* restart signals deliverable to workers *)
   alloc_capacity : bool;  (* capped-allocator backpressure *)
-  service : bool;         (* open-loop service runs with churn *)
   probes : bool;          (* Ibr_obs.Probe tracing and histograms *)
 }
 
 let has caps = function
-  | "deterministic" -> caps.deterministic
   | "crash_faults" -> caps.crash_faults
   | "stall_faults" -> caps.stall_faults
-  | "virtual_time" -> caps.virtual_time
   | "watchdog" -> caps.watchdog
   | "neutralize" -> caps.neutralize
   | "alloc_capacity" -> caps.alloc_capacity
-  | "service" -> caps.service
   | "probes" -> caps.probes
   | c -> invalid_arg ("Runner_intf.has: unknown capability " ^ c)
 
@@ -201,12 +195,14 @@ type exec = {
   (* Same, for service threads: false once every worker has joined on
      domains. *)
   worker_tick : tid:int -> bool;
-  (* Per-operation backend hook for closed-loop workers: injects
-     wall-clock stall faults and answers "keep going?".  Always true
-     on the sim. *)
+  (* Per-operation backend hook, called once per closed-loop operation
+     and once per service request: injects wall-clock stall faults and
+     answers "keep going?".  Always true on the sim. *)
   neutralize : eject:(unit -> unit) -> tid:int -> unit;
   (* Deliver a restart signal to worker [tid] (watchdog Neutralize
-     remedy).  [eject] expires the victim's reservations at the
+     remedy): the tid [spawn] gave the worker, which under churn need
+     not be the census slot it holds.  [eject] expires the victim's
+     reservations at the
      tracker; the backend decides when it is sound to call it: the
      sim calls it immediately (delivery-at-resumption guarantees the
      victim cannot dereference before it sees the signal), domains

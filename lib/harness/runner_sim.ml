@@ -63,20 +63,17 @@ let sched_config cfg =
        into the storm. *)
     { cfg.sched with stall_prob; stall_len }
 
-let engine_config cfg = {
-  Run_engine.threads = cfg.threads;
-  seed = cfg.seed;
-  tracker_cfg = cfg.tracker_cfg;
-  spec = cfg.spec;
-  faults = cfg.faults;
-}
-
-(* One machine per run, built from the profile's scheduler knobs. *)
-let exec_of_config cfg =
-  Run_engine.sim_exec ~sched:(Sched.create (sched_config cfg))
-    ~horizon:cfg.horizon
-
-(* Convenience: resolve names through the registries and run. *)
+(* Resolve names through the registries and run on one machine built
+   from the profile's scheduler knobs. *)
 let run_named ~tracker_name ~ds_name cfg =
-  Run_engine.run_named ~exec:(exec_of_config cfg) ~tracker_name ~ds_name
-    (engine_config cfg)
+  let exec =
+    Run_engine.sim_exec ~sched:(Sched.create (sched_config cfg))
+      ~horizon:cfg.horizon
+  in
+  Option.map
+    (fun (tracker_name, m) ->
+       Run_engine.run ~exec ~tracker_name ~ds_name m
+         { Run_engine.threads = cfg.threads; seed = cfg.seed;
+           tracker_cfg = cfg.tracker_cfg; spec = cfg.spec;
+           faults = cfg.faults })
+    (Run_engine.resolve ~tracker_name ~ds_name)

@@ -17,14 +17,14 @@
    and spike windows are integer arithmetic, so only the gap draw
    touches floating point).  Workers claim arrivals from a shared
    fetch-and-add cursor inside the simulation.  Same seed, same
-   profile => the same arrivals, the same interleaving, a bit-identical
+   config => the same arrivals, the same interleaving, a bit-identical
    row.
 
-   Churn: [fleet] worker fibers share [workers] census slots.  Each
-   worker loops attach -> serve a bounded session -> detach -> stay
-   away, retrying with backoff when the census is full (fleet >
-   workers keeps slots contended, so slot reuse — the dangerous part
-   of the protocol — happens constantly, not incidentally).
+   Churn: [threads + 2] worker fibers share [threads] census slots.
+   Each worker loops attach -> serve a bounded session -> detach ->
+   stay away, retrying with backoff when the census is full (the two
+   extra workers keep slots contended, so slot reuse — the dangerous
+   part of the protocol — happens constantly, not incidentally).
 
    The run loop is [Run_engine.drive], shared with the closed loop:
    this module supplies the open-loop driver, and a run returns the
@@ -42,7 +42,7 @@ type slo = {
 }
 
 (* Latency targets in virtual cycles (microseconds on domains),
-   footprint in blocks.  Sized for the default profile below with
+   footprint in blocks.  Sized for the service campaign's runs with
    roughly 2x headroom over the slowest paper-set scheme's measured
    tails (HP; see EXPERIMENTS.md), so every sound scheme passes and a
    regression that doubles a tail fails. *)
@@ -53,82 +53,43 @@ let slo =
 let period = 60
 let zipf_theta = 0.9
 
-type profile = {
-  workers : int;        (* census capacity (tracker [threads]) *)
-  fleet : int;          (* worker fibers sharing the slots *)
-  cores : int;
-  horizon : int;
-  seed : int;
-  diurnal : bool;       (* x0.6 at the edges, x1.5 mid-run *)
-  spikes : int;         (* evenly spaced x3 windows, 2% of horizon *)
-  session_ops : int;    (* ops per attached session *)
-  away : int;           (* cycles detached between sessions *)
-  watchdog : (int * int) option;   (* (period, grace) *)
-  neutralize : bool;
-  (* Remedy for the watchdog above: false = eject the stalled worker
-     (loses it for the rest of its session), true = deliver a restart
-     signal and let it recover (DESIGN.md §12) — the SLO comparison
-     leg of the neutralization campaign. *)
-  spec : Workload.spec;
-  tracker_cfg : Ibr_core.Tracker_intf.config;
-}
+(* The service's shape: requests per attached session, cycles detached
+   between sessions, and evenly spaced x3 load spikes. *)
+let session_ops = 40
+let away = 2_000
+let spikes = 2
 
-let default_profile ?(workers = 4) ?(fleet = 6) ?(cores = 8)
-    ?(horizon = 150_000) ?(seed = 0xca11) ?(diurnal = true) ?(spikes = 2)
-    ?(session_ops = 40) ?(away = 2_000) ?watchdog ?(neutralize = false)
-    ~spec () =
-  {
-    workers;
-    fleet;
-    cores;
-    horizon;
-    seed;
-    diurnal;
-    spikes;
-    session_ops;
-    away;
-    watchdog;
-    neutralize;
-    spec;
-    tracker_cfg = Ibr_core.Tracker_intf.default_config ~threads:workers ();
-  }
+let fleet threads = threads + 2
 
 (* Rate modulation in permille of the base rate, all-integer so the
    schedule's shape is exactly reproducible.  Diurnal: a linear tent
    from 600 at the run's edges to 1500 mid-run ("overnight" to "peak
    hours").  Spikes: [spikes] evenly spaced windows of 2% of the
    horizon at 3x whatever the tent says. *)
-let rate_permille p ~t =
-  let base =
-    if not p.diurnal then 1000
-    else begin
-      let half = max 1 (p.horizon / 2) in
-      let x = if t <= half then t else max 0 (p.horizon - t) in
-      600 + (900 * min x half) / half
-    end
+let rate_permille ~horizon ~t =
+  let half = max 1 (horizon / 2) in
+  let x = if t <= half then t else max 0 (horizon - t) in
+  let base = 600 + (900 * min x half) / half in
+  let width = max 1 (horizon / 50) in
+  let gap = horizon / (spikes + 1) in
+  let rec in_spike k =
+    k <= spikes
+    && ((t >= (k * gap) && t < (k * gap) + width) || in_spike (k + 1))
   in
-  if p.spikes <= 0 then base
-  else begin
-    let width = max 1 (p.horizon / 50) in
-    let gap = p.horizon / (p.spikes + 1) in
-    let rec in_spike k =
-      k <= p.spikes
-      && ((t >= (k * gap) && t < (k * gap) + width) || in_spike (k + 1))
-    in
-    if in_spike 1 then base * 3 else base
-  end
+  if in_spike 1 then base * 3 else base
 
 (* Precompute the arrival timestamps.  Gaps are exponential with mean
    [period * 1000 / rate_permille] (inverse-CDF sampling) and at least
    one cycle, so the schedule holds at most [horizon] arrivals. *)
-let gen_arrivals p =
-  let rng = Rng.stream ~seed:p.seed ~index:997 in
+let gen_arrivals ~seed ~horizon =
+  let rng = Rng.stream ~seed ~index:997 in
   let rec go acc t =
-    if t >= float_of_int p.horizon then Array.of_list (List.rev acc)
+    if t >= float_of_int horizon then Array.of_list (List.rev acc)
     else begin
       let ti = int_of_float t in
       let mean =
-        float_of_int (period * 1000) /. float_of_int (rate_permille p ~t:ti)
+        float_of_int (period * 1000)
+        /. float_of_int (rate_permille ~horizon ~t:ti)
       in
       let gap = -.mean *. log (1.0 -. Rng.float rng) in
       go (ti :: acc) (t +. Float.max 1.0 gap)
@@ -179,27 +140,32 @@ let pp_slo ppf r =
      | fs -> "FAIL [" ^ String.concat "; " fs ^ "]")
 
 (* The open-loop driver of [Run_engine.drive]: [fleet] workers churn
-   through [workers] census slots, claiming arrivals and recording each
-   one's latency, and the row digests them after the run.  On domains
-   the arrival schedule is the same precomputed array, timestamps are
-   microseconds of monotonic wall clock, and the deadline is observed
-   through [exec.worker_running] (always true on the sim, where the
-   horizon unwinds fibers instead). *)
-let serve ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
-    (module S : Ds_intf.RIDEABLE) (p : profile) =
-  Runner_intf.require_capability exec "service";
-  if p.workers < 1 then invalid_arg "Service: workers must be >= 1";
-  if p.fleet < 1 then invalid_arg "Service: fleet must be >= 1";
-  if p.session_ops < 1 then
-    invalid_arg "Service: session_ops must be >= 1";
+   through the [cfg.threads] census slots, claiming arrivals and
+   recording each one's latency, and the row digests them after the
+   run.  On domains the arrival schedule is the same precomputed array,
+   timestamps are microseconds of monotonic wall clock, and the
+   deadline is observed through [exec.worker_running] (always true on
+   the sim, where the horizon unwinds fibers instead). *)
+let serve ~(exec : Runner_intf.exec) ~horizon ~watchdog ~tracker_name
+    ~ds_name (module S : Ds_intf.RIDEABLE) (cfg : Run_engine.config) =
+  (match cfg.faults with
+   | No_faults | Stall_storm _ -> ()
+   | f ->
+     invalid_arg
+       (Printf.sprintf
+          "Service: the %s fault profile cannot drive a service run \
+           (none or a stall storm only)"
+          (Runner_intf.faults_name f)));
+  if cfg.threads < 1 then invalid_arg "Service: workers must be >= 1";
+  let fleet = fleet cfg.threads in
   let latency, gauges = Lazy.force columns in
-  let arrivals = gen_arrivals p in
+  let arrivals = gen_arrivals ~seed:cfg.seed ~horizon in
   let n_arr = Array.length arrivals in
   (* -1 = never served, -2 = aborted; single writer per index (the
      claiming worker), so a plain array is race-free in the sim. *)
   let lat = Array.make (max 1 n_arr) (-1) in
   let next = Atomic.make 0 in
-  let zipf = Workload.zipf ~theta:zipf_theta ~key_range:p.spec.key_range in
+  let zipf = Workload.zipf ~theta:zipf_theta ~key_range:cfg.spec.key_range in
   (* Atomics: on domains several workers race these counters; on the
      sim the plain increments they replace cost nothing either way
      (neither path goes through the cost hooks). *)
@@ -209,16 +175,17 @@ let serve ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
   (* Each worker samples its unreclaimed count at every request, on
      cache lines of its own, as the closed loop does at every op. *)
   let samplers =
-    Array.init p.fleet (fun _ -> Padded.copy (Stats.make_sampler ()))
+    Array.init fleet (fun _ -> Padded.copy (Stats.make_sampler ()))
   in
   (* Census mirror for the watchdog: which slots the service believes
-     are occupied, and per-slot attempt counters (cumulative across
-     occupants; the watchdog re-arms on each occupancy change).
-     Distinct-index writes by the slot's occupant; the watchdog's
-     cross-thread reads are racy by design (a stale read delays one
-     check, inside the grace budget). *)
-  let slot_active = Array.make p.workers false in
-  let slot_attempts = Array.make p.workers 0 in
+     are occupied, by which worker, and per-slot attempt counters
+     (cumulative across occupants; the watchdog re-arms on each
+     occupancy change).  Distinct-index writes by the slot's occupant;
+     the watchdog's cross-thread reads are racy by design (a stale read
+     delays one check, inside the grace budget). *)
+  let slot_active = Array.make cfg.threads false in
+  let slot_attempts = Array.make cfg.threads 0 in
+  let slot_owner = Array.make cfg.threads 0 in
   let open_loop t =
     let request perform h slot i rng sampler =
       Stats.sample sampler (S.retired_count h);
@@ -227,11 +194,12 @@ let serve ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
       let now = exec.now () in
       if ta > now then exec.wait (ta - now);
       let key = Workload.zipf_pick zipf rng in
-      let op = Workload.pick_op rng p.spec.mix in
+      let op = Workload.pick_op rng cfg.spec.mix in
       lat.(i) <- (if perform h op key then exec.now () - ta else -2)
     in
+    (* Worker [w] is the tid [exec.spawn] gave it. *)
     let worker perform w =
-      let rng = Rng.stream ~seed:p.seed ~index:(0x1000 + w) in
+      let rng = Rng.stream ~seed:cfg.seed ~index:(0x1000 + w) in
       (* Stagger the fleet so sessions do not churn in lockstep. *)
       exec.wait (1 + (w * 131));
       let rec join () =
@@ -246,8 +214,9 @@ let serve ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
         | Some h ->
           Atomic.incr attaches;
           let slot = S.handle_tid h in
+          slot_owner.(slot) <- w;
           slot_active.(slot) <- true;
-          session h slot p.session_ops
+          session h slot session_ops
       and leave h slot =
         slot_active.(slot) <- false;
         S.detach h;
@@ -255,7 +224,7 @@ let serve ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
       and session h slot budget =
         if budget = 0 then begin
           leave h slot;
-          exec.wait p.away;
+          exec.wait away;
           if exec.worker_running () then join ()
         end
         else begin
@@ -268,10 +237,13 @@ let serve ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
           end
           else begin
             request perform h slot i rng samplers.(w);
-            (* Wall deadline (domains only; always running on the
-               sim): finish the request, then leave cleanly so the
-               detach protocol runs even on a timed exit. *)
-            if exec.worker_running () then session h slot (budget - 1)
+            (* One tick per request, as per closed-loop operation: on
+               domains it injects the stall storm.  Past the wall
+               deadline (domains only; always running on the sim),
+               leave cleanly so the detach protocol runs even on a
+               timed exit. *)
+            if exec.worker_tick ~tid:w && exec.worker_running () then
+              session h slot (budget - 1)
             else leave h slot
           end
         end
@@ -290,25 +262,15 @@ let serve ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
            S.detach h0);
       spawn_workers =
         (fun perform ->
-           for w = 0 to p.fleet - 1 do
-             exec.spawn (fun ~tid:_ -> worker perform w)
+           for _ = 1 to fleet do
+             exec.spawn (fun ~tid -> worker perform tid)
            done);
       active = (fun slot -> slot_active.(slot));
       progress = (fun slot -> slot_attempts.(slot));
+      occupant = (fun slot -> slot_owner.(slot));
     }
   in
-  let cfg =
-    { Run_engine.threads = p.workers; seed = p.seed;
-      tracker_cfg = p.tracker_cfg; spec = p.spec;
-      faults = Runner_intf.No_faults }
-  in
-  let o =
-    Run_engine.drive ~exec ~ds_name (module S) cfg
-      ~watchdog:
-        (Option.map (fun (period, grace) -> (period, grace, p.neutralize))
-           p.watchdog)
-      open_loop
-  in
+  let o = Run_engine.drive ~exec ~ds_name (module S) cfg ~watchdog open_loop in
   (* Digest latencies: the histogram takes completed requests only; its
      percentiles use the same index as the p999 computed here. *)
   let served =
@@ -318,7 +280,7 @@ let serve ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
   Array.iter (Ibr_obs.Metrics.observe latency) served;
   let ops = Array.length served in
   let set name v = List.assoc name gauges := v in
-  set "svc_fleet" p.fleet;
+  set "svc_fleet" fleet;
   set "svc_arrivals" n_arr;
   set "svc_aborted"
     (Array.fold_left (fun n l -> n + Bool.to_int (l = -2)) 0 lat);
@@ -333,8 +295,8 @@ let serve ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     {
       Stats.tracker = tracker_name;
       ds = ds_name;
-      threads = p.workers;
-      mix = Workload.mix_name p.spec.mix;
+      threads = cfg.threads;
+      mix = Workload.mix_name cfg.spec.mix;
       backend = exec.backend;
       ops;
       makespan = o.makespan;
@@ -347,16 +309,3 @@ let serve ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
   in
   set "svc_slo_pass" (Bool.to_int (slo_failures (row ()) = []));
   row ()
-
-let run_named_exec ~exec ~tracker_name ~ds_name p =
-  Option.map
-    (fun (tracker_name, m) -> serve ~exec ~tracker_name ~ds_name m p)
-    (Run_engine.resolve ~tracker_name ~ds_name)
-
-(* The simulator: one machine per run, built from the profile. *)
-let run_named ~tracker_name ~ds_name p =
-  let sched =
-    Sched.create { Sched.default_config with cores = p.cores; seed = p.seed }
-  in
-  let exec = Run_engine.sim_exec ~sched ~horizon:p.horizon in
-  run_named_exec ~exec ~tracker_name ~ds_name p

@@ -10,11 +10,11 @@
     each run is held to one {!slo} over p50/p99/p999 latency and peak
     allocator footprint.
 
-    This module holds the profiles, the arrivals and the churn; the run
-    itself is {!Run_engine.drive}, with the open-loop workers as its
-    driver, and it returns a {!Stats.t} row like a closed-loop run.
+    This module holds the arrivals and the churn; the run itself is
+    {!Run_engine.drive}, with the open-loop workers as its driver, and
+    it returns a {!Stats.t} row like a closed-loop run.
 
-    Same seed and profile ⇒ a bit-identical row (certified by
+    Same seed and config ⇒ a bit-identical row (certified by
     [test_service]). *)
 
 (** Latency targets in virtual cycles (microseconds on domains),
@@ -29,72 +29,55 @@ type slo = {
 val slo : slo
 (** The one SLO every service run is held to. *)
 
-type profile = {
-  workers : int;       (** census capacity (tracker slot count) *)
-  fleet : int;         (** worker fibers sharing the slots *)
-  cores : int;
-  horizon : int;
-  seed : int;
-  diurnal : bool;      (** ×0.6 rate at the edges, ×1.5 mid-run *)
-  spikes : int;        (** evenly spaced ×3 windows, 2% of horizon *)
-  session_ops : int;   (** requests served per attached session *)
-  away : int;          (** cycles detached between sessions *)
-  watchdog : (int * int) option;  (** [(period, grace)] *)
-  neutralize : bool;
-  (** Watchdog remedy: [false] ejects a stalled worker (it is lost for
-      the rest of its session), [true] delivers a restart signal and
-      lets it recover in place (DESIGN.md §12). *)
-  spec : Workload.spec;
-  tracker_cfg : Ibr_core.Tracker_intf.config;
-}
+val fleet : int -> int
+(** [fleet threads = threads + 2]: the workers sharing [threads]
+    census slots, so attach contention and slot reuse happen
+    constantly.  Each serves sessions of 40 requests and stays away
+    2,000 cycles (microseconds on domains) between them. *)
 
-val default_profile :
-  ?workers:int -> ?fleet:int -> ?cores:int -> ?horizon:int -> ?seed:int ->
-  ?diurnal:bool -> ?spikes:int -> ?session_ops:int -> ?away:int ->
-  ?watchdog:int * int -> ?neutralize:bool -> spec:Workload.spec -> unit ->
-  profile
-
-val rate_permille : profile -> t:int -> int
+val rate_permille : horizon:int -> t:int -> int
 (** Arrival-rate modulation at virtual time [t], in permille of the
-    base rate — all-integer (diurnal tent and spike windows), exposed
-    for tests. *)
+    base rate — all-integer: a diurnal tent from 600 at the run's
+    edges to 1500 mid-run, tripled inside two evenly spaced spike
+    windows of 2% of [horizon]. *)
 
-val gen_arrivals : profile -> int array
+val gen_arrivals : seed:int -> horizon:int -> int array
 (** The precomputed arrival schedule: non-decreasing timestamps under
-    [horizon], at most one per cycle.  A function of the profile's
-    [seed], [horizon], [diurnal] and [spikes]. *)
+    [horizon], at most one per cycle. *)
 
-val run_named :
-  tracker_name:string -> ds_name:string -> profile -> Stats.t option
-(** One full service run on a fresh instance, on the simulator built
-    from the profile's [cores] and [seed].  Prefills through a
-    temporary attach/detach, spawns [fleet] workers plus the
-    background reclaimer (if the tracker has one) and the optional
-    watchdog, runs to [horizon], and returns the row: [threads] is
-    [workers], [ops] the completed requests, and the unreclaimed
-    count is sampled at the start of every request.  The service's
-    figures are registry columns: the [svc_latency] histogram, and the
-    [svc_fleet], [svc_arrivals], [svc_aborted], [svc_attaches],
-    [svc_detaches], [svc_attach_full], [svc_p999] and [svc_slo_pass]
-    gauges.  They register with the watchdog's gauges at the first
-    run, never at module init, so binaries that do not run a service
-    keep their CSV layout.  [None] if the tracker cannot run this
-    rideable (see {!Ibr_ds.Ds_intf.RIDEABLE.compatible}).
-    @raise Invalid_argument on unknown names, or on non-positive
-    [workers], [fleet] or [session_ops]. *)
+val serve :
+  exec:Runner_intf.exec -> horizon:int ->
+  watchdog:(int * int * bool) option -> tracker_name:string ->
+  ds_name:string -> (module Ibr_ds.Ds_intf.RIDEABLE) -> Run_engine.config ->
+  Stats.t
+(** One full service run on a fresh instance over [exec] (built for
+    [fleet cfg.threads] workers; {!Campaign.run} builds it from a
+    point).  Prefills through a temporary attach/detach, spawns the
+    fleet plus the background reclaimer (if the tracker has one) and
+    the optional [(period, grace, neutralize)] census-aware watchdog,
+    runs to [horizon], and returns the row: [threads] is the census
+    capacity, [ops] the completed requests, and the unreclaimed count
+    is sampled at the start of every request.  Each request calls
+    [exec.worker_tick] once, so on a {!Run_engine.domains_exec} a
+    stall storm stalls service workers as it does closed-loop ones;
+    there the same precomputed arrival schedule plays out against the
+    monotonic wall clock (microsecond units — [horizon], the gap
+    between sessions and the SLO's latency targets carry over under
+    the 1 cycle ~ 1 us convention).  The restart signal of a
+    neutralizing watchdog goes to the worker holding the stale slot,
+    not to the worker whose tid equals the slot.
 
-val run_named_exec :
-  exec:Runner_intf.exec -> tracker_name:string -> ds_name:string ->
-  profile -> Stats.t option
-(** {!run_named} over an explicit backend.  On a
-    {!Run_engine.domains_exec} the same precomputed arrival schedule
-    plays out against the monotonic wall clock (microsecond units —
-    [horizon], [away] and the SLO's latency targets carry over under
-    the 1 cycle ~ 1 us convention) with real attach/detach churn
-    across domains.
-    @raise Runner_intf.Unsupported if the backend lacks the
-    ["service"] capability, or ["probes"] while {!Ibr_obs.Probe}
-    tracing or histograms are on. *)
+    The service's figures are registry columns: the [svc_latency]
+    histogram, and the [svc_fleet], [svc_arrivals], [svc_aborted],
+    [svc_attaches], [svc_detaches], [svc_attach_full], [svc_p999] and
+    [svc_slo_pass] gauges.  They register with the watchdog's gauges
+    at the first run, never at module init, so binaries that do not
+    run a service keep their CSV layout.
+    @raise Invalid_argument if [cfg.faults] is neither
+    {!Runner_intf.No_faults} nor a [Stall_storm] (the message names
+    the profile), or if [cfg.threads < 1]; both before any column
+    registers.
+    @raise Runner_intf.Unsupported as {!Run_engine.drive}. *)
 
 val slo_failures : Stats.t -> string list
 (** The {!slo} checks a service row fails, each as

@@ -74,6 +74,38 @@ let test_no_service_when_off () =
   check "NoMM" (bg_cfg ~threads:1) false;
   check "UnsafeFree" (bg_cfg ~threads:1) false
 
+(* [queued] reads per-queue counts instead of walking the queues.
+   Across any interleaving of pushes from several producers and drains
+   it is the pushes minus what the drains moved, and a queued retire
+   path counts it plus what the service's reclaimer holds (a store
+   that is never swept here). *)
+let qcheck_queued_counts =
+  QCheck.Test.make ~name:"queued = pushed - drained; path_count adds the store"
+    ~count:200
+    QCheck.(list (option (int_bound 3)))
+    (fun script ->
+       let rc =
+         Reclaimer.create ~empty_freq:0
+           ~source:(fun () -> { Reclaimer.below = min_int; keep = None })
+           ~free:ignore ()
+       in
+       let h = Handoff.create ~producers:4 rc in
+       let pushed = ref 0 and drained = ref 0 in
+       List.for_all
+         (fun step ->
+            (match step with
+             | Some tid ->
+               let b = Block.make ~id:!pushed 0 in
+               Block.set_retire_epoch b !pushed;
+               Handoff.push h ~tid b;
+               incr pushed
+             | None -> drained := !drained + Handoff.drain h);
+            Handoff.queued h = !pushed - !drained
+            && Reclaimer.count rc = !drained
+            && Handoff.path_count (Queued h)
+               = Handoff.queued h + Reclaimer.count rc)
+         script)
+
 (* ---- shutdown quiescence through the runners ---- *)
 
 let small_spec = { (Workload.spec_for "hashmap") with key_range = 256 }
@@ -119,17 +151,12 @@ let test_sim_quiescence_under_crash () =
   quiescent r
 
 let test_domains_quiescence () =
-  let spec = Workload.spec_for "hashmap" in
-  let cfg = Runner_domains.default_config ~threads:2 ~duration_s:0.05 ~spec () in
-  let cfg =
-    { cfg with
-      Runner_domains.tracker_cfg =
-        { cfg.Runner_domains.tracker_cfg with
-          Tracker_intf.background_reclaim = true } }
-  in
   quiescent
     (Option.get
-       (Runner_domains.run_named ~tracker_name:"EBR" ~ds_name:"hashmap" cfg))
+       (Campaign.run
+          (Campaign.point ~backend:Domains ~seed:0xd0e5
+             ~tweak:(fun c -> { c with Tracker_intf.background_reclaim = true })
+             ~threads:2 ~horizon:50_000 "EBR" "hashmap")))
 
 (* Virtual time must not move when the feature is off: same seed, same
    makespan and op count as ever (the golden CSV pins the full row;
@@ -157,6 +184,7 @@ let suite =
       test_service_drain_flush;
     Alcotest.test_case "service only exists when configured" `Quick
       test_no_service_when_off;
+    QCheck_alcotest.to_alcotest qcheck_queued_counts;
     Alcotest.test_case "sim shutdown quiescence (EBR/HP/2GEIBR)" `Quick
       test_sim_quiescence;
     Alcotest.test_case "sim quiescence with a crashed thread" `Quick

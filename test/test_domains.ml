@@ -9,14 +9,12 @@ let run_domains ?mix (e : Registry.entry) ds_name () =
   Fault.set_mode Fault.Raise;
   let spec =
     { (Ibr_harness.Workload.spec_for ?mix ds_name) with key_range = 512 } in
-  let cfg =
-    Ibr_harness.Runner_domains.default_config ~threads:4 ~duration_s:0.15
-      ~spec () in
-  let cfg =
-    { cfg with
-      tracker_cfg = { cfg.tracker_cfg with reuse = false } } in
   match
-    Ibr_harness.Runner_domains.run_named ~tracker_name:e.name ~ds_name cfg
+    Ibr_harness.Campaign.(
+      run
+        (point ~spec ~backend:Domains ~seed:0xd0e5
+           ~tweak:(fun c -> { c with reuse = false })
+           ~threads:4 ~horizon:150_000 e.name ds_name))
   with
   | None -> Alcotest.failf "%s cannot run on %s" e.name ds_name
   | Some r ->

@@ -9,6 +9,12 @@ open Ibr_harness
 
 let small_spec = { (Workload.spec_for "hashmap") with key_range = 256 }
 
+(* A closed-loop hashmap point on Domains; the horizon is in us. *)
+let domains_run ?faults ~threads ~horizon tracker =
+  Campaign.run
+    (Campaign.point ~spec:small_spec ?faults ~backend:Domains ~seed:0xd0e5
+       ~threads ~horizon tracker "hashmap")
+
 (* An exec that can never run anything: only the capability gate is
    exercised, so no closure should ever be reached. *)
 let dummy_exec caps =
@@ -69,17 +75,14 @@ let gen_caps =
   QCheck.Gen.map
     (fun bits ->
        {
-         Runner_intf.deterministic = bits land 1 <> 0;
-         crash_faults = bits land 2 <> 0;
-         stall_faults = bits land 4 <> 0;
-         virtual_time = bits land 8 <> 0;
-         watchdog = bits land 16 <> 0;
-         neutralize = bits land 128 <> 0;
-         alloc_capacity = bits land 32 <> 0;
-         service = bits land 64 <> 0;
-         probes = bits land 256 <> 0;
+         Runner_intf.crash_faults = bits land 1 <> 0;
+         stall_faults = bits land 2 <> 0;
+         watchdog = bits land 4 <> 0;
+         neutralize = bits land 8 <> 0;
+         alloc_capacity = bits land 16 <> 0;
+         probes = bits land 32 <> 0;
        })
-    (QCheck.Gen.int_bound 511)
+    (QCheck.Gen.int_bound 63)
 
 let qcheck_missing_consistent =
   QCheck.Test.make ~name:"missing = required \\ held; require raises first"
@@ -154,14 +157,7 @@ let test_tagged_csv_shape () =
 (* ---- domains: honored subset runs, the rest fails fast ---- *)
 
 let test_domains_runs_fault_free () =
-  let cfg =
-    Runner_domains.default_config ~threads:2 ~duration_s:0.1
-      ~spec:small_spec ()
-  in
-  let r =
-    Option.get
-      (Runner_domains.run_named ~tracker_name:"2GEIBR" ~ds_name:"hashmap" cfg)
-  in
+  let r = Option.get (domains_run ~threads:2 ~horizon:100_000 "2GEIBR") in
   Alcotest.(check string) "provenance tag" "domains" r.Stats.backend;
   Alcotest.(check bool) "did ops" true (r.Stats.ops > 0);
   Alcotest.(check bool) "wall-clock makespan in us" true (r.Stats.makespan > 0)
@@ -169,14 +165,7 @@ let test_domains_runs_fault_free () =
 let test_domains_stall_watchdog_ejects () =
   let faults = Option.get (Runner_intf.faults_of_string "stall+watchdog") in
   (* period*grace = 45 ms of wall clock; 0.2 s leaves room to eject. *)
-  let cfg =
-    Runner_domains.default_config ~threads:3 ~duration_s:0.2 ~faults
-      ~spec:small_spec ()
-  in
-  let r =
-    Option.get
-      (Runner_domains.run_named ~tracker_name:"EBR" ~ds_name:"hashmap" cfg)
-  in
+  let r = Option.get (domains_run ~faults ~threads:3 ~horizon:200_000 "EBR") in
   Alcotest.(check bool) "wall-clock watchdog ejected the parked worker" true
     (Stats.metric r "ejections" >= 1);
   Alcotest.(check bool) "survivors made progress" true (r.Stats.ops > 0)
@@ -185,36 +174,12 @@ let test_domains_crash_unsupported () =
   List.iter
     (fun name ->
        let faults = Option.get (Runner_intf.faults_of_string name) in
-       let cfg =
-         Runner_domains.default_config ~threads:2 ~duration_s:0.05 ~faults
-           ~spec:small_spec ()
-       in
        Alcotest.check_raises (name ^ " refused on domains")
          (Runner_intf.Unsupported
             { backend = "domains"; capability = "crash_faults" })
          (fun () ->
-            ignore
-              (Runner_domains.run_named ~tracker_name:"EBR"
-                 ~ds_name:"hashmap" cfg)))
+            ignore (domains_run ~faults ~threads:2 ~horizon:50_000 "EBR")))
     [ "crash"; "crash+capped"; "crash+watchdog" ]
-
-(* The gate fires before any work: a backend without the service
-   capability cannot even begin an open-loop run (and, load-bearing
-   for the test ordering, does not register the svc_* metrics). *)
-let test_service_requires_capability () =
-  let exec =
-    dummy_exec { Run_engine.domains_caps with Runner_intf.service = false }
-  in
-  let profile =
-    Service.default_profile ~workers:2 ~fleet:2 ~cores:2 ~horizon:2_000
-      ~spec:small_spec ()
-  in
-  Alcotest.check_raises "service capability required"
-    (Runner_intf.Unsupported { backend = "dummy"; capability = "service" })
-    (fun () ->
-       ignore
-         (Service.run_named_exec ~exec ~tracker_name:"EBR" ~ds_name:"hashmap"
-            profile))
 
 (* Probes read the tid and clock through the simulator's handler and
    record into unsynchronised rings, so with a trace recording a
@@ -225,10 +190,7 @@ let test_probes_need_capability () =
     (Runner_intf.has Run_engine.sim_caps "probes");
   Alcotest.(check bool) "domains does not" false
     (Runner_intf.has Run_engine.domains_caps "probes");
-  let domains =
-    Runner_domains.default_config ~threads:2 ~duration_s:0.05
-      ~spec:small_spec ()
-  and sim =
+  let sim =
     Runner_sim.default_config ~threads:2 ~cores:2 ~horizon:10_000
       ~spec:small_spec ()
   in
@@ -236,10 +198,7 @@ let test_probes_need_capability () =
   Fun.protect ~finally:Ibr_obs.Probe.stop (fun () ->
     Alcotest.check_raises "tracing refused on domains"
       (Runner_intf.Unsupported { backend = "domains"; capability = "probes" })
-      (fun () ->
-         ignore
-           (Runner_domains.run_named ~tracker_name:"EBR" ~ds_name:"hashmap"
-              domains));
+      (fun () -> ignore (domains_run ~threads:2 ~horizon:50_000 "EBR"));
     let r =
       Option.get
         (Runner_sim.run_named ~tracker_name:"EBR" ~ds_name:"hashmap" sim)
@@ -347,8 +306,6 @@ let suite =
       test_domains_stall_watchdog_ejects;
     Alcotest.test_case "crash profiles raise Unsupported on domains" `Quick
       test_domains_crash_unsupported;
-    Alcotest.test_case "service needs the service capability" `Quick
-      test_service_requires_capability;
     Alcotest.test_case "probes raise Unsupported on domains, run on sim"
       `Quick test_probes_need_capability;
     Alcotest.test_case "no handler installed outside runs" `Quick

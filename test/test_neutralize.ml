@@ -399,21 +399,15 @@ let test_campaign_reproducible () =
 
 let test_service_neutralize_smoke () =
   let p =
-    Service.default_profile ~workers:3 ~fleet:4 ~cores:4 ~horizon:60_000
-      ~seed:0x5e12 ~watchdog:(500, 2) ~neutralize:true ~session_ops:12
-      ~away:800 ~spec:(Workload.spec_for "hashmap") ()
+    Campaign.point
+      ~driver:(Service { watchdog = Some (500, 2); neutralize = true })
+      ~cores:4 ~seed:0x5e12 ~threads:3 ~horizon:60_000 "DEBRA+" "hashmap"
   in
-  let r =
-    Option.get
-      (Service.run_named ~tracker_name:"DEBRA+" ~ds_name:"hashmap" p)
-  in
+  let r = Option.get (Campaign.run p) in
   Alcotest.(check bool) "requests served" true (r.ops > 0);
   Alcotest.(check int) "healing watchdog ejects nobody" 0
     (Stats.metric r "ejections");
-  let r' =
-    Option.get
-      (Service.run_named ~tracker_name:"DEBRA+" ~ds_name:"hashmap" p)
-  in
+  let r' = Option.get (Campaign.run p) in
   Alcotest.(check string) "service CSV row deterministic"
     (Stats.to_csv_row r) (Stats.to_csv_row r')
 

@@ -380,15 +380,15 @@ let test_watchdog_rearms_on_detach () =
 
 (* ---- service: arrivals, zipf, determinism, smoke ------------------- *)
 
-let small_profile ?watchdog () =
-  Service.default_profile ~workers:3 ~fleet:5 ~cores:4 ~horizon:60_000
-    ~seed:0x5e11 ?watchdog ~session_ops:12 ~away:800
-    ~spec:(Workload.spec_for "hashmap") ()
+let small_point ?watchdog ?(tweak = Fun.id) tracker =
+  Campaign.point
+    ~driver:(Service { watchdog; neutralize = false })
+    ~cores:4 ~seed:0x5e11 ~tweak ~threads:3 ~horizon:60_000 tracker "hashmap"
 
 let test_arrivals_deterministic () =
-  let p = small_profile () in
-  let a1 = Service.gen_arrivals p in
-  let a2 = Service.gen_arrivals p in
+  let horizon = 60_000 in
+  let a1 = Service.gen_arrivals ~seed:0x5e11 ~horizon in
+  let a2 = Service.gen_arrivals ~seed:0x5e11 ~horizon in
   Alcotest.(check bool) "same schedule twice" true (a1 = a2);
   Alcotest.(check bool) "non-empty" true (Array.length a1 > 0);
   let sorted = ref true in
@@ -398,23 +398,18 @@ let test_arrivals_deterministic () =
   Alcotest.(check bool) "at most one arrival per cycle" true !sorted;
   Array.iter
     (fun t ->
-       if t < 0 || t >= p.Service.horizon then
+       if t < 0 || t >= horizon then
          Alcotest.failf "arrival %d outside horizon" t)
     a1;
   (* A different seed moves the schedule. *)
-  let a3 = Service.gen_arrivals { p with Service.seed = 1 } in
+  let a3 = Service.gen_arrivals ~seed:1 ~horizon in
   Alcotest.(check bool) "seed changes the schedule" false (a1 = a3)
 
 let test_rate_modulation () =
-  let p = small_profile () in
-  let flat = { p with Service.diurnal = false; spikes = 0 } in
-  for t = 0 to flat.Service.horizon do
-    if Service.rate_permille flat ~t <> 1000 then
-      Alcotest.failf "flat profile must be 1000 permille at %d" t
-  done;
+  let horizon = 60_000 in
   let lo = ref max_int and hi = ref 0 in
-  for t = 0 to p.Service.horizon do
-    let r = Service.rate_permille p ~t in
+  for t = 0 to horizon do
+    let r = Service.rate_permille ~horizon ~t in
     lo := min !lo r;
     hi := max !hi r
   done;
@@ -472,13 +467,11 @@ let test_slo_failures () =
     (String.ends_with ~suffix:": PASS" (Fmt.str "%a" Service.pp_slo edge))
 
 let test_service_deterministic ~background_reclaim () =
-  let p = small_profile () in
   let p =
-    { p with
-      Service.tracker_cfg = { p.Service.tracker_cfg with background_reclaim } }
+    small_point ~tweak:(fun c -> { c with background_reclaim }) "TagIBR"
   in
-  let r1 = Service.run_named ~tracker_name:"TagIBR" ~ds_name:"hashmap" p in
-  let r2 = Service.run_named ~tracker_name:"TagIBR" ~ds_name:"hashmap" p in
+  let r1 = Campaign.run p in
+  let r2 = Campaign.run p in
   match r1, r2 with
   | Some r1, Some r2 ->
     Alcotest.(check string) "bit-identical CSV rows, verdict included"
@@ -499,10 +492,7 @@ let smoke_schemes =
   [ "EBR"; "QSBR"; "HP"; "HE"; "TagIBR"; "2GEIBR"; "NoMM" ]
 
 let test_service_smoke tracker () =
-  match
-    Service.run_named ~tracker_name:tracker ~ds_name:"hashmap"
-      (small_profile ())
-  with
+  match Campaign.run (small_point tracker) with
   | None -> Alcotest.failf "%s should run the hashmap" tracker
   | Some r ->
     let m = Stats.metric r in
@@ -526,8 +516,7 @@ let test_service_smoke tracker () =
     Alcotest.(check int) "svc_slo_pass is the check" 1 (m "svc_slo_pass")
 
 let test_service_watchdog_churn () =
-  let p = small_profile ~watchdog:(15_000, 3) () in
-  match Service.run_named ~tracker_name:"EBR" ~ds_name:"hashmap" p with
+  match Campaign.run (small_point ~watchdog:(15_000, 3) "EBR") with
   | None -> Alcotest.fail "EBR should run the hashmap"
   | Some r ->
     Alcotest.(check bool) "demand served" true (r.ops > 0);
@@ -535,6 +524,98 @@ let test_service_watchdog_churn () =
        death to the census-aware watchdog. *)
     Alcotest.(check int) "no spurious ejections under churn" 0
       (Stats.metric r "ejections")
+
+(* A service point takes its stalls from the fault profile and refuses
+   every other kind of fault up front, naming it. *)
+let test_service_refuses_crash_profile () =
+  let faults = Option.get (Runner_intf.faults_of_string "crash") in
+  match
+    Campaign.run
+      (Campaign.point
+         ~driver:(Service { watchdog = None; neutralize = false })
+         ~faults ~threads:3 ~horizon:10_000 "EBR" "hashmap")
+  with
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) ("the message names the profile: " ^ msg) true
+      (Astring_contains.contains msg "crash")
+  | _ -> Alcotest.fail "a crash profile must not drive a service run"
+
+(* On Domains each request ticks the exec, so a storm that stalls at
+   every tick check (one per 64 requests) for longer than the run stops
+   each worker at its 64th request. *)
+let test_domains_service_takes_stalls () =
+  let horizon = 60_000 and threads = 2 in
+  let r =
+    Option.get
+      (Campaign.run
+         (Campaign.point ~backend:Domains
+            ~driver:(Service { watchdog = None; neutralize = false })
+            ~faults:(Stall_storm { stall_prob = 1.0; stall_len = 2 * horizon })
+            ~threads ~horizon "EBR" "hashmap"))
+  in
+  let cap = 64 * Service.fleet threads in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d requests served, at most %d" r.ops cap)
+    true
+    (r.ops > 0 && r.ops <= cap)
+
+(* The watchdog judges census slots, but under churn the worker in slot
+   [s] is seldom the worker whose tid is [s]: the restart signal must
+   reach whoever holds the slot it has just ejected.  The rideable's
+   [attach] records each slot's holder (the attaching fiber), [eject]
+   checks it against the signal's recipient, and the exec's
+   [neutralize] names that recipient. *)
+let test_restart_signal_reaches_slot_holder () =
+  let open Ibr_runtime in
+  let threads = 4 and horizon = 150_000 and seed = 0x43a1 in
+  let faults = Runner_intf.Stall_storm { stall_prob = 0.3; stall_len = 30_000 } in
+  let _, m = Option.get (Run_engine.resolve ~tracker_name:"DEBRA+" ~ds_name:"list") in
+  let module S = (val m : Ibr_ds.Ds_intf.RIDEABLE) in
+  let holder = Array.make threads (-1) and recipient = ref (-1) in
+  let signals = ref 0 and misses = ref [] in
+  let module W = struct
+    include S
+
+    let attach t =
+      let h = S.attach t in
+      Option.iter (fun h -> holder.(S.handle_tid h) <- Hooks.current_tid ()) h;
+      h
+
+    let eject t ~tid =
+      incr signals;
+      if holder.(tid) <> !recipient then
+        misses := (tid, holder.(tid), !recipient) :: !misses;
+      S.eject t ~tid
+  end in
+  let exec =
+    Run_engine.sim_exec ~horizon
+      ~sched:
+        (Sched.create
+           { Sched.default_config with
+             cores = 4; seed; stall_prob = 0.3; stall_len = 30_000 })
+  in
+  let exec =
+    { exec with
+      neutralize =
+        (fun ~eject ~tid ->
+          recipient := tid;
+          exec.neutralize ~eject ~tid) }
+  in
+  let cfg =
+    { Run_engine.threads; seed; faults; spec = Workload.spec_for "list";
+      tracker_cfg = Tracker_intf.default_config ~threads () }
+  in
+  let r, _ =
+    Fault.with_counting (fun () ->
+      Service.serve ~exec ~horizon ~watchdog:(Some (5_000, 2, true))
+        ~tracker_name:"DEBRA+" ~ds_name:"list" (module W) cfg)
+  in
+  Alcotest.(check bool) "signals were sent" true
+    (!signals > 0 && Stats.metric r "neutralizations" = !signals);
+  Alcotest.(check (list (triple int int int)))
+    "each signal reached the holder of the ejected slot \
+     (slot, holder, recipient)"
+    [] (List.rev !misses)
 
 let suite =
   [
@@ -591,4 +672,10 @@ let suite =
   @ [
       Alcotest.test_case "census-aware watchdog under churn" `Quick
         test_service_watchdog_churn;
+      Alcotest.test_case "a service point refuses a crash profile" `Quick
+        test_service_refuses_crash_profile;
+      Alcotest.test_case "domains service workers take the stall storm"
+        `Slow test_domains_service_takes_stalls;
+      Alcotest.test_case "restart signal reaches the slot's holder" `Quick
+        test_restart_signal_reaches_slot_holder;
     ]
