@@ -26,24 +26,39 @@ let or_incompatible ~tracker ~rideable = function
       rideable;
     exit 1
 
+(* Some registry columns register lazily (--hist adds four, a
+   neutralizing watchdog two, a service run fourteen), so a row is
+   appended only under the header it is written under: an existing
+   file whose first line differs is refused before anything is
+   written. *)
 let append_csv r = function
   | None -> ()
   | Some path ->
-    let existed = Sys.file_exists path in
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    if not existed then begin
-      output_string oc (Ibr_harness.Stats.csv_header ());
-      output_char oc '\n'
-    end;
-    output_string oc (Ibr_harness.Stats.to_csv_row r);
-    output_char oc '\n';
-    close_out oc;
+    let header = Ibr_harness.Stats.csv_header () in
+    let first =
+      if Sys.file_exists path then In_channel.(with_open_text path input_line)
+      else None
+    in
+    (match first with
+     | Some h when h <> header ->
+       let only a b =
+         let cols = String.split_on_char ',' in
+         List.filter (fun c -> not (List.mem c (cols b))) (cols a)
+         |> String.concat ","
+       in
+       failwith
+         (Printf.sprintf
+            "%s has another header (this row adds [%s] and lacks [%s]); \
+             write it to a new file" path (only header h) (only h header))
+     | _ -> ());
+    Out_channel.with_open_gen [ Open_append; Open_creat ] 0o644 path (fun oc ->
+      if first = None then output_string oc (header ^ "\n");
+      output_string oc (Ibr_harness.Stats.to_csv_row r ^ "\n"));
     Fmt.pr "appended to %s@." path
 
 (* One run of either driver: the spec from --mix and --key-range, the
    refusal of an incompatible pairing, the row (after the machine it
-   ran on, with -v), a service run's SLO line, and the CSV append (the
-   header only when the file is new). *)
+   ran on, with -v), a service run's SLO line, and the CSV append. *)
 let run_one ~(base : Cli.base) ~driver ~cores ~seed ~backend ~empty_freq
     ~epoch_freq ~key_range ~background_reclaim ~output ~verbose =
   let { Cli.rideable; tracker; threads; interval; mix; faults } = base in

@@ -45,14 +45,8 @@ type config = {
 
 (* -- backend constructors -- *)
 
-let sim_caps : Runner_intf.capabilities = {
-  crash_faults = true;
-  stall_faults = true;
-  watchdog = true;
-  neutralize = true;
-  alloc_capacity = true;
-  probes = true;
-}
+let sim_caps : Runner_intf.capabilities =
+  { crash_faults = true; neutralize = true; probes = true }
 
 let sim_exec ~sched ~horizon : Runner_intf.exec =
   {
@@ -78,14 +72,8 @@ let sim_exec ~sched ~horizon : Runner_intf.exec =
     publish_crashes = (fun () -> Sched.publish_crashes sched);
   }
 
-let domains_caps : Runner_intf.capabilities = {
-  crash_faults = false;
-  stall_faults = true;
-  watchdog = true;
-  neutralize = true;
-  alloc_capacity = true;
-  probes = false;
-}
+let domains_caps : Runner_intf.capabilities =
+  { crash_faults = false; neutralize = true; probes = false }
 
 (* Sleep [n] microseconds.  Short waits spin on the monotonic clock:
    at this scale a nanosleep round-trip costs more than it waits. *)

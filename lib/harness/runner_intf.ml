@@ -22,19 +22,13 @@
 
 type capabilities = {
   crash_faults : bool;    (* scheduler-injected thread death *)
-  stall_faults : bool;    (* injected long stalls *)
-  watchdog : bool;        (* ejection watchdog can ride along *)
   neutralize : bool;      (* restart signals deliverable to workers *)
-  alloc_capacity : bool;  (* capped-allocator backpressure *)
   probes : bool;          (* Ibr_obs.Probe tracing and histograms *)
 }
 
 let has caps = function
   | "crash_faults" -> caps.crash_faults
-  | "stall_faults" -> caps.stall_faults
-  | "watchdog" -> caps.watchdog
   | "neutralize" -> caps.neutralize
-  | "alloc_capacity" -> caps.alloc_capacity
   | "probes" -> caps.probes
   | c -> invalid_arg ("Runner_intf.has: unknown capability " ^ c)
 
@@ -153,16 +147,13 @@ let faults_name f =
   | Some (n, _) -> n
   | None -> "custom"
 
-(* Capabilities a fault profile draws on.  [Crash_capped] also sizes
-   the allocator; the watchdog profiles spawn the monitor thread. *)
+(* Capabilities a fault profile draws on.  Stalls, the ejecting
+   watchdog and a capped allocator run on every backend, so they need
+   none. *)
 let required_caps = function
-  | No_faults -> []
-  | Stall_storm _ -> [ "stall_faults" ]
-  | Crash _ -> [ "crash_faults" ]
-  | Crash_capped _ -> [ "crash_faults"; "alloc_capacity" ]
-  | Crash_watchdog _ -> [ "crash_faults"; "watchdog" ]
-  | Stall_watchdog _ -> [ "stall_faults"; "watchdog" ]
-  | Stall_neutralize _ -> [ "stall_faults"; "watchdog"; "neutralize" ]
+  | No_faults | Stall_storm _ | Stall_watchdog _ -> []
+  | Crash _ | Crash_capped _ | Crash_watchdog _ -> [ "crash_faults" ]
+  | Stall_neutralize _ -> [ "neutralize" ]
 
 (* Capabilities [caps] is missing for [faults] (empty = runnable). *)
 let missing caps faults =

@@ -182,7 +182,6 @@ let check_round w =
 
 let spawn ~(exec : Runner_intf.exec) ~period ~grace ~threads
     ?(remedy = Eject) ?(active = fun _ -> true) ~progress ~eject () =
-  Runner_intf.require_capability exec "watchdog";
   (match remedy with
    | Eject -> ()
    | Neutralize _ -> Runner_intf.require_capability exec "neutralize");

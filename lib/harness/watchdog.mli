@@ -59,9 +59,8 @@ val spawn :
     state is reset, so a joiner that reuses the slot is watched from
     scratch instead of being ejected against the leaver's counter.
     @raise Invalid_argument if [period < 1] or [grace < 1].
-    @raise Runner_intf.Unsupported if the backend lacks the
-    ["watchdog"] capability (or ["neutralize"], for a {!Neutralize}
-    remedy). *)
+    @raise Runner_intf.Unsupported if the remedy is {!Neutralize}
+    and the backend lacks the ["neutralize"] capability. *)
 
 val ejections : t -> int
 (** Workers ejected so far. *)

@@ -1,55 +1,8 @@
-(* The observability layer: the golden-file guard on the registry-
-   derived CSV schema, the probe/metric reconciliation property, and
-   the trace exporter + validator.
-
-   Ordering matters within this suite: the golden test must run
-   before anything calls [Probe.enable_hist], because enabling the
-   histogram adds retire_age columns to the registry (by design — the
-   --hist flag widens the CSV), and the golden fixture pins the
-   default column set. *)
+(* The observability layer: the probe/metric reconciliation property
+   and the trace exporter + validator.  The registry-derived CSV
+   schema is pinned by the golden fixture under test/golden/. *)
 
 open Ibr_harness
-
-(* ---- golden CSV ---------------------------------------------------- *)
-
-(* The three fixture rows, regenerated with the exact configurations
-   that produced test/golden/stats.csv (see the file header there);
-   the comparison is byte-for-byte, so any drift in the registry
-   column set, the column order, or the simulation itself fails. *)
-let golden_run ~rideable ~tracker ~threads ~horizon ~seed ~faults =
-  let spec = Workload.spec_for ~mix:Workload.write_dominated rideable in
-  let cfg =
-    Runner_sim.default_config ~threads ~horizon ~cores:8 ~seed
-      ~faults:(Cli.parse_faults faults) ~spec ()
-  in
-  Option.get (Runner_sim.run_named ~tracker_name:tracker ~ds_name:rideable cfg)
-
-let test_golden_csv () =
-  let rows =
-    [
-      golden_run ~rideable:"hashmap" ~tracker:"2GEIBR" ~threads:4
-        ~horizon:50_000 ~seed:42 ~faults:"none";
-      golden_run ~rideable:"hashmap" ~tracker:"EBR" ~threads:4
-        ~horizon:50_000 ~seed:42 ~faults:"none";
-      golden_run ~rideable:"list" ~tracker:"HP" ~threads:3 ~horizon:40_000
-        ~seed:7 ~faults:"crash";
-    ]
-  in
-  let got =
-    String.concat ""
-      (List.map (fun line -> line ^ "\n")
-         (Stats.csv_header () :: List.map Stats.to_csv_row rows))
-  in
-  let fixture =
-    (* dune runtest stages the fixture next to the test binary; a bare
-       `dune exec test/test_main.exe` runs from the project root. *)
-    if Sys.file_exists "golden/stats.csv" then "golden/stats.csv"
-    else "test/golden/stats.csv"
-  in
-  let ic = open_in fixture in
-  let want = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Alcotest.(check string) "CSV byte-for-byte vs golden fixture" want got
 
 (* ---- probe / stats reconciliation --------------------------------- *)
 
@@ -303,8 +256,6 @@ let test_hist_summary () =
 
 let suite =
   [
-    Alcotest.test_case "golden CSV is byte-for-byte stable" `Slow
-      test_golden_csv;
     QCheck_alcotest.to_alcotest qcheck_trace_reconciles;
     Alcotest.test_case "tracing leaves virtual time untouched" `Quick
       test_trace_is_free;

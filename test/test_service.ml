@@ -15,11 +15,7 @@
      re-arm fresh).
    - The service harness itself: arrival-schedule determinism, Zipf
      skew, the SLO check, a bit-identical row (verdict included) across
-     reruns of one profile, and a smoke run per scheme family.
-
-   This suite must be registered LAST in [test_main]: a service run
-   lazily registers its [svc_*] metrics, which widens the registry CSV
-   layout that test_obs pins against a golden file. *)
+     reruns of one profile, and a smoke run per scheme family. *)
 
 open Ibr_core
 open Ibr_harness
